@@ -192,8 +192,13 @@ def run_single(exp: ExperimentConfig, method: str, axis_value: int, trial: int):
     }
 
 
-def _run_single_args(args):
-    return run_single(*args)
+def _run_task(task):
+    """run_single on one task; a failure comes back as its message, so a
+    parallel sweep keeps the other runs' results just as a serial one does."""
+    try:
+        return run_single(*task), None
+    except Exception as e:
+        return None, str(e)
 
 
 def _fmt(v) -> str:
@@ -206,18 +211,18 @@ def run_experiment(exp: ExperimentConfig) -> int:
     """Execute the full sweep; returns 0 when every run completed."""
     tasks = [(exp, m, g, t)
              for m in exp.methods for g in exp.grid for t in range(exp.trials)]
-    rows, failed = [], 0
     if exp.workers > 1:
         with ProcessPoolExecutor(max_workers=exp.workers) as ex:
-            for row in ex.map(_run_single_args, tasks):
-                rows.append(row)
+            outcomes = list(ex.map(_run_task, tasks))
     else:
-        for task in tasks:
-            try:
-                rows.append(_run_single_args(task))
-            except Exception as e:  # keep partial results on mid-sweep failure
-                print(f"run failed for {task[1:]}: {e}", file=sys.stderr)
-                failed += 1
+        outcomes = map(_run_task, tasks)  # lazy: failures print as they happen
+    rows, failed = [], 0
+    for task, (row, error) in zip(tasks, outcomes):
+        if error is None:
+            rows.append(row)
+        else:  # keep partial results on mid-sweep failure
+            print(f"run failed for {task[1:]}: {error}", file=sys.stderr)
+            failed += 1
     rows.sort(key=lambda r: (r["method"], r["axis_value"], r["seed"]))
     os.makedirs(exp.out, exist_ok=True)
     runs_path = os.path.join(exp.out, "runs.csv")

@@ -4,7 +4,6 @@ pool/validation splitting."""
 from __future__ import annotations
 
 import gzip
-import hashlib
 import os
 import struct
 from dataclasses import dataclass
@@ -179,21 +178,3 @@ def mnist_paths(data_dir: str | None = None) -> tuple[str, str] | None:
         if os.path.exists(ip) and os.path.exists(lp):
             return ip, lp
     return None
-
-
-def fetch_file(url: str, dest: str, sha256: str | None = None) -> str:
-    """Checksum-verifying download helper. Needs outbound network access;
-    raises the underlying error when offline."""
-    import requests
-
-    r = requests.get(url, timeout=60)
-    r.raise_for_status()
-    blob = r.content
-    if sha256 is not None:
-        got = hashlib.sha256(blob).hexdigest()
-        if got != sha256:
-            raise IOError(f"checksum mismatch for {url}: {got} != {sha256}")
-    os.makedirs(os.path.dirname(dest) or ".", exist_ok=True)
-    with open(dest, "wb") as f:
-        f.write(blob)
-    return dest

@@ -51,14 +51,16 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.n_s > self.N_q:
             raise ValueError("seed size n_s must not exceed the budget N_q")
+        if self.n_s < 1:
+            raise ValueError("n_s must be >= 1")
         if self.n_b < 1:
             raise ValueError("n_b must be >= 1")
         if self.threshold is None:
             self.threshold = ThresholdConfig(epsilon_a=self.epsilon_a)
         if self.query is None:
             self.query = qry.QueryConfig(batch=self.n_b)
-        else:
-            self.query.batch = self.n_b
+        else:  # a copy: the caller's QueryConfig may be shared
+            self.query = replace(self.query, batch=self.n_b)
         if self.train is None:
             self.train = linmod.TrainConfig()
 
@@ -136,6 +138,11 @@ def _auto_label_pass(cfg, model, pool, val, rnd):
     return decision, unlabeled, auto_ids, auto_labels, drop, n_v
 
 
+def _fit_round(cfg, pool, train_X, train_y, seed, rnd):
+    return linmod.fit(np.asarray(train_X), np.asarray(train_y), cfg.train,
+                      _round_seed(seed, "train", rnd), num_classes=pool.num_classes)
+
+
 def _query_human(pool, oracle, ids, train_X, train_y):
     for i in ids:
         lab = oracle.label(int(i))
@@ -161,9 +168,7 @@ def run_tbal(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> RunRe
     rnd = 0
     while True:
         rnd += 1
-        model = linmod.fit(np.asarray(train_X), np.asarray(train_y), cfg.train,
-                           _round_seed(seed, "train", rnd),
-                           num_classes=pool.num_classes)
+        model = _fit_round(cfg, pool, train_X, train_y, seed, rnd)
         decision, unlabeled, auto_ids, auto_labels, dropped, n_v = _auto_label_pass(
             cfg, model, pool, val, rnd)
         rounds.append(RoundRecord(
@@ -210,9 +215,11 @@ def run_baseline(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> R
                                    rng_from(seed, "seed_query"))
     _query_human(pool, oracle, seed_ids, train_X, train_y)
 
-    model = linmod.fit(np.asarray(train_X), np.asarray(train_y), cfg.train,
-                       _round_seed(seed, "train", 1), num_classes=pool.num_classes)
+    # random queries never read the model, so pl/plsc fit once, after the
+    # budget is spent, with the seed of the last round
     rnd = 1
+    if active:
+        model = _fit_round(cfg, pool, train_X, train_y, seed, rnd)
     while len(train_y) < cfg.N_q:
         remaining = pool.ids_with(UNLABELED)
         if len(remaining) == 0:
@@ -227,9 +234,10 @@ def run_baseline(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> R
             ids, _ = qry.query_random(remaining, n_next, rng_from(seed, "query", rnd))
         _query_human(pool, oracle, ids, train_X, train_y)
         rnd += 1
-        model = linmod.fit(np.asarray(train_X), np.asarray(train_y), cfg.train,
-                           _round_seed(seed, "train", rnd),
-                           num_classes=pool.num_classes)
+        if active:
+            model = _fit_round(cfg, pool, train_X, train_y, seed, rnd)
+    if not active:
+        model = _fit_round(cfg, pool, train_X, train_y, seed, rnd)
 
     remaining = pool.ids_with(UNLABELED)
     rounds: list[RoundRecord] = []

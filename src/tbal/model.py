@@ -85,31 +85,49 @@ def predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
     return np.argmax(z, axis=-1)
 
 
+def _hinge_loss(w: np.ndarray, b: float, X: np.ndarray, ypm: np.ndarray,
+                l2: float) -> float:
+    margins = ypm * (X @ w + b)
+    return float(np.maximum(0.0, 1.0 - margins).mean() + 0.5 * l2 * w @ w)
+
+
+def _hinge_grad(w: np.ndarray, b: float, X: np.ndarray, ypm: np.ndarray,
+                l2: float) -> tuple[np.ndarray, float]:
+    margins = ypm * (X @ w + b)
+    coef = np.where(margins < 1.0, -ypm, 0.0) / len(X)
+    return X.T @ coef + l2 * w, float(coef.sum())
+
+
 def hinge_value_grad(w: np.ndarray, b: float, X: np.ndarray, ypm: np.ndarray,
                      l2: float) -> tuple[float, np.ndarray, float]:
     """Regularized mean hinge loss and its subgradient. ypm in {-1, +1}."""
-    margins = ypm * (X @ w + b)
-    active = margins < 1.0
-    loss = float(np.maximum(0.0, 1.0 - margins).mean() + 0.5 * l2 * w @ w)
-    coef = np.where(active, -ypm, 0.0) / len(X)
-    gw = X.T @ coef + l2 * w
-    gb = float(coef.sum())
-    return loss, gw, gb
+    return (_hinge_loss(w, b, X, ypm, l2), *_hinge_grad(w, b, X, ypm, l2))
+
+
+def _log_softmax(W: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
+    z = X @ W.T + b
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def _logistic_loss(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray,
+                   l2: float) -> float:
+    logp = _log_softmax(W, b, X)
+    return float(-logp[np.arange(len(X)), y].mean() + 0.5 * l2 * (W * W).sum())
+
+
+def _logistic_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray,
+                   l2: float) -> tuple[np.ndarray, np.ndarray]:
+    n = len(X)
+    p = np.exp(_log_softmax(W, b, X))
+    p[np.arange(n), y] -= 1.0
+    return p.T @ X / n + l2 * W, p.mean(axis=0)
 
 
 def logistic_value_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray,
                         l2: float) -> tuple[float, np.ndarray, np.ndarray]:
     """Regularized mean multinomial logistic loss and its gradient."""
-    z = X @ W.T + b
-    z = z - z.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    n = len(X)
-    loss = float(-logp[np.arange(n), y].mean() + 0.5 * l2 * (W * W).sum())
-    p = np.exp(logp)
-    p[np.arange(n), y] -= 1.0
-    gW = p.T @ X / n + l2 * W
-    gb = p.mean(axis=0)
-    return loss, gW, gb
+    return (_logistic_loss(W, b, X, y, l2), *_logistic_grad(W, b, X, y, l2))
 
 
 def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
@@ -146,7 +164,7 @@ def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
             idx = order[start:start + cfg.batch_size]
             t += 1
             eta = cfg.learning_rate / (1.0 + t / t0)
-            _, gw, gb = hinge_value_grad(w, b, X[idx], ypm[idx], cfg.l2)
+            gw, gb = _hinge_grad(w, b, X[idx], ypm[idx], cfg.l2)
             w -= eta * gw
             if not cfg.normalized:
                 b -= eta * gb
@@ -154,7 +172,7 @@ def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
                 w_sum += w
                 b_sum += b
                 n_avg += 1
-        loss, _, _ = hinge_value_grad(w, b, X, ypm, cfg.l2)
+        loss = _hinge_loss(w, b, X, ypm, cfg.l2)
         trace.append(loss)
         if abs(prev - loss) < cfg.tolerance and epoch >= avg_start:
             break
@@ -167,7 +185,7 @@ def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
             if nrm > 0:
                 w /= nrm
             b = 0.0
-        loss, _, _ = hinge_value_grad(w, b, X, ypm, cfg.l2)
+        loss = _hinge_loss(w, b, X, ypm, cfg.l2)
         trace.append(loss)
     return LinearModel(w, np.asarray(b), num_classes=2, normalized=cfg.normalized,
                        loss_trace=trace)
@@ -184,10 +202,10 @@ def _fit_logistic(X, y, K, cfg: TrainConfig, rng) -> LinearModel:
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            _, gW, gb = logistic_value_grad(W, b, X[idx], y[idx], cfg.l2)
+            gW, gb = _logistic_grad(W, b, X[idx], y[idx], cfg.l2)
             W -= eta * gW
             b -= eta * gb
-        loss, _, _ = logistic_value_grad(W, b, X, y, cfg.l2)
+        loss = _logistic_loss(W, b, X, y, cfg.l2)
         trace.append(loss)
         if abs(prev - loss) < cfg.tolerance:
             break

@@ -148,6 +148,23 @@ class TestRunExperiment:
         assert (tmp_path / "s" / "runs.csv").read_bytes() == \
             (tmp_path / "p" / "runs.csv").read_bytes()
 
+    def test_parallel_failures_keep_partial_results(self, tmp_path, capsys):
+        # n_s=50 exceeds the budget at grid point 40, so those runs fail
+        outs = {}
+        for name, workers in (("serial", 1), ("parallel", 2)):
+            outs[name] = tmp_path / name
+            exp = load_config(write_config(tmp_path, out=str(outs[name]), trials=1,
+                                           n_s=50, workers=workers))
+            assert run_experiment(exp) == 1
+            assert capsys.readouterr().err.count("run failed") == 2
+        runs = self.read(outs["parallel"] / "runs.csv")[1:]
+        assert sorted((r[0], r[1]) for r in runs) == [("pl", "80"), ("tbal", "80")]
+        summary = self.read(outs["parallel"] / "summary.csv")[1:]
+        assert sorted((r[0], r[1]) for r in summary) == [("pl", "80"), ("tbal", "80")]
+        for csv_name in ("runs.csv", "summary.csv"):
+            assert (outs["serial"] / csv_name).read_bytes() == \
+                (outs["parallel"] / csv_name).read_bytes()
+
     def test_validation_size_axis(self, tmp_path):
         path = write_config(tmp_path, out=str(tmp_path / "v"), methods=["tbal"],
                             sweep={"axis": "validation_size", "grid": [50, 150],

@@ -6,8 +6,9 @@ import pytest
 from tbal.confidence import AbsMargin, Energy, Softmax
 from tbal.core import AUTO, HUMAN, UNLABELED, Pool, ValidationSet, rng_from
 from tbal.data import gen_unit_ball, gen_xor, split_pool_val
-from tbal.engine import METHODS, RunConfig, run, run_baseline, run_tbal
+from tbal.engine import METHODS, RunConfig, _round_seed, run, run_baseline, run_tbal
 from tbal.model import TrainConfig
+import tbal.model as linmod
 from tbal.query import QueryConfig
 from tbal.threshold import ThresholdConfig
 import tbal.query as qry
@@ -35,6 +36,20 @@ class TestRunConfig:
             RunConfig(n_s=600, N_q=500)
         with pytest.raises(ValueError, match="n_b"):
             RunConfig(n_b=0)
+
+    def test_rejects_empty_seed_batch(self):
+        for method in METHODS:
+            with pytest.raises(ValueError, match="n_s must be >= 1"):
+                RunConfig(method=method, n_s=0, N_q=50)
+
+    def test_shared_query_config_keeps_its_batch(self):
+        shared = QueryConfig(strategy="random", batch=7, C=3.0)
+        a = RunConfig(n_b=10, query=shared)
+        b = RunConfig(n_b=20, query=shared)
+        assert shared.batch == 7
+        assert (a.query.batch, b.query.batch) == (10, 20)
+        assert a.query.strategy == b.query.strategy == "random"
+        assert a.query.C == b.query.C == 3.0
 
     def test_defaults_threaded(self):
         cfg = RunConfig(epsilon_a=0.07, n_b=13)
@@ -212,3 +227,67 @@ class TestBaselines:
         res = run(pool, val, cfg, seed=0)
         for i in res.pool.ids_with(HUMAN):
             assert res.pool.states[i].label == pool._truth[i]
+
+
+def record_fits(monkeypatch):
+    """Route the engine's model fits through a recorder; returns the list of
+    (X, y, seed, model) each fit saw and produced."""
+    fits = []
+    real_fit = linmod.fit
+
+    def recording_fit(X, y, cfg, seed, num_classes=None):
+        model = real_fit(X, y, cfg, seed, num_classes=num_classes)
+        fits.append((np.array(X), np.array(y), seed, model))
+        return model
+
+    monkeypatch.setattr(linmod, "fit", recording_fit)
+    return fits
+
+
+class TestFitOnlyWhatIsRead:
+    # n_s=20 then four random batches of 15 reach N_q=80
+    N_S, N_B, N_Q, BATCHES = 20, 15, 80, 4
+
+    def config(self, method):
+        return RunConfig(method=method, n_s=self.N_S, n_b=self.N_B, N_q=self.N_Q)
+
+    @pytest.mark.parametrize("method", ["pl", "plsc"])
+    def test_random_query_baselines_fit_once(self, monkeypatch, method):
+        pool, val = xor_problem(seed=5)
+        fits = record_fits(monkeypatch)
+        run_baseline(pool, val, self.config(method), seed=3)
+        assert len(fits) == 1
+
+    @pytest.mark.parametrize("method", ["al", "alsc"])
+    def test_active_baselines_fit_every_round(self, monkeypatch, method):
+        pool, val = xor_problem(seed=5)
+        fits = record_fits(monkeypatch)
+        run_baseline(pool, val, self.config(method), seed=3)
+        assert [f[2] for f in fits] == [_round_seed(3, "train", r)
+                                        for r in range(1, self.BATCHES + 2)]
+
+    @pytest.mark.parametrize("method", ["pl", "plsc"])
+    def test_single_fit_is_the_last_round_fit_on_the_full_budget(self, monkeypatch,
+                                                                  method):
+        pool, val = xor_problem(seed=5)
+        fits = record_fits(monkeypatch)
+        cfg = self.config(method)
+        res = run_baseline(pool, val, cfg, seed=3)
+        X, y, fit_seed, model = fits[0]
+        # every human label, seed batch first, with the last round's seed
+        human = res.pool.ids_with(HUMAN)
+        assert len(X) == len(human) == self.N_Q
+        seed_ids, _ = qry.query_random(np.arange(len(pool)), self.N_S,
+                                       rng_from(3, "seed_query"))
+        assert np.array_equal(X[:self.N_S], pool.features[seed_ids])
+        assert sorted(zip(map(tuple, X), y.tolist())) == \
+            sorted(zip(map(tuple, pool.features[human]), pool._truth[human].tolist()))
+        assert fit_seed == _round_seed(3, "train", 1 + self.BATCHES)
+        ref = linmod.fit(X, y, cfg.train, fit_seed, num_classes=2)
+        assert np.array_equal(model.weights, ref.weights)
+        assert np.array_equal(model.bias, ref.bias)
+        if method == "pl":
+            auto = res.rounds[0].auto_ids
+            assert np.array_equal(res.rounds[0].auto_labels,
+                                  linmod.predict(ref, pool.features[auto]))
+

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tbal.model import (LinearModel, TrainConfig, TrainingError, fit,
+from tbal.model import (LinearModel, TrainConfig, TrainingError, _hinge_grad,
+                        _hinge_loss, _logistic_grad, _logistic_loss, fit,
                         hinge_value_grad, load_model, logistic_value_grad, logits,
                         predict, predict_proba, save_model)
 
@@ -56,6 +57,70 @@ class TestGradients:
             fb = lambda bv: logistic_value_grad(W, bv, X, y, l2)[0]
             assert rel_err(gW, central_diff(fW, W)) <= 1e-4
             assert rel_err(gb, central_diff(fb, b)) <= 1e-4
+
+
+def bitwise_equal(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def reference_hinge_value_grad(w, b, X, ypm, l2):
+    """Loss and subgradient in one pass, as the trainer computed them before
+    its steps skipped the loss."""
+    margins = ypm * (X @ w + b)
+    active = margins < 1.0
+    loss = float(np.maximum(0.0, 1.0 - margins).mean() + 0.5 * l2 * w @ w)
+    coef = np.where(active, -ypm, 0.0) / len(X)
+    return loss, X.T @ coef + l2 * w, float(coef.sum())
+
+
+def reference_logistic_value_grad(W, b, X, y, l2):
+    z = X @ W.T + b
+    z = z - z.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    n = len(X)
+    loss = float(-logp[np.arange(n), y].mean() + 0.5 * l2 * (W * W).sum())
+    p = np.exp(logp)
+    p[np.arange(n), y] -= 1.0
+    return loss, p.T @ X / n + l2 * W, p.mean(axis=0)
+
+
+class TestGradientOnlyHelpers:
+    """SGD steps use the gradient-only helpers and epochs the loss-only ones.
+    Both, and the public value-and-gradient functions built from them, must
+    match the one-pass reference bit for bit, so fitted models do not
+    change."""
+
+    SHAPES = [(1, 1), (7, 2), (32, 2), (32, 30), (500, 3)]
+
+    def test_hinge_helpers_match_value_grad(self):
+        rng = np.random.default_rng(2)
+        for n, d in self.SHAPES:
+            X = rng.standard_normal((n, d))
+            ypm = rng.choice([-1.0, 1.0], size=n)
+            w = rng.standard_normal(d) * rng.uniform(0.1, 5.0)
+            b = float(rng.standard_normal())
+            l2 = float(rng.choice([0.0, 1e-4, 1e-2]))
+            loss, gw, gb = reference_hinge_value_grad(w, b, X, ypm, l2)
+            got = hinge_value_grad(w, b, X, ypm, l2)
+            assert all(map(bitwise_equal, got, (loss, gw, gb)))
+            assert all(map(bitwise_equal, _hinge_grad(w, b, X, ypm, l2), (gw, gb)))
+            assert bitwise_equal(_hinge_loss(w, b, X, ypm, l2), loss)
+
+    def test_logistic_helpers_match_value_grad(self):
+        rng = np.random.default_rng(3)
+        for n, d in self.SHAPES:
+            for K in (2, 10):
+                X = rng.standard_normal((n, d))
+                y = rng.integers(0, K, size=n)
+                W = rng.standard_normal((K, d))
+                b = rng.standard_normal(K)
+                l2 = float(rng.choice([0.0, 1e-4, 1e-2]))
+                loss, gW, gb = reference_logistic_value_grad(W, b, X, y, l2)
+                got = logistic_value_grad(W, b, X, y, l2)
+                assert all(map(bitwise_equal, got, (loss, gW, gb)))
+                assert all(map(bitwise_equal, _logistic_grad(W, b, X, y, l2),
+                               (gW, gb)))
+                assert bitwise_equal(_logistic_loss(W, b, X, y, l2), loss)
 
 
 class TestLogitsPredict:
