@@ -27,7 +27,7 @@ from . import confidence as conf
 from . import engine
 from . import metrics
 from . import theory
-from .core import AUTO, HUMAN, ValidationSet, rng_from
+from .core import AUTO, KINDS, UNLABELED, ValidationSet, rng_from
 from .data import DatasetSpec, gen_unit_ball, gen_xor, make_dataset
 from .model import TrainConfig
 from .query import QueryConfig
@@ -258,13 +258,10 @@ def export_dataset(result, path: str, include_features: bool = False) -> None:
         if include_features:
             header += [f"x{j}" for j in range(pool.dimension)]
         w.writerow(header)
-        for i, s in enumerate(pool.states):
-            if s.kind == AUTO:
-                row = [i, s.label, "auto", s.round]
-            elif s.kind == HUMAN:
-                row = [i, s.label, "human", ""]
-            else:
-                row = [i, "", "unlabeled", ""]
+        states = zip(pool.kind.tolist(), pool.label.tolist(), pool.round.tolist())
+        for i, (code, label, rnd) in enumerate(states):
+            kind = KINDS[code]  # the provenance column is the kind's name
+            row = [i, "" if kind == UNLABELED else label, kind, rnd if kind == AUTO else ""]
             if include_features:
                 row += [f"{v:.8g}" for v in pool.features[i]]
             w.writerow(row)

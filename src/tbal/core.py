@@ -24,11 +24,8 @@ class PointState:
     round: int | None = None  # set for auto-labeled points only
 
 
-@dataclass(frozen=True)
-class Point:
-    id: int
-    features: np.ndarray
-    truth: int
+KINDS = (UNLABELED, HUMAN, AUTO)  # a point's kind code is its index here
+_CODE = {k: c for c, k in enumerate(KINDS)}
 
 
 class Pool:
@@ -37,6 +34,10 @@ class Pool:
     Ground truth is stored here but learners must never touch it directly;
     they go through :class:`Oracle` (to pay for a label) or the metrics
     module (to audit after the fact).
+
+    Point state lives in three aligned arrays: ``kind`` (int8 code into
+    :data:`KINDS`), ``label`` and ``round`` (int64, -1 when unset; ``round``
+    is set for auto-labeled points only).
     """
 
     def __init__(self, features: np.ndarray, truth: np.ndarray, num_classes: int):
@@ -47,35 +48,53 @@ class Pool:
         self.features = features
         self._truth = truth
         self.num_classes = int(num_classes)
-        self.states: list[PointState] = [PointState(UNLABELED)] * len(truth)
+        self.kind = np.zeros(len(truth), dtype=np.int8)
+        self.label = np.full(len(truth), -1, dtype=np.int64)
+        self.round = np.full(len(truth), -1, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.kind)
 
     @property
     def dimension(self) -> int:
         return self.features.shape[1]
 
-    def point(self, i: int) -> Point:
-        return Point(i, self.features[i], int(self._truth[i]))
+    @property
+    def states(self) -> tuple[PointState, ...]:
+        """Per-point view of the state arrays, built on each access."""
+        return tuple(PointState(KINDS[k], None if lab < 0 else lab,
+                                None if r < 0 else r)
+                     for k, lab, r in zip(self.kind.tolist(), self.label.tolist(),
+                                          self.round.tolist()))
 
     def ids_with(self, kind: str) -> np.ndarray:
-        return np.array([i for i, s in enumerate(self.states) if s.kind == kind],
-                        dtype=np.int64)
+        return np.flatnonzero(self.kind == _CODE[kind])
 
-    def mark_human(self, i: int, label: int) -> None:
-        if self.states[i].kind != UNLABELED:
-            raise StateTransitionError(f"point {i} is already {self.states[i].kind}")
-        self.states[i] = PointState(HUMAN, label=int(label))
+    def _mark(self, ids, kind: str, label, rnd: int) -> None:
+        """Label one id or an array of distinct unlabeled ids; a batch with any
+        other id is rejected whole, before anything is written."""
+        flat = np.asarray(ids, dtype=np.int64).reshape(-1)
+        # a label array of the wrong length fails here, before any write
+        labels = np.broadcast_to(np.asarray(label, dtype=np.int64), flat.shape)
+        taken = flat[self.kind[flat] != _CODE[UNLABELED]]
+        if len(taken):
+            i = int(taken[0])
+            raise StateTransitionError(f"point {i} is already {KINDS[self.kind[i]]}")
+        if len(np.unique(flat)) != len(flat):
+            raise StateTransitionError("a batch names the same point twice")
+        self.kind[flat] = _CODE[kind]
+        self.label[flat] = labels
+        self.round[flat] = rnd
 
-    def mark_auto(self, i: int, label: int, rnd: int) -> None:
-        if self.states[i].kind != UNLABELED:
-            raise StateTransitionError(f"point {i} is already {self.states[i].kind}")
-        self.states[i] = PointState(AUTO, label=int(label), round=int(rnd))
+    def mark_human(self, ids, label) -> None:
+        self._mark(ids, HUMAN, label, -1)
+
+    def mark_auto(self, ids, label, rnd: int) -> None:
+        self._mark(ids, AUTO, label, rnd)
 
     def copy(self) -> "Pool":
         p = Pool(self.features, self._truth, self.num_classes)
-        p.states = list(self.states)
+        p.kind, p.label, p.round = self.kind.copy(), self.label.copy(), self.round.copy()
         return p
 
 
@@ -130,15 +149,8 @@ class ValidationSet:
 
 def partition_counts(pool: Pool) -> tuple[int, int, int]:
     """(n_auto, n_human, n_unlabeled); always sums to len(pool)."""
-    n_auto = n_human = n_unl = 0
-    for s in pool.states:
-        if s.kind == AUTO:
-            n_auto += 1
-        elif s.kind == HUMAN:
-            n_human += 1
-        else:
-            n_unl += 1
-    return n_auto, n_human, n_unl
+    n_unl, n_human, n_auto = np.bincount(pool.kind, minlength=len(KINDS))[:len(KINDS)]
+    return int(n_auto), int(n_human), int(n_unl)
 
 
 def check_partition(pool: Pool) -> None:

@@ -120,15 +120,14 @@ def _auto_label_pass(cfg, model, pool, val, rnd):
     correct_v = pred_v == val.labels[act]
     decision = estimate_threshold(conf_u, pred_u, conf_v, pred_v, correct_v,
                                   cfg.threshold, num_classes=pool.num_classes)
-    t_u = np.array([decision.threshold_for(int(c)) for c in pred_u])
+    t_class = np.array([decision.threshold_for(c) for c in range(pool.num_classes)])
+    t_u = t_class[pred_u]
     take = conf_u >= t_u
     auto_ids = unlabeled[take]
     auto_labels = pred_u[take]
-    for i, lab in zip(auto_ids, auto_labels):
-        pool.mark_auto(int(i), int(lab), rnd)
+    pool.mark_auto(auto_ids, auto_labels, rnd)
     if n_v:
-        t_v = np.array([decision.threshold_for(int(c)) for c in pred_v])
-        drop = act[conf_v >= t_v]
+        drop = act[conf_v >= t_class[pred_v]]
         val.deactivate(drop)
     else:
         drop = np.empty(0, dtype=np.int64)
@@ -144,10 +143,9 @@ def _fit_round(cfg, pool, train_X, train_y, seed, rnd):
 
 
 def _query_human(pool, oracle, ids, train_X, train_y):
-    for i in ids:
-        lab = oracle.label(int(i))
-        pool.mark_human(int(i), lab)
-        train_y.append(lab)
+    labels = [oracle.label(int(i)) for i in ids]
+    pool.mark_human(ids, labels)
+    train_y.extend(labels)
     train_X.extend(pool.features[ids])
 
 
@@ -251,8 +249,7 @@ def run_baseline(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> R
             val_deactivated=dropped, n_a=len(auto_ids), n_v=n_v))
     elif len(remaining):
         preds = linmod.predict(model, pool.features[remaining])
-        for i, lab in zip(remaining, preds):
-            pool.mark_auto(int(i), int(lab), 1)
+        pool.mark_auto(remaining, preds, 1)
         rounds.append(RoundRecord(
             index=1, queried_ids=np.array([], dtype=np.int64),
             train_loss=model.loss_trace[-1] if model.loss_trace else float("nan"),

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AUTO, Pool
+from .core import Pool, partition_counts
 
 
 class IntegrityError(RuntimeError):
@@ -52,14 +52,7 @@ def evaluate(result, pool: Pool) -> MetricReport:
         per_round.append((rec.index, rec.n_a, m, est))
     if n_a_total != result.N_a:
         raise IntegrityError("per-round auto counts disagree with the total")
-    n_auto = n_human = n_unl = 0
-    for s in rpool.states:
-        if s.kind == AUTO:
-            n_auto += 1
-        elif s.kind == "human":
-            n_human += 1
-        else:
-            n_unl += 1
+    n_auto, n_human, n_unl = partition_counts(rpool)
     if n_auto != n_a_total:
         raise IntegrityError("pool auto count disagrees with round records")
     defined = n_a_total > 0

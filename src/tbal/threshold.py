@@ -48,17 +48,25 @@ class ThresholdDecision:
         return self.thresholds.get(c, math.inf)
 
 
-def sigma(est_error: float, n_t: int, kind: str, delta: float = 0.05) -> float:
-    """Upper-confidence inflation added to the estimated error."""
-    if n_t == 0:
-        return math.inf
-    if kind == STDERR:
-        return math.sqrt(est_error * (1.0 - est_error) / n_t)
-    if kind == HOEFFDING:
-        return math.sqrt(math.log(2.0 / delta) / (2.0 * n_t))
-    if kind == ZERO:
-        return 0.0
-    raise ValueError(f"unknown sigma kind {kind!r}")
+def sigma(est_error, n_t, kind: str, delta: float = 0.05):
+    """Upper-confidence inflation added to the estimated error; inf at zero
+    support. Takes scalars (returns a float) or aligned arrays."""
+    e = np.asarray(est_error, dtype=np.float64)
+    n = np.asarray(n_t, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == STDERR:
+            s = np.sqrt(e * (1.0 - e) / n)
+        elif kind == HOEFFDING:
+            s = np.sqrt(math.log(2.0 / delta) / (2.0 * n))
+        elif kind == ZERO:
+            s = np.zeros(np.broadcast(e, n).shape)
+        else:
+            raise ValueError(f"unknown sigma kind {kind!r}")
+    s = np.where(n == 0, math.inf, s)
+    return float(s) if s.ndim == 0 else s
+
+
+_ABSTAIN = (math.inf, 0, 0.0, 0.0)
 
 
 def _estimate_single(unlabeled_scores: np.ndarray,
@@ -67,29 +75,22 @@ def _estimate_single(unlabeled_scores: np.ndarray,
                      cfg: ThresholdConfig) -> tuple[float, int, float, float]:
     """One candidate scan. Returns (t_hat, support, est_error, sigma_hat);
     t_hat is inf when no candidate qualifies."""
-    candidates = np.unique(unlabeled_scores)[::-1]  # descending
-    if len(val_scores):
-        order = np.argsort(-val_scores, kind="stable")
-        v_scores = val_scores[order]
-        wrong_cum = np.cumsum(~val_correct[order].astype(bool))
-    else:
-        v_scores = np.empty(0)
-        wrong_cum = np.empty(0, dtype=np.int64)
-
-    best = (math.inf, 0, 0.0, 0.0)
-    j = 0  # validation points with score >= current candidate
-    for t in candidates:
-        while j < len(v_scores) and v_scores[j] >= t:
-            j += 1
-        if j < cfg.n0:
-            continue
-        wrong = int(wrong_cum[j - 1]) if j else 0
-        e_hat = wrong / j
-        s_hat = sigma(e_hat, j, cfg.sigma_kind, cfg.delta)
-        if e_hat + s_hat <= cfg.epsilon_a:
-            # keep scanning: lower candidates may also qualify and win (min t)
-            best = (float(t), j, e_hat, s_hat)
-    return best
+    candidates = np.unique(unlabeled_scores)  # ascending
+    order = np.argsort(-val_scores, kind="stable")
+    wrong_cum = np.cumsum(~val_correct[order].astype(bool))
+    # support: validation points with score >= each candidate
+    n_t = len(val_scores) - np.searchsorted(val_scores[order][::-1], candidates, "left")
+    ok = np.flatnonzero(n_t >= cfg.n0)
+    if len(ok) == 0:  # nothing to inflate: an unknown sigma kind stays unnoticed
+        return _ABSTAIN
+    n_ok = n_t[ok]
+    e_hat = wrong_cum[n_ok - 1] / n_ok
+    s_hat = sigma(e_hat, n_ok, cfg.sigma_kind, cfg.delta)
+    hit = np.flatnonzero(e_hat + s_hat <= cfg.epsilon_a)
+    if len(hit) == 0:
+        return _ABSTAIN
+    i = hit[0]  # candidates ascend: the first qualifying is the smallest t
+    return (float(candidates[ok[i]]), int(n_ok[i]), float(e_hat[i]), float(s_hat[i]))
 
 
 def estimate_threshold(unlabeled_scores: np.ndarray,

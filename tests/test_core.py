@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbal.core import (AUTO, HUMAN, UNLABELED, Oracle, Pool, StateTransitionError,
-                       ValidationSet, check_partition, partition_counts, rng_from)
+from tbal.core import (AUTO, HUMAN, UNLABELED, Oracle, PointState, Pool,
+                       StateTransitionError, ValidationSet, check_partition,
+                       partition_counts, rng_from)
 
 
 def make_pool(n=10, d=2, seed=0):
@@ -73,6 +74,83 @@ class TestPool:
             Pool(np.zeros((3, 2)), np.zeros(4, dtype=np.int64), num_classes=2)
         with pytest.raises(ValueError):
             Pool(np.zeros(3), np.zeros(3, dtype=np.int64), num_classes=2)
+
+
+def state_arrays(pool):
+    return pool.kind.copy(), pool.label.copy(), pool.round.copy()
+
+
+def assert_state_unchanged(pool, before):
+    for now, then in zip(state_arrays(pool), before):
+        assert np.array_equal(now, then)
+
+
+class TestBatchMarking:
+    def test_batch_marks_every_id(self):
+        pool = make_pool(8)
+        pool.mark_auto(np.array([1, 4, 6]), np.array([0, 1, 1]), rnd=2)
+        pool.mark_human(np.array([0, 7]), [1, 0])
+        assert list(pool.ids_with(AUTO)) == [1, 4, 6]
+        assert list(pool.ids_with(HUMAN)) == [0, 7]
+        assert [pool.states[i].label for i in (1, 4, 6)] == [0, 1, 1]
+        assert {pool.states[i].round for i in (1, 4, 6)} == {2}
+        assert (pool.states[0].label, pool.states[7].label) == (1, 0)
+        assert partition_counts(pool) == (3, 2, 3)
+
+    def test_batch_with_labeled_id_rejected_whole(self):
+        pool = make_pool()
+        pool.mark_human(3, 1)
+        pool.mark_auto(8, 0, rnd=1)
+        before = state_arrays(pool)
+        with pytest.raises(StateTransitionError, match="point 3 is already human"):
+            pool.mark_auto(np.array([0, 3, 5]), np.array([1, 0, 1]), rnd=2)
+        assert_state_unchanged(pool, before)
+        with pytest.raises(StateTransitionError, match="point 8 is already auto"):
+            pool.mark_human(np.array([2, 8]), [0, 1])
+        assert_state_unchanged(pool, before)
+
+    def test_batch_with_duplicate_id_rejected_whole(self):
+        pool = make_pool()
+        before = state_arrays(pool)
+        with pytest.raises(StateTransitionError, match="twice"):
+            pool.mark_auto(np.array([2, 5, 2]), np.array([1, 0, 1]), rnd=1)
+        assert_state_unchanged(pool, before)
+        with pytest.raises(StateTransitionError, match="twice"):
+            pool.mark_human(np.array([4, 4]), [0, 0])
+        assert_state_unchanged(pool, before)
+
+    def test_label_length_mismatch_rejected_whole(self):
+        pool = make_pool()
+        before = state_arrays(pool)
+        with pytest.raises(ValueError):
+            pool.mark_auto(np.array([1, 2]), np.array([0, 1, 1]), rnd=1)
+        assert_state_unchanged(pool, before)
+
+    def test_scalar_id(self):
+        pool = make_pool()
+        pool.mark_auto(np.int64(2), np.int64(1), rnd=5)
+        pool.mark_human(6, 0)
+        assert pool.states[2] == PointState(AUTO, label=1, round=5)
+        assert pool.states[6] == PointState(HUMAN, label=0)
+        assert partition_counts(pool) == (1, 1, len(pool) - 2)
+
+    def test_empty_batch_is_a_no_op(self):
+        pool = make_pool()
+        before = state_arrays(pool)
+        pool.mark_auto(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), rnd=1)
+        pool.mark_human([], [])
+        assert_state_unchanged(pool, before)
+
+    def test_states_leave_unset_fields_none(self):
+        pool = make_pool(4)
+        pool.mark_human(1, 0)
+        pool.mark_auto(2, 0, rnd=1)
+        assert pool.states == (PointState(UNLABELED), PointState(HUMAN, label=0),
+                               PointState(AUTO, label=0, round=1),
+                               PointState(UNLABELED))
+        assert pool.states[0].label is None and pool.states[0].round is None
+        assert pool.states[1].round is None
+        assert all(type(s.label) is int for s in pool.states[1:3])
 
 
 class TestOracle:

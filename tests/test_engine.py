@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tbal.confidence import AbsMargin, Energy, Softmax
+from tbal.confidence import score as score_kind
 from tbal.core import AUTO, HUMAN, UNLABELED, Pool, ValidationSet, rng_from
 from tbal.data import gen_unit_ball, gen_xor, split_pool_val
 from tbal.engine import METHODS, RunConfig, _round_seed, run, run_baseline, run_tbal
@@ -12,6 +13,9 @@ import tbal.model as linmod
 from tbal.query import QueryConfig
 from tbal.threshold import ThresholdConfig
 import tbal.query as qry
+from tbal.metrics import evaluate
+
+from test_acceptance import check_invariants
 
 
 def small_problem(seed=0, n=600, val=200, d=4):
@@ -291,3 +295,54 @@ class TestFitOnlyWhatIsRead:
             assert np.array_equal(res.rounds[0].auto_labels,
                                   linmod.predict(ref, pool.features[auto]))
 
+
+
+class TestMulticlassOffline:
+    """K=4 Gaussian clusters generated here: the multiclass path (logistic
+    loss, softmax confidence, per-class thresholds) without MNIST."""
+
+    K = 4
+
+    def problem(self, seed=0, d=8, n=1200, val=600):
+        rng = rng_from(seed, "gauss_clusters")
+        centres = 1.0 * rng.standard_normal((self.K, d))
+        y = rng.integers(0, self.K, size=n + val)
+        X = centres[y] + rng.standard_normal((n + val, d))
+        return split_pool_val(X, y, n, val, seed, num_classes=self.K)
+
+    def run(self, monkeypatch, per_class):
+        pool, val = self.problem()
+        fits = record_fits(monkeypatch)
+        cfg = RunConfig(method="tbal", epsilon_a=0.05, n_s=60, n_b=30, N_q=240,
+                        threshold=ThresholdConfig(epsilon_a=0.05, per_class=per_class),
+                        train=TrainConfig(loss="logistic"), confidence=Softmax())
+        res = run_tbal(pool, val, cfg, seed=2)
+        return pool, val, res, [f[3] for f in fits]
+
+    @pytest.mark.parametrize("per_class", [True, False])
+    def test_auto_labels_meet_their_class_threshold(self, monkeypatch, per_class):
+        pool, val, res, models = self.run(monkeypatch, per_class)
+        assert len(models) == res.k
+        labeled_classes, distinct = set(), 0
+        for r, model in zip(res.rounds, models):
+            if r.decision is None or r.n_a == 0:
+                continue
+            pred, score = score_kind(Softmax(), model, pool.features[r.auto_ids])
+            assert np.array_equal(pred, r.auto_labels)
+            t = np.array([r.decision.threshold_for(c) for c in range(self.K)])
+            assert np.all(score >= t[pred])
+            if not per_class:
+                assert len(set(t.tolist())) == 1  # one threshold for every class
+                assert t[0] == r.decision.thresholds[-1]
+            distinct = max(distinct, len(set(t[np.isfinite(t)].tolist())))
+            labeled_classes |= set(r.auto_labels.tolist())
+        assert labeled_classes == set(range(self.K))
+        assert distinct == (self.K if per_class else 1)
+        assert 0 < res.N_a < len(pool) - res.human_labels_used
+
+    def test_run_passes_the_invariant_audit(self, monkeypatch):
+        pool, val, res, _ = self.run(monkeypatch, per_class=True)
+        check_invariants(res, pool, val)
+        report = evaluate(res, pool)
+        assert report.n_auto == res.N_a
+        assert report.n_human == res.human_labels_used

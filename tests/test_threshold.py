@@ -81,6 +81,55 @@ class TestOracleEquivalence:
         assert got == pytest.approx(want)
 
 
+class TestWidePoolOracleEquivalence:
+    """Pool and validation sizes of a real round, scores on a shared grid so
+    many validation scores tie with candidates at `>=`."""
+
+    K = 3
+    EPSILON = {STDERR: 0.03, HOEFFDING: 0.2, ZERO: 0.01}
+
+    def instance(self, seed, kind, per_class):
+        rng = np.random.default_rng(seed)
+        n_u, n_v = 3000, 600
+        u = rng.integers(0, 100, n_u) / 50.0
+        v = rng.integers(0, 100, n_v) / 50.0
+        up, vp = rng.integers(0, self.K, n_u), rng.integers(0, self.K, n_v)
+        # mistakes concentrate below 1.0, so thresholds land inside the grid
+        c = rng.random(n_v) < np.where(v >= 1.0, 0.995, 0.7)
+        cfg = ThresholdConfig(epsilon_a=self.EPSILON[kind], n0=20, sigma_kind=kind,
+                              per_class=per_class)
+        return u, up, v, vp, c, cfg
+
+    @pytest.mark.parametrize("per_class", [True, False])
+    @pytest.mark.parametrize("kind", [STDERR, HOEFFDING, ZERO])
+    def test_matches_oracle_exactly(self, kind, per_class):
+        finite = 0
+        for seed in range(3):
+            u, up, v, vp, c, cfg = self.instance(seed, kind, per_class)
+            dec = estimate_threshold(u, up, v, vp, c, cfg, num_classes=self.K)
+            for cls in (range(self.K) if per_class else [-1]):
+                um = up == cls if per_class else np.ones(len(u), dtype=bool)
+                vm = vp == cls if per_class else np.ones(len(v), dtype=bool)
+                want = oracle_threshold(u[um], v[vm], c[vm], cfg)
+                got = (dec.thresholds[cls], dec.support[cls], dec.est_error[cls],
+                       dec.chosen_sigma[cls])
+                assert got == want, (seed, cls)
+                finite += math.isfinite(want[0])
+        assert finite > 0
+
+    def test_unknown_sigma_kind_raises_only_at_support_n0(self):
+        cfg = ThresholdConfig(n0=3, sigma_kind="wilson")
+        u, up = np.array([0.5]), np.array([0])
+        v, vp, c = np.array([0.6, 0.7, 0.4]), np.array([0, 0, 0]), np.ones(3, dtype=bool)
+        # the best candidate, 0.5, sees 2 < n0 validation scores: nothing is inflated
+        dec = estimate_threshold(u, up, v, vp, c, cfg, num_classes=1)
+        assert dec.thresholds[0] == math.inf
+        # a tie at 0.5 lifts its support to n0
+        with pytest.raises(ValueError, match="unknown sigma kind"):
+            estimate_threshold(u, up, np.append(v, 0.5), np.append(vp, 0),
+                               np.append(c, True), cfg, num_classes=1)
+
+
 class TestSigma:
     def test_stderr_formula(self):
         assert sigma(0.2, 100, STDERR) == pytest.approx(math.sqrt(0.2 * 0.8 / 100))
@@ -105,6 +154,25 @@ class TestSigma:
 
     def test_hoeffding_ignores_estimate(self):
         assert sigma(0.0, 64, HOEFFDING) == sigma(0.9, 64, HOEFFDING)
+
+    @pytest.mark.parametrize("kind", [STDERR, HOEFFDING, ZERO])
+    def test_arrays_match_scalar_formulas_bit_for_bit(self, kind):
+        def scalar(e, n):
+            if n == 0:
+                return math.inf
+            if kind == STDERR:
+                return math.sqrt(e * (1.0 - e) / n)
+            if kind == HOEFFDING:
+                return math.sqrt(math.log(2.0 / 0.1) / (2.0 * n))
+            return 0.0
+
+        e = np.array([0.0, 0.013, 0.2, 0.5, 1 / 3, 0.1])
+        n = np.array([7, 91, 300, 12, 999, 0])
+        got = sigma(e, n, kind, delta=0.1)
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == [scalar(float(a), int(b)) for a, b in zip(e, n)]
+        assert sigma(0.013, 91, kind, delta=0.1) == scalar(0.013, 91)
+        assert type(sigma(0.013, 91, kind)) is float
 
 
 class TestDecisionProperties:
