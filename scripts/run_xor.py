@@ -5,24 +5,12 @@ Equivalent to `tbal run --config configs/xor.yaml` followed by a quick
 look at summary.csv.
 """
 import argparse
-import csv
 import sys
 from pathlib import Path
 
-from tbal.cli import load_config, run_experiment
+from tbal.cli import load_config, print_summary, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def print_summary(out_dir: Path) -> None:
-    with open(out_dir / "summary.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    print(f"\n{'method':>6} {'axis':>6} {'err_mean':>9} {'err_std':>8} "
-          f"{'cov_mean':>9} {'cov_std':>8}")
-    for r in rows:
-        print(f"{r['method']:>6} {r['axis_value']:>6} "
-              f"{float(r['err_hat_mean']):>9.4f} {float(r['err_hat_std']):>8.4f} "
-              f"{float(r['cov_hat_mean']):>9.4f} {float(r['cov_hat_std']):>8.4f}")
 
 
 def main():
@@ -38,7 +26,7 @@ def main():
     if args.workers is not None:
         exp.workers = args.workers
     status = run_experiment(exp)
-    print_summary(Path(exp.out))
+    print_summary(exp.out)
     sys.exit(status)
 
 

@@ -249,6 +249,18 @@ def run_experiment(exp: ExperimentConfig) -> int:
     return 0 if failed == 0 else 1
 
 
+def print_summary(out_dir: str) -> None:
+    """Print the method summary table of the summary.csv in ``out_dir``."""
+    with open(os.path.join(out_dir, "summary.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    print(f"\n{'method':>6} {'axis':>6} {'err_mean':>9} {'err_std':>8} "
+          f"{'cov_mean':>9} {'cov_std':>8}")
+    for r in rows:
+        print(f"{r['method']:>6} {r['axis_value']:>6} "
+              f"{float(r['err_hat_mean']):>9.4f} {float(r['err_hat_std']):>8.4f} "
+              f"{float(r['cov_hat_mean']):>9.4f} {float(r['cov_hat_std']):>8.4f}")
+
+
 def export_dataset(result, path: str, include_features: bool = False) -> None:
     """Write the labeled output: one row per pool point with provenance."""
     pool = result.pool

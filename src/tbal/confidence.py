@@ -58,11 +58,12 @@ def _predicted_margin(model, X):
     return pred, np.take_along_axis(z, pred[..., None], axis=-1)[..., 0]
 
 
-def score(kind, model, x) -> tuple[np.ndarray, np.ndarray]:
-    """(predicted class, confidence) for each row of x."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
+def _abs_margin(model, s):
+    conf = np.abs(s)
+    return np.minimum(conf, 1.0) if model.normalized else conf
+
+
+def _score_logits(kind, model, X):
     z = linmod.logits(model, X)
     if not np.all(np.isfinite(z)):
         raise FloatingPointError("non-finite logits")
@@ -70,10 +71,7 @@ def score(kind, model, x) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(kind, AbsMargin):
         if not model.binary:
             raise ValueError("abs_margin is defined for binary models only")
-        s = X @ model.weights + float(model.bias)
-        conf = np.abs(s)
-        if model.normalized:
-            conf = np.minimum(conf, 1.0)
+        conf = _abs_margin(model, linmod.margin(model, X))
     elif isinstance(kind, Softmax):
         conf = softmax(z, axis=1).max(axis=1)
     elif isinstance(kind, Energy):
@@ -86,6 +84,23 @@ def score(kind, model, x) -> tuple[np.ndarray, np.ndarray]:
         conf = expit(a[pred] * margin + b[pred])
     else:
         raise ValueError(f"unknown confidence kind {kind!r}")
+    return pred, conf
+
+
+def score(kind, model, x) -> tuple[np.ndarray, np.ndarray]:
+    """(predicted class, confidence) for each row of x."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    X = x[None, :] if single else x
+    if isinstance(kind, AbsMargin) and model.binary and model.constant_class is None:
+        # one product serves both: the argmax of the logit pair (-s, s) is
+        # s > 0, with a tie (s == 0) going to class 0
+        s = linmod.margin(model, X)
+        if not np.all(np.isfinite(s)):
+            raise FloatingPointError("non-finite logits")
+        pred, conf = (s > 0).astype(np.int64), _abs_margin(model, s)
+    else:
+        pred, conf = _score_logits(kind, model, X)
     if single:
         return int(pred[0]), float(conf[0])
     return pred, conf

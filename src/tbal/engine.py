@@ -96,45 +96,52 @@ def _round_seed(seed: int, *stream) -> int:
     return int(rng_from(seed, *stream).integers(0, 2**63 - 1))
 
 
-def _scores(cfg: RunConfig, model, pool_X, val_X):
-    pred_u, conf_u = conf.score(cfg.confidence, model, pool_X)
-    if len(val_X):
-        pred_v, conf_v = conf.score(cfg.confidence, model, val_X)
-    else:
-        pred_v, conf_v = np.empty(0, dtype=np.int64), np.empty(0)
-    conf_u, conf_v = conf.shift_nonnegative(conf_u, conf_v)
-    return pred_u, conf_u, pred_v, conf_v
-
-
-def _auto_label_pass(cfg, model, pool, val, rnd):
-    """One threshold estimate + auto-label + validation filter. Returns the
-    pieces a RoundRecord needs."""
+def _auto_label_pass(cfg, model, pool, val, rnd, queried):
+    """One threshold estimate + auto-label + validation filter, recorded as
+    round ``rnd``. Also returns the unshifted confidence of the points the
+    pass leaves unlabeled, in id order: the margin-random query reads them."""
     unlabeled = pool.ids_with(UNLABELED)
     act = val.active_indices()
     n_v = len(act)
-    if len(unlabeled) == 0:
-        return None, unlabeled, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), \
-            np.empty(0, dtype=np.int64), n_v
-    pred_u, conf_u, pred_v, conf_v = _scores(
-        cfg, model, pool.features[unlabeled], val.features[act])
-    correct_v = pred_v == val.labels[act]
-    decision = estimate_threshold(conf_u, pred_u, conf_v, pred_v, correct_v,
-                                  cfg.threshold, num_classes=pool.num_classes)
-    t_class = np.array([decision.threshold_for(c) for c in range(pool.num_classes)])
-    t_u = t_class[pred_u]
-    take = conf_u >= t_u
-    auto_ids = unlabeled[take]
-    auto_labels = pred_u[take]
-    pool.mark_auto(auto_ids, auto_labels, rnd)
-    if n_v:
-        drop = act[conf_v >= t_class[pred_v]]
-        val.deactivate(drop)
-    else:
-        drop = np.empty(0, dtype=np.int64)
-    # soundness: every auto-labeled score met its class threshold
-    assert np.all(conf_u[take] >= t_u[take])
-    check_partition(pool)
-    return decision, unlabeled, auto_ids, auto_labels, drop, n_v
+    decision = None
+    auto_ids = auto_labels = drop = np.empty(0, dtype=np.int64)
+    left = np.empty(0)
+    if len(unlabeled):
+        pred_u, raw_u = conf.score(cfg.confidence, model, pool.features[unlabeled])
+        if n_v:
+            pred_v, conf_v = conf.score(cfg.confidence, model, val.features[act])
+        else:
+            pred_v, conf_v = np.empty(0, dtype=np.int64), np.empty(0)
+        conf_u, conf_v = conf.shift_nonnegative(raw_u, conf_v)
+        correct_v = pred_v == val.labels[act]
+        decision = estimate_threshold(conf_u, pred_u, conf_v, pred_v, correct_v,
+                                      cfg.threshold, num_classes=pool.num_classes)
+        t_class = np.array([decision.threshold_for(c) for c in range(pool.num_classes)])
+        t_u = t_class[pred_u]
+        take = conf_u >= t_u
+        auto_ids = unlabeled[take]
+        auto_labels = pred_u[take]
+        pool.mark_auto(auto_ids, auto_labels, rnd)
+        if n_v:
+            drop = act[conf_v >= t_class[pred_v]]
+            val.deactivate(drop)
+        # soundness: every auto-labeled score met its class threshold
+        assert np.all(conf_u[take] >= t_u[take])
+        check_partition(pool)
+        left = raw_u[~take]
+    record = RoundRecord(
+        index=rnd, queried_ids=queried,
+        train_loss=model.loss_trace[-1] if model.loss_trace else float("nan"),
+        decision=decision, auto_ids=auto_ids, auto_labels=auto_labels,
+        val_deactivated=drop, n_a=len(auto_ids), n_v=n_v)
+    return record, left
+
+
+def _margin_scores(cfg, model, X):
+    """The margin-random query's score of each row of X under ``model``."""
+    if cfg.query.use_gap:
+        return qry.logit_gap(linmod.logits(model, X))
+    return conf.score(cfg.confidence, model, X)[1]
 
 
 def _fit_round(cfg, pool, train_X, train_y, seed, rnd):
@@ -167,13 +174,8 @@ def run_tbal(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> RunRe
     while True:
         rnd += 1
         model = _fit_round(cfg, pool, train_X, train_y, seed, rnd)
-        decision, unlabeled, auto_ids, auto_labels, dropped, n_v = _auto_label_pass(
-            cfg, model, pool, val, rnd)
-        rounds.append(RoundRecord(
-            index=rnd, queried_ids=queried,
-            train_loss=model.loss_trace[-1] if model.loss_trace else float("nan"),
-            decision=decision, auto_ids=auto_ids, auto_labels=auto_labels,
-            val_deactivated=dropped, n_a=len(auto_ids), n_v=n_v))
+        record, left_scores = _auto_label_pass(cfg, model, pool, val, rnd, queried)
+        rounds.append(record)
         remaining = pool.ids_with(UNLABELED)
         budget_left = cfg.N_q - len(train_y)
         if len(remaining) == 0 or budget_left <= 0:
@@ -181,9 +183,11 @@ def run_tbal(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> RunRe
         n_next = min(cfg.n_b, budget_left, len(remaining))
         if cfg.query.strategy == qry.MARGIN_RANDOM:
             qcfg = replace(cfg.query, batch=n_next)
-            queried, _ = qry.query_margin_random(
-                model, cfg.confidence, remaining, pool.features, qcfg,
-                rng_from(seed, "query", rnd))
+            # the pass has just scored exactly these points with this model
+            scores = (_margin_scores(cfg, model, pool.features[remaining])
+                      if cfg.query.use_gap else left_scores)
+            queried, _ = qry.query_margin_random(remaining, scores, qcfg,
+                                                 rng_from(seed, "query", rnd))
         else:
             queried, _ = qry.query_random(remaining, n_next,
                                           rng_from(seed, "query", rnd))
@@ -225,8 +229,8 @@ def run_baseline(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> R
         n_next = min(cfg.n_b, cfg.N_q - len(train_y), len(remaining))
         if active:
             qcfg = replace(cfg.query, batch=n_next)
-            ids, _ = qry.query_margin_random(model, cfg.confidence, remaining,
-                                             pool.features, qcfg,
+            scores = _margin_scores(cfg, model, pool.features[remaining])
+            ids, _ = qry.query_margin_random(remaining, scores, qcfg,
                                              rng_from(seed, "query", rnd))
         else:
             ids, _ = qry.query_random(remaining, n_next, rng_from(seed, "query", rnd))
@@ -240,13 +244,9 @@ def run_baseline(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> R
     remaining = pool.ids_with(UNLABELED)
     rounds: list[RoundRecord] = []
     if selective:
-        decision, unlabeled, auto_ids, auto_labels, dropped, n_v = _auto_label_pass(
-            cfg, model, pool, val, 1)
-        rounds.append(RoundRecord(
-            index=1, queried_ids=np.array([], dtype=np.int64),
-            train_loss=model.loss_trace[-1] if model.loss_trace else float("nan"),
-            decision=decision, auto_ids=auto_ids, auto_labels=auto_labels,
-            val_deactivated=dropped, n_a=len(auto_ids), n_v=n_v))
+        record, _ = _auto_label_pass(cfg, model, pool, val, 1,
+                                     np.array([], dtype=np.int64))
+        rounds.append(record)
     elif len(remaining):
         preds = linmod.predict(model, pool.features[remaining])
         pool.mark_auto(remaining, preds, 1)

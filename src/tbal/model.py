@@ -60,19 +60,30 @@ class LinearModel:
         return self.weights.shape[-1]
 
 
+def _check_dimension(model: LinearModel, X: np.ndarray) -> None:
+    if X.shape[1] != model.dimension:
+        raise ValueError(f"dimension mismatch: {X.shape[1]} != {model.dimension}")
+
+
+def margin(model: LinearModel, X: np.ndarray) -> np.ndarray:
+    """Signed score s = w . x + b of a binary model for each row of 2-D X;
+    the sign rule predicts class 1 where s > 0."""
+    _check_dimension(model, X)
+    return X @ model.weights + float(model.bias)
+
+
 def logits(model: LinearModel, x: np.ndarray) -> np.ndarray:
     """Raw per-class scores w_c . x + b_c. Binary models expose the
     symmetric pair (-s, +s) so argmax agrees with the sign rule."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     X = x[None, :] if single else x
-    if X.shape[1] != model.dimension:
-        raise ValueError(f"dimension mismatch: {X.shape[1]} != {model.dimension}")
+    _check_dimension(model, X)
     if model.constant_class is not None:
         z = np.full((len(X), model.num_classes), -1.0)
         z[:, model.constant_class] = 1.0
     elif model.binary:
-        s = X @ model.weights + float(model.bias)
+        s = margin(model, X)
         z = np.column_stack([-s, s])
     else:
         z = X @ model.weights.T + model.bias

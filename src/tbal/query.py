@@ -7,9 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import confidence as conf
-from . import model as linmod
-
 RANDOM = "random"
 MARGIN_RANDOM = "margin_random"
 
@@ -39,24 +36,39 @@ def query_random(unlabeled_ids: np.ndarray, n: int,
     return np.sort(chosen), False
 
 
-def query_margin_random(model, kind, unlabeled_ids: np.ndarray,
-                        features: np.ndarray, cfg: QueryConfig,
+def logit_gap(z: np.ndarray) -> np.ndarray:
+    """Top-1 minus top-2 logit per row: the margin score of ``use_gap``."""
+    top2 = np.partition(z, -2, axis=1)[:, -2:]
+    return top2[:, 1] - top2[:, 0]
+
+
+def _lowest(ids: np.ndarray, scores: np.ndarray, n: int) -> np.ndarray:
+    """The n ids first in ascending (score, id) order, in that order, in
+    linear time up to the final sort of those n."""
+    if n < len(ids):
+        kth = np.partition(scores, n - 1)[n - 1]
+        below = np.flatnonzero(scores < kth)
+        ties = np.flatnonzero(scores == kth)
+        ties = ties[np.argsort(ids[ties], kind="stable")[:n - len(below)]]
+        keep = np.concatenate([below, ties])
+        ids, scores = ids[keep], scores[keep]
+    return ids[np.lexsort((ids, scores))]
+
+
+def query_margin_random(unlabeled_ids: np.ndarray, scores: np.ndarray,
+                        cfg: QueryConfig,
                         rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-    """Sort ascending by confidence, keep the bottom C*n_b slice, sample
-    the batch uniformly from it. Ties break on id (stable sort) so
+    """Keep the C*n_b ids with the lowest scores, in ascending score order,
+    and sample the batch uniformly from that slice. ``scores[i]`` is the
+    caller's margin score of ``unlabeled_ids[i]``. Ties break on id so
     identical seeds reproduce identical batches."""
     ids = np.asarray(unlabeled_ids, dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != ids.shape:
+        raise ValueError(f"{len(scores)} scores for {len(ids)} ids")
     n_b = cfg.batch
     if n_b >= len(ids):
         return ids.copy(), n_b > len(ids)
-    if cfg.use_gap:
-        z = linmod.logits(model, features[ids])
-        top2 = np.partition(z, -2, axis=1)[:, -2:]
-        scores = top2[:, 1] - top2[:, 0]
-    else:
-        _, scores = conf.score(kind, model, features[ids])
-    order = np.lexsort((ids, scores))  # ascending score, then id
-    slice_n = min(int(cfg.C * n_b), len(ids))
-    pool_slice = ids[order[:slice_n]]
+    pool_slice = _lowest(ids, scores, min(int(cfg.C * n_b), len(ids)))
     chosen = rng.choice(pool_slice, size=n_b, replace=False)
     return np.sort(chosen), False

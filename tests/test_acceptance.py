@@ -58,6 +58,7 @@ def sweep(spec, method, seeds, N_q, *, train=None, confidence=None,
 
 
 class TestCriterion1Xor:
+    @pytest.mark.slow
     def test_xor_reproduction(self):
         t0 = time.time()
         seeds = range(10)
@@ -78,6 +79,7 @@ class TestCriterion1Xor:
 
 
 class TestCriterion2UnitBallBudget:
+    @pytest.mark.slow
     def test_error_control_and_coverage_growth(self):
         t0 = time.time()
         grid = [100, 200, 500]
@@ -96,6 +98,7 @@ class TestCriterion2UnitBallBudget:
 
 
 class TestCriterion3ValidationSize:
+    @pytest.mark.slow
     def test_more_validation_reduces_error(self):
         t0 = time.time()
         errs = {}
@@ -113,6 +116,7 @@ class TestCriterion3ValidationSize:
 
 
 class TestCriterion4MnistLinear:
+    @pytest.mark.slow
     def test_mnist_band(self):
         paths = mnist_paths()
         if paths is None:
@@ -220,6 +224,7 @@ class TestCriterion7BoundVerification:
     # the 100-random-input equivalence checks live in test_theory.py and run
     # as part of the same suite; this adds the Monte-Carlo half
 
+    @pytest.mark.slow
     def test_error_bound_holds_over_unit_ball_runs(self):
         spec = DatasetSpec(kind="unit_ball", d=5, n_total=4000,
                            pool_size=2000, val_size=2000)

@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from tbal.cli import (ConfigFileError, build_run_config, load_config, main,
-                      run_experiment, run_single)
+                      print_summary, run_experiment, run_single)
 from tbal.theory import band_probability_bound, rademacher_vc
 
 
@@ -180,6 +180,32 @@ class TestRunExperiment:
         assert row["method"] == "pl" and row["seed"] == 1
         assert row["human_labels"] == 40
         assert 0 <= row["cov_hat"] <= 1
+
+
+class TestPrintSummary:
+    def test_table_layout(self, tmp_path, capsys):
+        with open(tmp_path / "summary.csv", "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["method", "axis_value", "err_hat_mean", "err_hat_std",
+                        "cov_hat_mean", "cov_hat_std"])
+            w.writerow(["alsc", "500", "0.000123", "0.010000", "0.231849", "nan"])
+            w.writerow(["tbal", "1000", "0.006612", "0.002000", "0.978125", "0.1"])
+        print_summary(str(tmp_path))
+        assert capsys.readouterr().out == (
+            "\nmethod   axis  err_mean  err_std  cov_mean  cov_std\n"
+            "  alsc    500    0.0001   0.0100    0.2318      nan\n"
+            "  tbal   1000    0.0066   0.0020    0.9781   0.1000\n")
+
+    def test_sweep_prints_the_summary_it_wrote(self, tmp_path, capsys):
+        exp = load_config(write_config(tmp_path, out=str(tmp_path / "res"), trials=1))
+        run_experiment(exp)
+        capsys.readouterr()
+        print_summary(exp.out)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "" and lines[1].split() == [
+            "method", "axis", "err_mean", "err_std", "cov_mean", "cov_std"]
+        assert [line.split()[:2] for line in lines[2:]] == [
+            ["pl", "40"], ["pl", "80"], ["tbal", "40"], ["tbal", "80"]]
 
 
 class TestOtherCommands:

@@ -8,7 +8,7 @@ from scipy.special import expit
 
 from tbal.confidence import (AbsMargin, Energy, PlattSigmoid, Softmax, fit_platt,
                              make_kind, score, shift_nonnegative)
-from tbal.model import LinearModel
+from tbal.model import LinearModel, logits
 
 
 def binary_model(w, b, normalized=False):
@@ -53,6 +53,100 @@ class TestAbsMargin:
         m = multi_model(np.eye(3), np.zeros(3))
         with pytest.raises(ValueError, match="binary"):
             score(AbsMargin(), m, np.zeros((1, 3)))
+
+
+def logits_abs_margin(model, x):
+    """abs_margin scored through the logit pair, as before the single
+    product: argmax of (-s, s) for the class, then s computed again."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    X = x[None, :] if single else x
+    z = logits(model, X)
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError("non-finite logits")
+    pred = np.argmax(z, axis=1)
+    conf = np.abs(X @ model.weights + float(model.bias))
+    if model.normalized:
+        conf = np.minimum(conf, 1.0)
+    if single:
+        return int(pred[0]), float(conf[0])
+    return pred, conf
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        else:
+            assert type(g) is type(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+class TestAbsMarginSingleProduct:
+    """score() computes w.x + b once for a binary model; it must equal the
+    logits path bit for bit."""
+
+    def test_random_models_match_the_logits_path(self):
+        rng = np.random.default_rng(0)
+        for normalized in (False, True):
+            for _ in range(20):
+                m = binary_model(rng.standard_normal(5), rng.standard_normal(),
+                                 normalized=normalized)
+                X = 3.0 * rng.standard_normal((200, 5))
+                assert_same_bits(score(AbsMargin(), m, X), logits_abs_margin(m, X))
+
+    def test_zero_margin_goes_to_class_zero(self):
+        m = binary_model([1.0, -1.0], 0.0)
+        X = np.array([[2.0, 2.0], [0.0, 0.0], [-0.0, 0.0], [1.0, 0.5], [0.5, 1.0]])
+        pred, conf = score(AbsMargin(), m, X)
+        assert pred.tolist() == [0, 0, 0, 1, 0]
+        assert conf[:3].tolist() == [0.0, 0.0, 0.0]
+        assert_same_bits((pred, conf), logits_abs_margin(m, X))
+        # a bias that cancels the product exactly
+        m = binary_model([0.5, 0.0], -1.0)
+        X = np.array([[2.0, 7.0]])
+        assert_same_bits(score(AbsMargin(), m, X), logits_abs_margin(m, X))
+        assert score(AbsMargin(), m, X)[0].tolist() == [0]
+
+    def test_normalized_clipping(self):
+        m = binary_model([0.6, 0.8], 0.0, normalized=True)
+        X = np.array([[10.0, 0.0], [-10.0, 0.0], [0.5, 0.0], [-0.5, 0.0]])
+        pred, conf = score(AbsMargin(), m, X)
+        assert conf.tolist() == [1.0, 1.0, 0.3, 0.3]
+        assert_same_bits((pred, conf), logits_abs_margin(m, X))
+
+    def test_constant_class_model(self):
+        for cls in (0, 1):
+            m = LinearModel(np.zeros(3), np.asarray(0.0), num_classes=2,
+                            constant_class=cls)
+            X = np.random.default_rng(cls).standard_normal((7, 3))
+            pred, conf = score(AbsMargin(), m, X)
+            assert pred.tolist() == [cls] * 7
+            assert_same_bits((pred, conf), logits_abs_margin(m, X))
+
+    def test_single_row_scalars(self):
+        m = binary_model([1.5, -2.0], 0.25)
+        for x in (np.array([1.0, 0.5]), np.array([-1.0, 3.0]), np.array([0.5, 0.5])):
+            got = score(AbsMargin(), m, x)
+            assert isinstance(got[0], int) and isinstance(got[1], float)
+            assert_same_bits(got, logits_abs_margin(m, x))
+
+    def test_dimension_mismatch(self):
+        m = binary_model([1.0, 0.0], 0.0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            score(AbsMargin(), m, np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            score(AbsMargin(), m, np.zeros(3))
+
+    def test_nonfinite_input_rejected(self):
+        m = binary_model([1.0, 0.0], 0.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            X = np.array([[1.0, 0.0], [bad, 0.0]])
+            with pytest.raises(FloatingPointError):
+                score(AbsMargin(), m, X)
+        with pytest.raises(FloatingPointError):
+            score(AbsMargin(), binary_model([np.inf, 0.0], 0.0), np.ones((2, 2)))
 
 
 class TestSoftmax:

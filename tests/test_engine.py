@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import tbal.confidence as conf
 from tbal.confidence import AbsMargin, Energy, Softmax
 from tbal.confidence import score as score_kind
 from tbal.core import AUTO, HUMAN, UNLABELED, Pool, ValidationSet, rng_from
@@ -16,6 +18,7 @@ import tbal.query as qry
 from tbal.metrics import evaluate
 
 from test_acceptance import check_invariants
+from test_query import full_sort_margin_random
 
 
 def small_problem(seed=0, n=600, val=200, d=4):
@@ -346,3 +349,83 @@ class TestMulticlassOffline:
         report = evaluate(res, pool)
         assert report.n_auto == res.N_a
         assert report.n_human == res.human_labels_used
+
+
+class TestQueryReadsThePassScores:
+    """TBAL scores the pool once per round. Each round's queried batch must
+    equal the old score-then-select: score the remaining pool again with
+    that round's model (unshifted confidence, or the logit gap), lexsort all
+    of it and draw on the same rng."""
+
+    def record(self, monkeypatch, bias_shift=0.0):
+        models, shifted, passed = [], [], []
+        real_fit, real_shift = linmod.fit, conf.shift_nonnegative
+        real_query = qry.query_margin_random
+
+        def fit(X, y, cfg, seed, num_classes=None):
+            model = real_fit(X, y, cfg, seed, num_classes=num_classes)
+            # same argmax and softmax; every energy score falls by bias_shift
+            model.bias = model.bias - bias_shift
+            models.append(model)
+            return model
+
+        def shift(*arrays):
+            shifted.append(min(a.min() for a in arrays if len(a)) < 0)
+            return real_shift(*arrays)
+
+        def query(ids, scores, cfg, rng):
+            passed.append(np.array(scores, copy=True))
+            return real_query(ids, scores, cfg, rng)
+
+        monkeypatch.setattr(linmod, "fit", fit)
+        monkeypatch.setattr(conf, "shift_nonnegative", shift)
+        monkeypatch.setattr(qry, "query_margin_random", query)
+        return models, shifted, passed
+
+    def check_rounds(self, pool, res, cfg, models, passed, seed):
+        assert len(passed) == res.k - 1 >= 3
+        done = np.empty(0, dtype=np.int64)
+        for r in range(1, res.k):  # rounds[r] holds the batch queried after round r
+            prev = res.rounds[r - 1]
+            done = np.concatenate([done, prev.queried_ids, prev.auto_ids])
+            remaining = np.setdiff1d(np.arange(len(pool)), done)
+            X, model = pool.features[remaining], models[r - 1]
+            if cfg.query.use_gap:
+                want_scores = qry.logit_gap(linmod.logits(model, X))
+            else:
+                _, want_scores = score_kind(cfg.confidence, model, X)
+            assert passed[r - 1].tobytes() == want_scores.tobytes()
+            batch = res.rounds[r].queried_ids
+            want, _ = full_sort_margin_random(
+                remaining, want_scores, replace(cfg.query, batch=len(batch)),
+                rng_from(seed, "query", r))
+            assert np.array_equal(batch, want)
+
+    def multiclass_config(self, confidence, use_gap=False):
+        return RunConfig(method="tbal", epsilon_a=0.05, n_s=60, n_b=30, N_q=240,
+                         threshold=ThresholdConfig(epsilon_a=0.05),
+                         query=QueryConfig(use_gap=use_gap),
+                         train=TrainConfig(loss="logistic"), confidence=confidence)
+
+    def test_multiclass_energy_reads_unshifted_scores(self, monkeypatch):
+        pool, val = TestMulticlassOffline().problem()
+        models, shifted, passed = self.record(monkeypatch, bias_shift=50.0)
+        cfg = self.multiclass_config(Energy())
+        res = run_tbal(pool, val, cfg, seed=2)
+        assert all(shifted)  # every round's raw energy scores were negative
+        self.check_rounds(pool, res, cfg, models, passed, 2)
+
+    def test_multiclass_logit_gap(self, monkeypatch):
+        pool, val = TestMulticlassOffline().problem()
+        models, _, passed = self.record(monkeypatch)
+        cfg = self.multiclass_config(Softmax(), use_gap=True)
+        res = run_tbal(pool, val, cfg, seed=2)
+        self.check_rounds(pool, res, cfg, models, passed, 2)
+
+    @pytest.mark.parametrize("use_gap", [False, True])
+    def test_binary_abs_margin(self, monkeypatch, use_gap):
+        pool, val = xor_problem(seed=1)
+        models, _, passed = self.record(monkeypatch)
+        cfg = RunConfig(n_s=40, n_b=20, N_q=200, query=QueryConfig(use_gap=use_gap))
+        res = run_tbal(pool, val, cfg, seed=4)
+        self.check_rounds(pool, res, cfg, models, passed, 4)

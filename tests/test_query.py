@@ -3,15 +3,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbal.confidence import AbsMargin
+from tbal.confidence import AbsMargin, score
 from tbal.core import rng_from
-from tbal.model import LinearModel
-from tbal.query import (MARGIN_RANDOM, QueryConfig, query_margin_random,
-                        query_random)
+from tbal.model import LinearModel, logits
+from tbal.query import (MARGIN_RANDOM, QueryConfig, _lowest, logit_gap,
+                        query_margin_random, query_random)
 
 
 def line_model():
     return LinearModel(np.array([1.0, 0.0]), np.asarray(0.0), num_classes=2)
+
+
+def scored_query(model, kind, ids, X, cfg, rng):
+    """Score the rows of ``ids`` as the engine does, then query."""
+    if cfg.use_gap:
+        scores = logit_gap(logits(model, X[ids]))
+    else:
+        _, scores = score(kind, model, X[ids])
+    return query_margin_random(ids, scores, cfg, rng)
+
+
+def full_sort_margin_random(ids, scores, cfg, rng):
+    """Reference: the selection before the partition. Lexsort every
+    (score, id), keep the first C*n_b, sample the batch from them."""
+    ids = np.asarray(ids, dtype=np.int64)
+    n_b = cfg.batch
+    if n_b >= len(ids):
+        return ids.copy(), n_b > len(ids)
+    order = np.lexsort((ids, scores))
+    pool_slice = ids[order[:min(int(cfg.C * n_b), len(ids))]]
+    chosen = rng.choice(pool_slice, size=n_b, replace=False)
+    return np.sort(chosen), False
 
 
 def spaced_features(n):
@@ -57,8 +79,8 @@ class TestMarginRandom:
         X = spaced_features(40)
         ids = np.arange(40)
         cfg = QueryConfig(batch=5, C=2.0)
-        got, truncated = query_margin_random(m, AbsMargin(), ids, X, cfg,
-                                             rng_from(0, "q"))
+        got, truncated = scored_query(m, AbsMargin(), ids, X, cfg,
+                                      rng_from(0, "q"))
         assert not truncated
         # slice is the 10 smallest |x0| values, i.e. ids 0..9
         assert set(got) <= set(range(10))
@@ -67,16 +89,16 @@ class TestMarginRandom:
     def test_truncation_returns_everything(self):
         m = line_model()
         X = spaced_features(4)
-        got, truncated = query_margin_random(m, AbsMargin(), np.arange(4), X,
-                                             QueryConfig(batch=6), rng_from(0, "q"))
+        got, truncated = scored_query(m, AbsMargin(), np.arange(4), X,
+                                      QueryConfig(batch=6), rng_from(0, "q"))
         assert truncated and np.array_equal(got, np.arange(4))
 
     def test_slice_capped_at_pool_size(self):
         m = line_model()
         X = spaced_features(6)
         cfg = QueryConfig(batch=5, C=10.0)
-        got, _ = query_margin_random(m, AbsMargin(), np.arange(6), X, cfg,
-                                     rng_from(1, "q"))
+        got, _ = scored_query(m, AbsMargin(), np.arange(6), X, cfg,
+                              rng_from(1, "q"))
         assert len(got) == 5
 
     def test_uniform_within_slice(self):
@@ -87,8 +109,8 @@ class TestMarginRandom:
         cfg = QueryConfig(batch=5, C=2.0)
         counts = np.zeros(30)
         for t in range(1000):
-            got, _ = query_margin_random(m, AbsMargin(), ids, X, cfg,
-                                         rng_from(t, "freq"))
+            got, _ = scored_query(m, AbsMargin(), ids, X, cfg,
+                                  rng_from(t, "freq"))
             counts[got] += 1
         assert np.all(counts[:10] > 350) and np.all(counts[:10] < 650)
         assert np.all(counts[10:] == 0)
@@ -97,10 +119,10 @@ class TestMarginRandom:
         m = line_model()
         X = np.ones((10, 2))  # all scores identical
         cfg = QueryConfig(batch=2, C=2.0)
-        a, _ = query_margin_random(m, AbsMargin(), np.arange(10), X, cfg,
-                                   rng_from(5, "q"))
-        b, _ = query_margin_random(m, AbsMargin(), np.arange(10), X, cfg,
-                                   rng_from(5, "q"))
+        a, _ = scored_query(m, AbsMargin(), np.arange(10), X, cfg,
+                            rng_from(5, "q"))
+        b, _ = scored_query(m, AbsMargin(), np.arange(10), X, cfg,
+                            rng_from(5, "q"))
         assert np.array_equal(a, b)
         assert set(a) <= set(range(4))  # tie-broken slice is the lowest ids
 
@@ -109,8 +131,8 @@ class TestMarginRandom:
         m = LinearModel(W, np.zeros(3), num_classes=3)
         X = np.array([[3.0, 0.0], [0.55, 0.5], [0.0, 2.0], [0.52, 0.5]])
         cfg = QueryConfig(batch=1, C=2.0, use_gap=True)
-        got, _ = query_margin_random(m, AbsMargin(), np.arange(4), X, cfg,
-                                     rng_from(0, "q"))
+        got, _ = scored_query(m, AbsMargin(), np.arange(4), X, cfg,
+                              rng_from(0, "q"))
         # smallest top1-top2 logit gaps are rows 1 and 3
         assert got[0] in (1, 3)
 
@@ -121,12 +143,76 @@ class TestMarginRandom:
         n = 25
         X = spaced_features(n)
         cfg = QueryConfig(batch=batch, C=C)
-        got, _ = query_margin_random(m, AbsMargin(), np.arange(n), X, cfg,
-                                     rng_from(seed, "prop"))
+        got, _ = scored_query(m, AbsMargin(), np.arange(n), X, cfg,
+                              rng_from(seed, "prop"))
         slice_n = min(int(C * batch), n)
         k = min(batch, n)
         assert len(got) == k == len(set(got))
         assert set(got) <= set(range(slice_n))
+
+
+class TestPartitionSelection:
+    """The partition-based slice equals the full lexsort's, in order, so the
+    batch drawn from it on the same rng is the same."""
+
+    @staticmethod
+    def instances(seed, n, values):
+        rng = np.random.default_rng(seed)
+        ids = rng.choice(10 * n, size=n, replace=False)  # distinct, unsorted
+        return ids, rng.choice(np.asarray(values, dtype=np.float64), size=n)
+
+    def check(self, ids, scores, batch, C, seed):
+        cfg = QueryConfig(batch=batch, C=C)
+        n = min(int(C * batch), len(ids))
+        want = ids[np.lexsort((ids, scores))[:n]]
+        assert np.array_equal(_lowest(ids, scores, n), want)
+        got = query_margin_random(ids, scores, cfg, rng_from(seed, "sel"))
+        ref = full_sort_margin_random(ids, scores, cfg, rng_from(seed, "sel"))
+        assert got[1] == ref[1]
+        assert np.array_equal(got[0], ref[0])
+
+    @pytest.mark.parametrize("values", [[0.0, 1.0, 2.0, 3.0], [5.0, 5.0, 7.0],
+                                        [-0.0, 0.0, 1.0], [-0.0, 0.0]])
+    def test_heavy_ties(self, values):
+        for seed in range(40):
+            ids, scores = self.instances(seed, 60, values)
+            for batch, C in ((1, 2.0), (4, 2.5), (7, 3.0), (20, 2.0)):
+                self.check(ids, scores, batch, C, seed)
+
+    def test_continuous_scores(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            ids = rng.permutation(500)
+            self.check(ids, rng.standard_normal(500), 25, 2.0, seed)
+
+    def test_slice_covers_every_id(self):
+        # C*n_b >= len(ids): the slice is every id, sorted by (score, id)
+        for seed in range(10):
+            ids, scores = self.instances(seed, 12, [0.0, 1.0])
+            self.check(ids, scores, 5, 3.0, seed)
+            self.check(ids, scores, 6, 2.0, seed)
+
+    def test_truncation_flag(self):
+        ids, scores = self.instances(0, 8, [1.0, 2.0])
+        for batch in (8, 9, 20):
+            self.check(ids, scores, batch, 2.0, 0)
+            got, truncated = query_margin_random(ids, scores, QueryConfig(batch=batch),
+                                                 rng_from(0, "sel"))
+            assert truncated == (batch > 8)
+            assert np.array_equal(got, ids)
+
+    def test_scores_must_match_ids(self):
+        with pytest.raises(ValueError, match="scores"):
+            query_margin_random(np.arange(10), np.zeros(9), QueryConfig(batch=2),
+                                rng_from(0, "sel"))
+
+    @given(st.lists(st.integers(-3, 3), min_size=2, max_size=40),
+           st.integers(1, 10), st.floats(1.1, 5.0), st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_sort_property(self, values, batch, C, seed):
+        ids = np.random.default_rng(seed).permutation(len(values)) * 3
+        scores = np.asarray(values, dtype=np.float64) / 2
+        self.check(ids, scores, batch, C, seed)
 
 
 class TestQueryConfig:
