@@ -4,7 +4,7 @@ experiment harness."""
 
 from .core import Oracle, Pool, ValidationSet, partition_counts, rng_from
 from .data import DatasetSpec, gen_unit_ball, gen_xor, load_mnist_idx, split_pool_val
-from .engine import RunConfig, RunResult, run, run_baseline, run_tbal
+from .engine import RunConfig, RunResult, run
 from .metrics import MetricReport, evaluate, summarize_trials
 from .model import LinearModel, TrainConfig, fit, logits, predict
 from .threshold import ThresholdConfig, ThresholdDecision, estimate_threshold, sigma
@@ -12,7 +12,7 @@ from .threshold import ThresholdConfig, ThresholdDecision, estimate_threshold, s
 __all__ = [
     "Oracle", "Pool", "ValidationSet", "partition_counts", "rng_from",
     "DatasetSpec", "gen_unit_ball", "gen_xor", "load_mnist_idx", "split_pool_val",
-    "RunConfig", "RunResult", "run", "run_baseline", "run_tbal",
+    "RunConfig", "RunResult", "run",
     "MetricReport", "evaluate", "summarize_trials",
     "LinearModel", "TrainConfig", "fit", "logits", "predict",
     "ThresholdConfig", "ThresholdDecision", "estimate_threshold", "sigma",

@@ -4,7 +4,7 @@ Subcommands:
   run     execute a sweep from a YAML config, write per-run + summary CSVs
   bounds  evaluate the theory bounds with named flags
   gen     generate a synthetic dataset and write it to CSV
-  export  run one configuration and export the labeled output dataset
+  export  run a config's first grid point and export the labeled dataset
 
 Config files are strict: unknown keys are rejected (exit code 2) so typos
 cannot silently corrupt a sweep.
@@ -120,6 +120,9 @@ def load_config(path: str) -> ExperimentConfig:
     for m in methods:
         if m not in engine.METHODS:
             raise ConfigFileError(f"unknown method {m!r}")
+    confidence = str(raw.get("confidence", "abs_margin"))
+    if confidence not in conf.KINDS:
+        raise ConfigFileError(f"unknown confidence kind {confidence!r}")
     return ExperimentConfig(
         dataset=DatasetSpec(**ds),
         methods=methods,
@@ -131,7 +134,7 @@ def load_config(path: str) -> ExperimentConfig:
         seed_base=int(raw.get("seed_base", 0)),
         out=str(raw.get("out", "results")),
         workers=int(raw.get("workers", 1)),
-        confidence=str(raw.get("confidence", "abs_margin")),
+        confidence=confidence,
         energy_temperature=float(raw.get("energy_temperature", 1.0)),
         n_s=int(raw["n_s"]) if "n_s" in raw else None,
         n_b=int(raw["n_b"]) if "n_b" in raw else None,
@@ -173,7 +176,9 @@ def _subsample_validation(val: ValidationSet, n: int, seed: int) -> ValidationSe
     return ValidationSet(val.features[idx], val.labels[idx])
 
 
-def run_single(exp: ExperimentConfig, method: str, axis_value: int, trial: int):
+def _run_point(exp: ExperimentConfig, method: str, axis_value: int,
+               trial: int) -> engine.RunResult:
+    """The engine run of one sweep point: (method, grid value, trial)."""
     seed = exp.seed_base + trial
     pool, val = make_dataset(exp.dataset, seed)
     if exp.axis == VALIDATION_SIZE:
@@ -181,11 +186,14 @@ def run_single(exp: ExperimentConfig, method: str, axis_value: int, trial: int):
         val = _subsample_validation(val, axis_value, seed)
     else:
         N_q = axis_value
-    cfg = build_run_config(exp, method, N_q)
-    result = engine.run(pool, val, cfg, seed)
+    return engine.run(pool, val, build_run_config(exp, method, N_q), seed)
+
+
+def run_single(exp: ExperimentConfig, method: str, axis_value: int, trial: int):
+    result = _run_point(exp, method, axis_value, trial)
     report = metrics.evaluate(result, result.pool)
     return {
-        "method": method, "axis_value": axis_value, "seed": seed,
+        "method": method, "axis_value": axis_value, "seed": result.seed,
         "err_hat": report.err_hat, "cov_hat": report.cov_hat,
         "human_labels": report.human_labels_used,
         "val_labels": report.val_labels_used, "rounds": result.k,
@@ -342,11 +350,9 @@ def _cmd_export(args) -> int:
     except (ConfigFileError, TypeError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else exp.seed_base
-    pool, val = make_dataset(exp.dataset, seed)
-    N_q = exp.N_q if exp.N_q is not None else exp.grid[0]
-    cfg = build_run_config(exp, args.method, N_q)
-    result = engine.run(pool, val, cfg, seed)
+    if args.seed is not None:
+        exp.seed_base = args.seed
+    result = _run_point(exp, args.method, exp.grid[0], trial=0)
     export_dataset(result, args.out, include_features=args.features)
     print(f"wrote {args.out}")
     return 0
@@ -402,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--out", required=True)
     pg.set_defaults(fn=_cmd_gen)
 
-    pe = sub.add_parser("export", help="run one config and export the labeled dataset")
+    pe = sub.add_parser("export", help="run a config's first grid point, export labels")
     pe.add_argument("--config", required=True)
     pe.add_argument("--method", choices=engine.METHODS, default="tbal")
     pe.add_argument("--seed", type=int, default=None)

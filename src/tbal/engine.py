@@ -1,21 +1,25 @@
-"""The auto-labeling main loop and the four baselines built from the same
-parts.
+"""The auto-labeling loop: TBAL and its four baselines, one loop for all.
 
-TBAL iterates train -> estimate thresholds on validation -> auto-label the
-confident region -> deactivate covered validation points -> actively query
-the next human batch, until the pool drains or the training budget runs out
-(one final train/threshold/auto-label pass runs after the budget is spent).
-The baselines reuse the same trainer, querier and threshold estimator:
+Every method takes the same random seed batch and then repeats one round:
+train -> (TBAL) estimate thresholds on validation, auto-label the confident
+region and deactivate the covered validation points -> stop once the pool is
+drained or the training budget spent -> query the next human batch. Three
+choices, each fixed by the method, set the methods apart:
 
-  pl    random-query the budget, train once, predict everything left
-  al    margin-random batches, train, predict everything left
-  plsc  pl training + one threshold pass on the final model
-  alsc  al training + one threshold pass on the final model
+  method  query             auto-label         at the end
+  tbal    cfg.query         every round        -
+  pl      random            once, after loop   predict everything left
+  al      margin-random     once, after loop   predict everything left
+  plsc    random            once, after loop   one threshold pass
+  alsc    margin-random     once, after loop   one threshold pass
+
+A round trains only when something reads the model: TBAL's pass, the
+margin-random query or the labeling after the last round. So pl/plsc train
+once, on the full budget, with the seed of their last round.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -96,16 +100,16 @@ def _round_seed(seed: int, *stream) -> int:
     return int(rng_from(seed, *stream).integers(0, 2**63 - 1))
 
 
-def _auto_label_pass(cfg, model, pool, val, rnd, queried):
-    """One threshold estimate + auto-label + validation filter, recorded as
-    round ``rnd``. Also returns the unshifted confidence of the points the
-    pass leaves unlabeled, in id order: the margin-random query reads them."""
-    unlabeled = pool.ids_with(UNLABELED)
+def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried):
+    """One threshold estimate + auto-label + validation filter over the
+    ``unlabeled`` ids, recorded as round ``rnd``. Also returns the ids the
+    pass leaves unlabeled and their unshifted confidence, in id order: the
+    margin-random query reads them."""
     act = val.active_indices()
     n_v = len(act)
     decision = None
     auto_ids = auto_labels = drop = np.empty(0, dtype=np.int64)
-    left = np.empty(0)
+    take, raw_u = np.zeros(0, dtype=bool), np.empty(0)
     if len(unlabeled):
         pred_u, raw_u = conf.score(cfg.confidence, model, pool.features[unlabeled])
         if n_v:
@@ -128,13 +132,12 @@ def _auto_label_pass(cfg, model, pool, val, rnd, queried):
         # soundness: every auto-labeled score met its class threshold
         assert np.all(conf_u[take] >= t_u[take])
         check_partition(pool)
-        left = raw_u[~take]
     record = RoundRecord(
         index=rnd, queried_ids=queried,
         train_loss=model.loss_trace[-1] if model.loss_trace else float("nan"),
         decision=decision, auto_ids=auto_ids, auto_labels=auto_labels,
         val_deactivated=drop, n_a=len(auto_ids), n_v=n_v)
-    return record, left
+    return record, unlabeled[~take], raw_u[~take]
 
 
 def _margin_scores(cfg, model, X):
@@ -144,11 +147,6 @@ def _margin_scores(cfg, model, X):
     return conf.score(cfg.confidence, model, X)[1]
 
 
-def _fit_round(cfg, pool, train_X, train_y, seed, rnd):
-    return linmod.fit(np.asarray(train_X), np.asarray(train_y), cfg.train,
-                      _round_seed(seed, "train", rnd), num_classes=pool.num_classes)
-
-
 def _query_human(pool, oracle, ids, train_X, train_y):
     labels = [oracle.label(int(i)) for i in ids]
     pool.mark_human(ids, labels)
@@ -156,114 +154,74 @@ def _query_human(pool, oracle, ids, train_X, train_y):
     train_X.extend(pool.features[ids])
 
 
-def run_tbal(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> RunResult:
-    """Execute the full iterative auto-labeling loop on copies of the inputs."""
-    pool = pool.copy()
-    val = val.copy()
-    oracle = Oracle(pool)
-    train_X: list = []
-    train_y: list = []
-
-    seed_ids, _ = qry.query_random(pool.ids_with(UNLABELED), cfg.n_s,
-                                   rng_from(seed, "seed_query"))
-    _query_human(pool, oracle, seed_ids, train_X, train_y)
-
-    rounds: list[RoundRecord] = []
-    queried = seed_ids
-    rnd = 0
-    while True:
-        rnd += 1
-        model = _fit_round(cfg, pool, train_X, train_y, seed, rnd)
-        record, left_scores = _auto_label_pass(cfg, model, pool, val, rnd, queried)
-        rounds.append(record)
-        remaining = pool.ids_with(UNLABELED)
-        budget_left = cfg.N_q - len(train_y)
-        if len(remaining) == 0 or budget_left <= 0:
-            break
-        n_next = min(cfg.n_b, budget_left, len(remaining))
-        if cfg.query.strategy == qry.MARGIN_RANDOM:
-            qcfg = replace(cfg.query, batch=n_next)
-            # the pass has just scored exactly these points with this model
-            scores = (_margin_scores(cfg, model, pool.features[remaining])
-                      if cfg.query.use_gap else left_scores)
-            queried, _ = qry.query_margin_random(remaining, scores, qcfg,
-                                                 rng_from(seed, "query", rnd))
-        else:
-            queried, _ = qry.query_random(remaining, n_next,
-                                          rng_from(seed, "query", rnd))
-        _query_human(pool, oracle, queried, train_X, train_y)
-
-    N_a = sum(r.n_a for r in rounds)
-    return RunResult(method=TBAL, seed=seed, pool=pool, validation=val,
-                     rounds=rounds, N_a=N_a, k=len(rounds),
-                     human_labels_used=len(train_y), val_labels_used=len(val))
-
-
-def run_baseline(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> RunResult:
-    """PL / AL querying and training, then either blanket prediction or a
-    single selective-classification threshold pass."""
-    if cfg.method not in (PL, AL, PLSC, ALSC):
-        raise ValueError(f"run_baseline got method {cfg.method!r}")
-    active = cfg.method in (AL, ALSC)
-    selective = cfg.method in (PLSC, ALSC)
-    pool = pool.copy()
-    val = val.copy()
-    oracle = Oracle(pool)
-    train_X: list = []
-    train_y: list = []
-
-    # identical seed stream as TBAL so comparative sweeps share a start
-    seed_ids, _ = qry.query_random(pool.ids_with(UNLABELED), cfg.n_s,
-                                   rng_from(seed, "seed_query"))
-    _query_human(pool, oracle, seed_ids, train_X, train_y)
-
-    # random queries never read the model, so pl/plsc fit once, after the
-    # budget is spent, with the seed of the last round
-    rnd = 1
-    if active:
-        model = _fit_round(cfg, pool, train_X, train_y, seed, rnd)
-    while len(train_y) < cfg.N_q:
-        remaining = pool.ids_with(UNLABELED)
-        if len(remaining) == 0:
-            break
-        n_next = min(cfg.n_b, cfg.N_q - len(train_y), len(remaining))
-        if active:
-            qcfg = replace(cfg.query, batch=n_next)
-            scores = _margin_scores(cfg, model, pool.features[remaining])
-            ids, _ = qry.query_margin_random(remaining, scores, qcfg,
-                                             rng_from(seed, "query", rnd))
-        else:
-            ids, _ = qry.query_random(remaining, n_next, rng_from(seed, "query", rnd))
-        _query_human(pool, oracle, ids, train_X, train_y)
-        rnd += 1
-        if active:
-            model = _fit_round(cfg, pool, train_X, train_y, seed, rnd)
-    if not active:
-        model = _fit_round(cfg, pool, train_X, train_y, seed, rnd)
-
-    remaining = pool.ids_with(UNLABELED)
-    rounds: list[RoundRecord] = []
-    if selective:
-        record, _ = _auto_label_pass(cfg, model, pool, val, 1,
-                                     np.array([], dtype=np.int64))
-        rounds.append(record)
-    elif len(remaining):
-        preds = linmod.predict(model, pool.features[remaining])
-        pool.mark_auto(remaining, preds, 1)
-        rounds.append(RoundRecord(
-            index=1, queried_ids=np.array([], dtype=np.int64),
-            train_loss=model.loss_trace[-1] if model.loss_trace else float("nan"),
-            decision=None, auto_ids=remaining, auto_labels=np.asarray(preds),
-            val_deactivated=np.empty(0, dtype=np.int64),
-            n_a=len(remaining), n_v=val.n_active))
-    check_partition(pool)
-    N_a = sum(r.n_a for r in rounds)
-    return RunResult(method=cfg.method, seed=seed, pool=pool, validation=val,
-                     rounds=rounds, N_a=N_a, k=len(rounds),
-                     human_labels_used=len(train_y), val_labels_used=len(val))
+def _choices(cfg: RunConfig) -> tuple[str, bool, bool]:
+    """The three per-method choices: the query strategy, whether to
+    auto-label every round (else once, after the loop) and, for that last
+    labeling, a threshold pass (selective) or blanket prediction."""
+    if cfg.method == TBAL:
+        return cfg.query.strategy, True, True
+    strategy = qry.MARGIN_RANDOM if cfg.method in (AL, ALSC) else qry.RANDOM
+    return strategy, False, cfg.method in (PLSC, ALSC)
 
 
 def run(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> RunResult:
-    if cfg.method == TBAL:
-        return run_tbal(pool, val, cfg, seed)
-    return run_baseline(pool, val, cfg, seed)
+    """Run ``cfg.method`` on copies of the inputs."""
+    strategy, every_round, selective = _choices(cfg)
+    pool = pool.copy()
+    val = val.copy()
+    oracle = Oracle(pool)
+    train_X: list = []
+    train_y: list = []
+
+    # one seed stream for every method, so comparative sweeps share a start
+    queried, _ = qry.query_random(pool.ids_with(UNLABELED), cfg.n_s,
+                                  rng_from(seed, "seed_query"))
+    _query_human(pool, oracle, queried, train_X, train_y)
+
+    rounds: list[RoundRecord] = []
+    rnd = 0
+    while True:
+        rnd += 1
+        remaining = pool.ids_with(UNLABELED)
+        spent = len(train_y) >= cfg.N_q
+        if every_round or strategy == qry.MARGIN_RANDOM or spent or not len(remaining):
+            model = linmod.fit(np.asarray(train_X), np.asarray(train_y), cfg.train,
+                               _round_seed(seed, "train", rnd),
+                               num_classes=pool.num_classes)
+        left_scores = None
+        if every_round:
+            record, remaining, left_scores = _auto_label_pass(
+                cfg, model, pool, val, remaining, rnd, queried)
+            rounds.append(record)
+        if spent or not len(remaining):
+            break
+        n_next = min(cfg.n_b, cfg.N_q - len(train_y), len(remaining))
+        rng = rng_from(seed, "query", rnd)
+        if strategy == qry.MARGIN_RANDOM:
+            # TBAL's pass has just scored exactly these points with this model
+            scores = left_scores
+            if scores is None or cfg.query.use_gap:
+                scores = _margin_scores(cfg, model, pool.features[remaining])
+            queried, _ = qry.query_margin_random(
+                remaining, scores, replace(cfg.query, batch=n_next), rng)
+        else:
+            queried, _ = qry.query_random(remaining, n_next, rng)
+        _query_human(pool, oracle, queried, train_X, train_y)
+
+    no_ids = np.empty(0, dtype=np.int64)
+    if not every_round:
+        if selective:
+            record, _, _ = _auto_label_pass(cfg, model, pool, val, remaining, 1, no_ids)
+            rounds.append(record)
+        elif len(remaining):
+            preds = linmod.predict(model, pool.features[remaining])
+            pool.mark_auto(remaining, preds, 1)
+            rounds.append(RoundRecord(
+                index=1, queried_ids=no_ids,
+                train_loss=model.loss_trace[-1] if model.loss_trace else float("nan"),
+                decision=None, auto_ids=remaining, auto_labels=np.asarray(preds),
+                val_deactivated=no_ids, n_a=len(remaining), n_v=val.n_active))
+    check_partition(pool)
+    return RunResult(method=cfg.method, seed=seed, pool=pool, validation=val,
+                     rounds=rounds, N_a=sum(r.n_a for r in rounds), k=len(rounds),
+                     human_labels_used=len(train_y), val_labels_used=len(val))

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 import yaml
 
-from tbal.cli import (ConfigFileError, build_run_config, load_config, main,
-                      print_summary, run_experiment, run_single)
+from tbal import engine
+from tbal.cli import (ConfigFileError, _subsample_validation, build_run_config,
+                      load_config, main, print_summary, run_experiment, run_single)
+from tbal.core import AUTO, KINDS, UNLABELED
+from tbal.data import make_dataset
 from tbal.theory import band_probability_bound, rademacher_vc
 
 
@@ -69,6 +72,17 @@ class TestLoadConfig:
     def test_unknown_method(self, tmp_path):
         with pytest.raises(ConfigFileError, match="unknown method"):
             load_config(write_config(tmp_path, methods=["tbal", "dagger"]))
+
+    @pytest.mark.parametrize("command", ["run", "export"])
+    @pytest.mark.parametrize("kind", ["platt", "entropy"])
+    def test_unknown_confidence_kind_exits_2(self, tmp_path, capsys, command, kind):
+        path = write_config(tmp_path, confidence=kind, out=str(tmp_path / "o"))
+        argv = [command, "--config", path]
+        if command == "export":
+            argv += ["--out", str(tmp_path / "labels.csv")]
+        assert main(argv) == 2
+        assert f"unknown confidence kind {kind!r}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["exp.yaml"]  # nothing ran, nothing written
 
     def test_unknown_axis(self, tmp_path):
         path = write_config(tmp_path, sweep={"axis": "epochs", "grid": [1]})
@@ -263,6 +277,30 @@ class TestOtherCommands:
         assert kinds <= {"auto", "human", "unlabeled"}
         n_human = sum(1 for r in rows[1:] if r[2] == "human")
         assert n_human == 40
+
+    def test_export_runs_the_first_grid_point(self, tmp_path):
+        # a validation_size sweep: the run uses the budget N_q and the first
+        # grid value's subsample of the validation set, as `tbal run` does
+        path = write_config(tmp_path, methods=["tbal"],
+                            sweep={"axis": "validation_size", "grid": [60, 150],
+                                   "N_q": 80})
+        out = str(tmp_path / "labels.csv")
+        assert main(["export", "--config", path, "--seed", "3", "--out", out]) == 0
+        exp = load_config(path)
+        pool, val = make_dataset(exp.dataset, 3)
+        small = _subsample_validation(val, 60, 3)
+        cfg = build_run_config(exp, "tbal", 80)
+
+        def labels(v):
+            p = engine.run(pool, v, cfg, 3).pool
+            return [[str(i), "" if k == UNLABELED else str(lab), k,
+                     str(r) if k == AUTO else ""]
+                    for i, (k, lab, r) in enumerate(zip(
+                        [KINDS[c] for c in p.kind], p.label.tolist(), p.round.tolist()))]
+
+        rows = list(csv.reader(open(out)))[1:]
+        assert rows == labels(small)
+        assert rows != labels(val)  # the full validation set labels otherwise
 
     def test_export_with_features(self, tmp_path):
         cfg_path = write_config(tmp_path)

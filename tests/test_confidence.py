@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
 
-from tbal.confidence import (AbsMargin, Energy, PlattSigmoid, Softmax, fit_platt,
-                             make_kind, score, shift_nonnegative)
+from tbal.confidence import (AbsMargin, Energy, Softmax, make_kind, score,
+                             shift_nonnegative)
 from tbal.model import LinearModel, logits
 
 
@@ -192,23 +191,6 @@ class TestEnergy:
             score(Energy(), m, np.array([[1e10, 1e10]]))
 
 
-class TestPlattScore:
-    def test_applies_per_class_parameters(self):
-        m = binary_model([1.0, 0.0], 0.0)
-        kind = PlattSigmoid(a=(2.0, 3.0), b=(0.5, -0.5))
-        X = np.array([[2.0, 0.0], [-2.0, 0.0]])
-        pred, conf = score(kind, m, X)
-        # predicted-class logit is +2 for class 1, +2 for class 0 (s=-2 -> -s=2)
-        assert pred[0] == 1 and pred[1] == 0
-        assert conf[0] == pytest.approx(expit(3.0 * 2.0 - 0.5))
-        assert conf[1] == pytest.approx(expit(2.0 * 2.0 + 0.5))
-
-    def test_defaults_to_identity(self):
-        m = binary_model([1.0, 0.0], 0.0)
-        _, conf = score(PlattSigmoid(), m, np.array([[1.5, 0.0]]))
-        assert conf[0] == pytest.approx(expit(1.5))
-
-
 class TestScoreShapes:
     def test_single_row_returns_scalars(self):
         m = binary_model([1.0, 1.0], 0.0)
@@ -251,46 +233,3 @@ class TestShiftNonnegative:
             assert rb.min() >= 0
         assert np.allclose(np.diff(ra), np.diff(a))
         assert np.allclose(np.diff(rb), np.diff(b))
-
-
-class TestFitPlatt:
-    def test_recovers_known_calibration(self):
-        # correctness generated from sigmoid(a*margin + b) should be recovered
-        rng = np.random.default_rng(0)
-        m = binary_model([1.0, 0.0], 0.0)
-        X = rng.uniform(-4, 4, size=(6000, 2))
-        z = np.abs(X[:, 0])  # predicted-class margin for this model
-        a_true, b_true = 1.7, -0.8
-        p = expit(a_true * z + b_true)
-        correct = rng.random(6000) < p
-        # build labels whose correctness indicator matches the draw
-        pred = (X[:, 0] > 0).astype(np.int64)
-        y = np.where(correct, pred, 1 - pred)
-        kind = fit_platt(m, X, y)
-        for c in range(2):
-            assert kind.a[c] == pytest.approx(a_true, abs=0.15)
-            assert kind.b[c] == pytest.approx(b_true, abs=0.25)
-
-    def test_identity_fallback_for_degenerate_slices(self):
-        m = binary_model([1.0, 0.0], 0.0)
-        X = np.array([[1.0, 0.0], [2.0, 0.0]])
-        y = np.array([1, 1])  # all predictions correct, single outcome
-        kind = fit_platt(m, X, y)
-        assert kind.a == (1.0, 1.0) and kind.b == (0.0, 0.0)
-
-    def test_empty_calibration_set(self):
-        m = binary_model([1.0, 0.0], 0.0)
-        with pytest.raises(ValueError, match="empty"):
-            fit_platt(m, np.empty((0, 2)), np.empty(0, dtype=np.int64))
-
-    def test_monotone_in_margin(self):
-        rng = np.random.default_rng(1)
-        m = binary_model([1.0, 0.0], 0.0)
-        X = rng.uniform(-3, 3, size=(500, 2))
-        pred = (X[:, 0] > 0).astype(np.int64)
-        flip = rng.random(500) < 0.3 * np.exp(-np.abs(X[:, 0]))
-        y = np.where(flip, 1 - pred, pred)
-        kind = fit_platt(m, X, y)
-        grid = np.column_stack([np.linspace(0.1, 3, 10), np.zeros(10)])
-        _, conf = score(kind, m, grid)
-        assert np.all(np.diff(conf) >= 0)

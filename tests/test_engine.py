@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,8 @@ from tbal.confidence import AbsMargin, Energy, Softmax
 from tbal.confidence import score as score_kind
 from tbal.core import AUTO, HUMAN, UNLABELED, Pool, ValidationSet, rng_from
 from tbal.data import gen_unit_ball, gen_xor, split_pool_val
-from tbal.engine import METHODS, RunConfig, _round_seed, run, run_baseline, run_tbal
+import tbal.engine as engine
+from tbal.engine import METHODS, RoundRecord, RunConfig, _round_seed, run
 from tbal.model import TrainConfig
 import tbal.model as linmod
 from tbal.query import QueryConfig
@@ -19,6 +20,7 @@ from tbal.metrics import evaluate
 
 from test_acceptance import check_invariants
 from test_query import full_sort_margin_random
+import reference_engine as reference
 
 
 def small_problem(seed=0, n=600, val=200, d=4):
@@ -70,7 +72,7 @@ class TestTbalLoop:
         pool, val = small_problem()
         cfg = RunConfig(method="tbal", n_s=30, n_b=10, N_q=80,
                         train=TrainConfig(normalized=True, learning_rate=3.0))
-        res = run_tbal(pool, val, cfg, seed=1)
+        res = run(pool, val, cfg, seed=1)
         kinds = count_kinds(res.pool)
         assert kinds[HUMAN] == res.human_labels_used <= 80
         assert sum(kinds.values()) == len(pool)
@@ -80,7 +82,7 @@ class TestTbalLoop:
     def test_inputs_not_mutated(self):
         pool, val = small_problem(seed=2)
         cfg = RunConfig(method="tbal", n_s=20, n_b=10, N_q=50)
-        run_tbal(pool, val, cfg, seed=0)
+        run(pool, val, cfg, seed=0)
         assert count_kinds(pool)[UNLABELED] == len(pool)
         assert val.n_active == len(val)
 
@@ -88,14 +90,14 @@ class TestTbalLoop:
         pool, val = small_problem(seed=3)
         cfg = RunConfig(method="tbal", n_s=20, n_b=10, N_q=60,
                         train=TrainConfig(normalized=True, learning_rate=3.0))
-        r1 = run_tbal(pool, val, cfg, seed=9)
-        r2 = run_tbal(pool, val, cfg, seed=9)
+        r1 = run(pool, val, cfg, seed=9)
+        r2 = run(pool, val, cfg, seed=9)
         assert [s.kind for s in r1.pool.states] == [s.kind for s in r2.pool.states]
         assert [s.label for s in r1.pool.states] == [s.label for s in r2.pool.states]
         for a, b in zip(r1.rounds, r2.rounds):
             assert np.array_equal(a.queried_ids, b.queried_ids)
             assert np.array_equal(a.auto_ids, b.auto_ids)
-        r3 = run_tbal(pool, val, cfg, seed=10)
+        r3 = run(pool, val, cfg, seed=10)
         assert any(not np.array_equal(a.auto_ids, b.auto_ids)
                    for a, b in zip(r1.rounds, r3.rounds)) or r1.N_a != r3.N_a
 
@@ -103,7 +105,7 @@ class TestTbalLoop:
         pool, val = small_problem(seed=4)
         cfg = RunConfig(method="tbal", n_s=20, n_b=10, N_q=60,
                         train=TrainConfig(normalized=True, learning_rate=3.0))
-        res = run_tbal(pool, val, cfg, seed=0)
+        res = run(pool, val, cfg, seed=0)
         assert [r.index for r in res.rounds] == list(range(1, res.k + 1))
         for r in res.rounds:
             for i in r.auto_ids:
@@ -113,7 +115,7 @@ class TestTbalLoop:
         pool, val = small_problem(seed=5)
         cfg = RunConfig(method="tbal", n_s=20, n_b=10, N_q=60,
                         train=TrainConfig(normalized=True, learning_rate=3.0))
-        res = run_tbal(pool, val, cfg, seed=0)
+        res = run(pool, val, cfg, seed=0)
         drops = np.concatenate([r.val_deactivated for r in res.rounds]) \
             if res.rounds else np.empty(0)
         assert len(drops) == len(set(drops.tolist()))  # never dropped twice
@@ -124,7 +126,7 @@ class TestTbalLoop:
         # unreachable epsilon: every threshold is infinite, nothing auto-labels
         cfg = RunConfig(method="tbal", n_s=20, n_b=20, N_q=100,
                         threshold=ThresholdConfig(epsilon_a=1e-9, n0=10**6))
-        res = run_tbal(pool, val, cfg, seed=0)
+        res = run(pool, val, cfg, seed=0)
         assert res.N_a == 0
         assert all(r.n_a == 0 for r in res.rounds)
         assert all(r.decision is None or all(r.decision.infinite.values())
@@ -137,7 +139,7 @@ class TestTbalLoop:
         pool, val = small_problem(seed=6)
         cfg = RunConfig(method="tbal", n_s=40, n_b=20, N_q=40,
                         train=TrainConfig(normalized=True, learning_rate=3.0))
-        res = run_tbal(pool, val, cfg, seed=0)
+        res = run(pool, val, cfg, seed=0)
         # budget equals the seed batch, so exactly one train/label pass runs
         assert res.k == 1
         assert res.human_labels_used == 40
@@ -147,7 +149,7 @@ class TestTbalLoop:
         cfg = RunConfig(method="tbal", n_s=20, n_b=10, N_q=50,
                         query=QueryConfig(strategy="random", batch=10),
                         train=TrainConfig(normalized=True, learning_rate=3.0))
-        res = run_tbal(pool, val, cfg, seed=0)
+        res = run(pool, val, cfg, seed=0)
         assert res.human_labels_used <= 50
 
     def test_alternative_confidences_run(self):
@@ -156,7 +158,7 @@ class TestTbalLoop:
             cfg = RunConfig(method="tbal", n_s=20, n_b=10, N_q=40,
                             confidence=kind,
                             threshold=ThresholdConfig(epsilon_a=0.05))
-            res = run_tbal(pool, val, cfg, seed=0)
+            res = run(pool, val, cfg, seed=0)
             assert sum(count_kinds(res.pool).values()) == len(pool)
 
 
@@ -167,7 +169,7 @@ class TestAbstainEquivalence:
         pool, val = xor_problem(seed=2)
         cfg = RunConfig(method="tbal", n_s=20, n_b=15, N_q=80,
                         threshold=ThresholdConfig(epsilon_a=1e-9, n0=10**6))
-        res = run_tbal(pool, val, cfg, seed=4)
+        res = run(pool, val, cfg, seed=4)
         # replay the loop by hand with the same derived streams
         seed_ids, _ = qry.query_random(np.arange(len(pool)), 20,
                                        rng_from(4, "seed_query"))
@@ -184,7 +186,7 @@ class TestBaselines:
     def test_pl_labels_everything_remaining(self):
         pool, val = small_problem(seed=9)
         cfg = RunConfig(method="pl", n_s=20, n_b=10, N_q=50)
-        res = run_baseline(pool, val, cfg, seed=0)
+        res = run(pool, val, cfg, seed=0)
         kinds = count_kinds(res.pool)
         assert kinds[HUMAN] == 50
         assert kinds[AUTO] == len(pool) - 50
@@ -194,7 +196,7 @@ class TestBaselines:
     def test_pl_degenerate_full_budget(self):
         pool, val = small_problem(seed=10, n=60, val=40)
         cfg = RunConfig(method="pl", n_s=10, n_b=10, N_q=60)
-        res = run_baseline(pool, val, cfg, seed=0)
+        res = run(pool, val, cfg, seed=0)
         kinds = count_kinds(res.pool)
         assert kinds[HUMAN] == 60 and kinds[AUTO] == 0
 
@@ -202,7 +204,7 @@ class TestBaselines:
         pool, val = xor_problem(seed=3)
         for method in ("plsc", "alsc"):
             cfg = RunConfig(method=method, n_s=30, n_b=15, N_q=90)
-            res = run_baseline(pool, val, cfg, seed=0)
+            res = run(pool, val, cfg, seed=0)
             assert res.k <= 1
             if res.rounds:
                 assert res.rounds[0].decision is not None
@@ -225,8 +227,6 @@ class TestBaselines:
         pool, val = small_problem(seed=12, n=100, val=60)
         cfg = RunConfig(method="tbal", n_s=10, n_b=5, N_q=20)
         assert run(pool, val, cfg, seed=0).method == "tbal"
-        with pytest.raises(ValueError):
-            run_baseline(pool, val, cfg, seed=0)
 
     def test_human_labels_match_oracle_truth(self):
         pool, val = small_problem(seed=13)
@@ -262,14 +262,14 @@ class TestFitOnlyWhatIsRead:
     def test_random_query_baselines_fit_once(self, monkeypatch, method):
         pool, val = xor_problem(seed=5)
         fits = record_fits(monkeypatch)
-        run_baseline(pool, val, self.config(method), seed=3)
+        run(pool, val, self.config(method), seed=3)
         assert len(fits) == 1
 
     @pytest.mark.parametrize("method", ["al", "alsc"])
     def test_active_baselines_fit_every_round(self, monkeypatch, method):
         pool, val = xor_problem(seed=5)
         fits = record_fits(monkeypatch)
-        run_baseline(pool, val, self.config(method), seed=3)
+        run(pool, val, self.config(method), seed=3)
         assert [f[2] for f in fits] == [_round_seed(3, "train", r)
                                         for r in range(1, self.BATCHES + 2)]
 
@@ -279,7 +279,7 @@ class TestFitOnlyWhatIsRead:
         pool, val = xor_problem(seed=5)
         fits = record_fits(monkeypatch)
         cfg = self.config(method)
-        res = run_baseline(pool, val, cfg, seed=3)
+        res = run(pool, val, cfg, seed=3)
         X, y, fit_seed, model = fits[0]
         # every human label, seed batch first, with the last round's seed
         human = res.pool.ids_with(HUMAN)
@@ -319,7 +319,7 @@ class TestMulticlassOffline:
         cfg = RunConfig(method="tbal", epsilon_a=0.05, n_s=60, n_b=30, N_q=240,
                         threshold=ThresholdConfig(epsilon_a=0.05, per_class=per_class),
                         train=TrainConfig(loss="logistic"), confidence=Softmax())
-        res = run_tbal(pool, val, cfg, seed=2)
+        res = run(pool, val, cfg, seed=2)
         return pool, val, res, [f[3] for f in fits]
 
     @pytest.mark.parametrize("per_class", [True, False])
@@ -411,7 +411,7 @@ class TestQueryReadsThePassScores:
         pool, val = TestMulticlassOffline().problem()
         models, shifted, passed = self.record(monkeypatch, bias_shift=50.0)
         cfg = self.multiclass_config(Energy())
-        res = run_tbal(pool, val, cfg, seed=2)
+        res = run(pool, val, cfg, seed=2)
         assert all(shifted)  # every round's raw energy scores were negative
         self.check_rounds(pool, res, cfg, models, passed, 2)
 
@@ -419,7 +419,7 @@ class TestQueryReadsThePassScores:
         pool, val = TestMulticlassOffline().problem()
         models, _, passed = self.record(monkeypatch)
         cfg = self.multiclass_config(Softmax(), use_gap=True)
-        res = run_tbal(pool, val, cfg, seed=2)
+        res = run(pool, val, cfg, seed=2)
         self.check_rounds(pool, res, cfg, models, passed, 2)
 
     @pytest.mark.parametrize("use_gap", [False, True])
@@ -427,5 +427,133 @@ class TestQueryReadsThePassScores:
         pool, val = xor_problem(seed=1)
         models, _, passed = self.record(monkeypatch)
         cfg = RunConfig(n_s=40, n_b=20, N_q=200, query=QueryConfig(use_gap=use_gap))
-        res = run_tbal(pool, val, cfg, seed=4)
+        res = run(pool, val, cfg, seed=4)
         self.check_rounds(pool, res, cfg, models, passed, 4)
+
+
+def assert_same_run(got, want):
+    """Every RoundRecord field, the pool's state arrays, the validation mask
+    and the RunResult counters agree exactly."""
+    assert (got.method, got.seed, got.N_a, got.k, got.human_labels_used,
+            got.val_labels_used) == (want.method, want.seed, want.N_a, want.k,
+                                     want.human_labels_used, want.val_labels_used)
+    for name in ("kind", "label", "round"):
+        assert np.array_equal(getattr(got.pool, name), getattr(want.pool, name))
+    assert np.array_equal(got.validation.active, want.validation.active)
+    assert len(got.rounds) == len(want.rounds)
+    for a, b in zip(got.rounds, want.rounds):
+        for f in fields(RoundRecord):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(y, np.ndarray):
+                assert isinstance(x, np.ndarray) and x.dtype == y.dtype, f.name
+                assert np.array_equal(x, y), f.name
+            else:  # repr: exact floats, nan equal to nan, dicts compared whole
+                assert repr(x) == repr(y), f.name
+
+
+def unit_ball_train():
+    return TrainConfig(normalized=True, learning_rate=3.0)
+
+
+def k4_config(**kw):
+    return dict(epsilon_a=0.05, threshold=ThresholdConfig(epsilon_a=0.05),
+                train=TrainConfig(loss="logistic"), confidence=Softmax(), **kw)
+
+
+# name -> (problem, RunConfig keywords shared by the five methods)
+MERGE_CASES = {
+    "xor": (lambda: xor_problem(seed=1), dict(n_s=40, n_b=20, N_q=200)),
+    "unit_ball": (lambda: small_problem(seed=3, d=6),
+                  dict(n_s=30, n_b=10, N_q=110, train=unit_ball_train())),
+    "k4_softmax": (lambda: TestMulticlassOffline().problem(),
+                   k4_config(n_s=60, n_b=30, N_q=240)),
+    "budget_is_seed_batch": (lambda: xor_problem(seed=2), dict(n_s=40, n_b=20, N_q=40)),
+    "pool_spent_with_budget": (lambda: small_problem(seed=10, n=60, val=40),
+                               dict(n_s=10, n_b=10, N_q=60)),
+    "pool_drained_before_budget": (lambda: small_problem(seed=10, n=60, val=40),
+                                   dict(n_s=10, n_b=10, N_q=80)),
+    "random_query": (lambda: small_problem(seed=7),
+                     dict(n_s=20, n_b=10, N_q=80, train=unit_ball_train(),
+                          query=QueryConfig(strategy="random"))),
+    # K=4: the logit gap orders points unlike softmax (for K=2 both follow |s|)
+    "use_gap": (lambda: TestMulticlassOffline().problem(seed=1),
+                k4_config(n_s=60, n_b=30, N_q=240, query=QueryConfig(use_gap=True))),
+}
+
+
+class TestOneLoopMatchesTheTwoLoops:
+    """``run`` against verbatim copies of the loops it replaced."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("case", sorted(MERGE_CASES))
+    def test_same_run_as_reference(self, case, method):
+        problem, kw = MERGE_CASES[case]
+        pool, val = problem()
+        cfg = RunConfig(method=method, **kw)
+        old = reference.run_tbal if method == "tbal" else reference.run_baseline
+        for seed in (0, 5):
+            assert_same_run(run(pool, val, cfg, seed), old(pool, val, cfg, seed))
+
+    def test_tbal_records_a_pass_over_an_empty_pool(self):
+        problem, kw = MERGE_CASES["pool_drained_before_budget"]
+        pool, val = problem()
+        res = run(pool, val, RunConfig(method="tbal", **kw), seed=0)
+        last = res.rounds[-1]
+        assert last.decision is None and last.n_a == 0
+        assert last.n_v == res.validation.n_active > 0
+        assert res.human_labels_used + res.N_a == len(pool)
+
+    @pytest.mark.parametrize("method", ["plsc", "alsc"])
+    @pytest.mark.parametrize("case", ["xor", "pool_drained_before_budget"])
+    def test_selective_baselines_always_record_their_pass(self, case, method):
+        problem, kw = MERGE_CASES[case]
+        pool, val = problem()
+        res = run(pool, val, RunConfig(method=method, **kw), seed=0)
+        assert res.k == 1
+        assert res.rounds[0].index == 1 and len(res.rounds[0].queried_ids) == 0
+
+    @pytest.mark.parametrize("method", ["pl", "al"])
+    def test_blanket_round_only_when_points_remain(self, method):
+        problem, kw = MERGE_CASES["pool_drained_before_budget"]
+        pool, val = problem()
+        assert run(pool, val, RunConfig(method=method, **kw), seed=0).k == 0
+        problem, kw = MERGE_CASES["xor"]
+        pool, val = problem()
+        res = run(pool, val, RunConfig(method=method, **kw), seed=0)
+        (r,) = res.rounds
+        assert (r.index, len(r.queried_ids), r.n_v) == (1, 0, len(val))
+        assert r.n_a == len(pool) - kw["N_q"]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_partition_is_checked(self, monkeypatch, method):
+        def broken(pool):
+            raise AssertionError("partition check ran")
+
+        monkeypatch.setattr(engine, "check_partition", broken)
+        pool, val = xor_problem(seed=1)
+        with pytest.raises(AssertionError, match="partition check ran"):
+            run(pool, val, RunConfig(method=method, n_s=40, n_b=20, N_q=80), seed=0)
+
+
+class TestBinaryConfidenceKindsAgree:
+    """For a binary model every confidence kind is an increasing function of
+    |w.x + b|, so the kinds rank points alike and pick the same thresholds:
+    runs label and query the same points, round for round."""
+
+    @pytest.mark.parametrize("method", ["tbal", "alsc"])
+    @pytest.mark.parametrize("problem,train", [
+        (lambda: xor_problem(seed=0, n=3000, val=1000), None),
+        (lambda: small_problem(seed=1, n=3000, val=1000, d=30), unit_ball_train()),
+    ], ids=["xor", "unit_ball"])
+    def test_same_rounds_for_every_kind(self, problem, train, method):
+        pool, val = problem()
+        for seed in (0, 1):
+            runs = [run(pool, val, RunConfig(method=method, n_s=100, n_b=25, N_q=500,
+                                             train=train, confidence=kind), seed)
+                    for kind in (AbsMargin(), Softmax(), Energy())]
+            assert runs[0].N_a > 0
+            for other in runs[1:]:
+                assert other.k == runs[0].k
+                for a, b in zip(runs[0].rounds, other.rounds):
+                    assert np.array_equal(a.auto_ids, b.auto_ids)
+                    assert np.array_equal(a.queried_ids, b.queried_ids)
