@@ -44,8 +44,8 @@ def main():
         tag = "vacuous" if bound >= 1.0 else "binding"
         print(f"error bound: {bound:.4f} ({tag}), observed {report.err_hat:.4f}")
 
-    finite_ts = [t for r in result.rounds if r.decision is not None
-                 for t in r.decision.thresholds.values() if np.isfinite(t)]
+    finite_ts = [float(t) for r in result.rounds if r.decision is not None
+                 for t in r.decision.thresholds if np.isfinite(t)]
     t_min = min(finite_ts, default=None)
     if t_min is not None and 0.0 <= t_min <= 1.0:
         cov_lb = theory.coverage_bound_linear(

@@ -6,8 +6,9 @@ Subcommands:
   gen     generate a synthetic dataset and write it to CSV
   export  run a config's first grid point and export the labeled dataset
 
-Config files are strict: unknown keys are rejected (exit code 2) so typos
-cannot silently corrupt a sweep.
+Config files are strict: unknown keys, and values a run would fail on or
+ignore, are rejected at load time (exit code 2) so typos cannot silently
+corrupt a sweep.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
 import yaml
 
 from . import confidence as conf
@@ -31,7 +31,7 @@ from .core import AUTO, KINDS, UNLABELED, ValidationSet, rng_from
 from .data import DatasetSpec, gen_unit_ball, gen_xor, make_dataset
 from .model import TrainConfig
 from .query import QueryConfig
-from .threshold import ThresholdConfig
+from .threshold import SIGMA_KINDS, ThresholdConfig
 
 RUN_HEADER = ["method", "axis_value", "seed", "err_hat", "cov_hat",
               "human_labels", "val_labels", "rounds"]
@@ -50,7 +50,6 @@ class ConfigFileError(ValueError):
 class ExperimentConfig:
     dataset: DatasetSpec
     methods: list
-    epsilon_a: float
     axis: str
     grid: list
     N_q: int | None  # fixed budget when sweeping validation size
@@ -58,17 +57,16 @@ class ExperimentConfig:
     seed_base: int
     out: str
     workers: int = 1
-    confidence: str = "abs_margin"
-    energy_temperature: float = 1.0
     n_s: int | None = None  # default: 20% of N_q
     n_b: int | None = None  # default: 5% of N_q
     train: TrainConfig = field(default_factory=TrainConfig)
-    threshold_n0: int = 25
-    threshold_sigma: str = "stderr"
-    threshold_delta: float = 0.05
-    per_class: bool = True
-    query_strategy: str = "margin_random"
-    query_C: float = 2.0
+    threshold: ThresholdConfig = field(default_factory=ThresholdConfig)
+    query: QueryConfig = field(default_factory=QueryConfig)  # batch set per run
+    confidence: object = field(default_factory=conf.AbsMargin)
+
+    @property
+    def epsilon_a(self) -> float:
+        return self.threshold.epsilon_a
 
 
 _TOP_KEYS = {"dataset", "methods", "epsilon_a", "sweep", "trials", "seed_base",
@@ -110,10 +108,16 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigFileError("sweep.grid must be nonempty")
     if axis == VALIDATION_SIZE and "N_q" not in sweep:
         raise ConfigFileError("sweep.N_q is required when sweeping validation_size")
+    if axis == TRAIN_BUDGET and "N_q" in sweep:
+        raise ConfigFileError("sweep.N_q is not read on a train_budget sweep: "
+                              "its grid values are the budgets")
     train_block = dict(raw.get("train", {}))
     _check_keys(train_block, _TRAIN_KEYS, "train")
     thr = dict(raw.get("threshold", {}))
     _check_keys(thr, _THRESHOLD_KEYS, "threshold")
+    if thr.get("sigma_kind", SIGMA_KINDS[0]) not in SIGMA_KINDS:
+        raise ConfigFileError(f"threshold.sigma_kind must be one of {list(SIGMA_KINDS)}, "
+                              f"not {thr['sigma_kind']!r}")
     q = dict(raw.get("query", {}))
     _check_keys(q, _QUERY_KEYS, "query")
     methods = list(raw["methods"])
@@ -123,10 +127,14 @@ def load_config(path: str) -> ExperimentConfig:
     confidence = str(raw.get("confidence", "abs_margin"))
     if confidence not in conf.KINDS:
         raise ConfigFileError(f"unknown confidence kind {confidence!r}")
+    params = {}
+    if "energy_temperature" in raw:
+        if confidence != "energy":
+            raise ConfigFileError("energy_temperature is read by confidence: energy only")
+        params["temperature"] = float(raw["energy_temperature"])
     return ExperimentConfig(
         dataset=DatasetSpec(**ds),
         methods=methods,
-        epsilon_a=float(raw.get("epsilon_a", 0.01)),
         axis=axis,
         grid=[int(v) for v in grid],
         N_q=int(sweep["N_q"]) if "N_q" in sweep else None,
@@ -134,24 +142,13 @@ def load_config(path: str) -> ExperimentConfig:
         seed_base=int(raw.get("seed_base", 0)),
         out=str(raw.get("out", "results")),
         workers=int(raw.get("workers", 1)),
-        confidence=confidence,
-        energy_temperature=float(raw.get("energy_temperature", 1.0)),
         n_s=int(raw["n_s"]) if "n_s" in raw else None,
         n_b=int(raw["n_b"]) if "n_b" in raw else None,
         train=TrainConfig(**train_block),
-        threshold_n0=int(thr.get("n0", 25)),
-        threshold_sigma=str(thr.get("sigma_kind", "stderr")),
-        threshold_delta=float(thr.get("delta", 0.05)),
-        per_class=bool(thr.get("per_class", True)),
-        query_strategy=str(q.get("strategy", "margin_random")),
-        query_C=float(q.get("C", 2.0)),
+        threshold=ThresholdConfig(epsilon_a=float(raw.get("epsilon_a", 0.01)), **thr),
+        query=QueryConfig(**q),
+        confidence=conf.make_kind(confidence, **params),
     )
-
-
-def _confidence_kind(exp: ExperimentConfig):
-    if exp.confidence == "energy":
-        return conf.Energy(temperature=exp.energy_temperature)
-    return conf.make_kind(exp.confidence)
 
 
 def build_run_config(exp: ExperimentConfig, method: str, N_q: int) -> engine.RunConfig:
@@ -159,14 +156,8 @@ def build_run_config(exp: ExperimentConfig, method: str, N_q: int) -> engine.Run
     n_b = exp.n_b if exp.n_b is not None else max(1, round(0.05 * N_q))
     return engine.RunConfig(
         method=method, epsilon_a=exp.epsilon_a, n_s=n_s, n_b=n_b, N_q=N_q,
-        threshold=ThresholdConfig(epsilon_a=exp.epsilon_a, n0=exp.threshold_n0,
-                                  sigma_kind=exp.threshold_sigma,
-                                  delta=exp.threshold_delta,
-                                  per_class=exp.per_class),
-        query=QueryConfig(strategy=exp.query_strategy, batch=n_b, C=exp.query_C),
-        train=exp.train,
-        confidence=_confidence_kind(exp),
-    )
+        threshold=exp.threshold, query=exp.query, train=exp.train,
+        confidence=exp.confidence)
 
 
 def _subsample_validation(val: ValidationSet, n: int, seed: int) -> ValidationSet:
@@ -287,19 +278,30 @@ def export_dataset(result, path: str, include_features: bool = False) -> None:
             w.writerow(row)
 
 
-def _cmd_run(args) -> int:
+def _load(args) -> ExperimentConfig | None:
+    """The config of ``args.config`` with ``--seed`` applied; None, after
+    printing the reason, when the config is invalid."""
     try:
         exp = load_config(args.config)
     except (ConfigFileError, TypeError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
-        return 2
+        return None
     if args.seed is not None:
         exp.seed_base = args.seed
+    return exp
+
+
+def _cmd_run(args) -> int:
+    exp = _load(args)
+    if exp is None:
+        return 2
     if args.out is not None:
         exp.out = args.out
     if args.workers is not None:
         exp.workers = args.workers
-    return run_experiment(exp)
+    status = run_experiment(exp)
+    print_summary(exp.out)
+    return status
 
 
 def _cmd_bounds(args) -> int:
@@ -345,13 +347,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    try:
-        exp = load_config(args.config)
-    except (ConfigFileError, TypeError, ValueError) as e:
-        print(f"config error: {e}", file=sys.stderr)
+    exp = _load(args)
+    if exp is None:
         return 2
-    if args.seed is not None:
-        exp.seed_base = args.seed
     result = _run_point(exp, args.method, exp.grid[0], trial=0)
     export_dataset(result, args.out, include_features=args.features)
     print(f"wrote {args.out}")

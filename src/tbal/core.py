@@ -1,5 +1,6 @@
-"""Shared domain types: pool of points, per-point lifecycle state, validation set,
-and the deterministic RNG derivation used by every stochastic step."""
+"""Shared domain types: pool of points with their lifecycle state arrays,
+validation set, and the deterministic RNG derivation used by every
+stochastic step."""
 
 from __future__ import annotations
 
@@ -15,13 +16,6 @@ AUTO = "auto"
 
 class StateTransitionError(RuntimeError):
     """Raised on an illegal point-state transition (labels are never revoked)."""
-
-
-@dataclass(frozen=True)
-class PointState:
-    kind: str  # one of UNLABELED / HUMAN / AUTO
-    label: int | None = None
-    round: int | None = None  # set for auto-labeled points only
 
 
 KINDS = (UNLABELED, HUMAN, AUTO)  # a point's kind code is its index here
@@ -58,14 +52,6 @@ class Pool:
     @property
     def dimension(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def states(self) -> tuple[PointState, ...]:
-        """Per-point view of the state arrays, built on each access."""
-        return tuple(PointState(KINDS[k], None if lab < 0 else lab,
-                                None if r < 0 else r)
-                     for k, lab, r in zip(self.kind.tolist(), self.label.tolist(),
-                                          self.round.tolist()))
 
     def ids_with(self, kind: str) -> np.ndarray:
         return np.flatnonzero(self.kind == _CODE[kind])

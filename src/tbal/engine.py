@@ -120,7 +120,7 @@ def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried):
         correct_v = pred_v == val.labels[act]
         decision = estimate_threshold(conf_u, pred_u, conf_v, pred_v, correct_v,
                                       cfg.threshold, num_classes=pool.num_classes)
-        t_class = np.array([decision.threshold_for(c) for c in range(pool.num_classes)])
+        t_class = decision.thresholds
         t_u = t_class[pred_u]
         take = conf_u >= t_u
         auto_ids = unlabeled[take]

@@ -46,9 +46,7 @@ def evaluate(result, pool: Pool) -> MetricReport:
         rec.m_a = m
         mistakes += m
         n_a_total += rec.n_a
-        est = 0.0
-        if rec.decision is not None and rec.decision.est_error:
-            est = max(rec.decision.est_error.values())
+        est = float(rec.decision.est_error.max()) if rec.decision is not None else 0.0
         per_round.append((rec.index, rec.n_a, m, est))
     if n_a_total != result.N_a:
         raise IntegrityError("per-round auto counts disagree with the total")

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import softmax
 
 from .core import rng_from
 
@@ -253,35 +252,3 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig, seed: int,
     elif cfg.loss == LOGISTIC:
         return _fit_logistic(X, y, K, cfg, rng)
     raise TrainingError(f"unknown loss {cfg.loss!r}")
-
-
-def save_model(model: LinearModel, path: str) -> None:
-    """Flat text record: header line, then bias, then row-major weights."""
-    W = model.weights if not model.binary else model.weights[None, :]
-    b = np.atleast_1d(model.bias)
-    with open(path, "w") as f:
-        f.write("tbal-linear v1\n")
-        f.write(f"{'binary' if model.binary else 'multiclass'} "
-                f"{model.num_classes} {model.dimension} {int(model.normalized)}\n")
-        f.write(" ".join(repr(float(v)) for v in b) + "\n")
-        for row in W:
-            f.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_model(path: str) -> LinearModel:
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "tbal-linear v1":
-            raise ValueError(f"{path}: unrecognized model header {header!r}")
-        kind, k, d, norm = f.readline().split()
-        bias = np.array([float(v) for v in f.readline().split()])
-        rows = [np.array([float(v) for v in line.split()]) for line in f if line.strip()]
-    W = np.vstack(rows)
-    if kind == "binary":
-        return LinearModel(W[0], bias[0] if bias.size else np.asarray(0.0),
-                           num_classes=int(k), normalized=bool(int(norm)))
-    return LinearModel(W, bias, num_classes=int(k), normalized=bool(int(norm)))
-
-
-def predict_proba(model: LinearModel, x: np.ndarray) -> np.ndarray:
-    return softmax(logits(model, x), axis=-1)

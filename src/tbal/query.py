@@ -9,6 +9,7 @@ import numpy as np
 
 RANDOM = "random"
 MARGIN_RANDOM = "margin_random"
+STRATEGIES = (MARGIN_RANDOM, RANDOM)
 
 
 @dataclass
@@ -19,6 +20,8 @@ class QueryConfig:
     use_gap: bool = False  # top1-top2 logit gap instead of the run's g
 
     def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown query strategy {self.strategy!r}")
         if self.strategy == MARGIN_RANDOM and self.C <= 1:
             raise ValueError("C must be > 1 for margin-random querying")
         if self.batch < 1:

@@ -125,7 +125,7 @@ def inputs_from_run(result, d: int, delta: float = 0.05) -> BoundInputs | None:
         p0s.append(frac)
         n_v.append(r.n_v)
         n_a.append(r.n_a)
-        est = max(r.decision.est_error.values()) if r.decision else 0.0
+        est = float(r.decision.est_error.max()) if r.decision else 0.0
         e_val.append(est)
     p0 = min(p0s)
     if not 0 < p0 < 1:

@@ -17,6 +17,7 @@ import numpy as np
 
 STDERR = "stderr"
 HOEFFDING = "hoeffding"
+SIGMA_KINDS = (STDERR, HOEFFDING)  # the inflations a config may choose
 ZERO = "zero"  # test-only: isolates the candidate scan from the inflation term
 
 
@@ -37,15 +38,20 @@ class ThresholdConfig:
 
 @dataclass
 class ThresholdDecision:
-    thresholds: dict  # class -> t_hat (math.inf when nothing qualifies)
-    support: dict  # class -> validation count at the chosen threshold
-    est_error: dict  # class -> empirical validation error at the threshold
-    chosen_sigma: dict  # class -> inflation applied at the threshold
-    infinite: dict  # class -> bool
+    """Per-class arrays of length K; with ``per_class`` off every class holds
+    the one global scan's result."""
+    thresholds: np.ndarray  # t_hat (math.inf when nothing qualifies)
+    support: np.ndarray  # validation count at the chosen threshold
+    est_error: np.ndarray  # empirical validation error at the threshold
+    chosen_sigma: np.ndarray  # inflation applied at the threshold
     empty_validation: bool = False
 
+    @property
+    def infinite(self) -> np.ndarray:
+        return ~np.isfinite(self.thresholds)
+
     def threshold_for(self, c: int) -> float:
-        return self.thresholds.get(c, math.inf)
+        return float(self.thresholds[c]) if 0 <= c < len(self.thresholds) else math.inf
 
 
 def sigma(est_error, n_t, kind: str, delta: float = 0.05):
@@ -114,36 +120,20 @@ def estimate_threshold(unlabeled_scores: np.ndarray,
     if not np.all(np.isfinite(unlabeled_scores)):
         raise ValueError("unlabeled scores must be finite")
 
-    classes = range(num_classes) if cfg.per_class else [None]
-    thresholds, support, est_error, chosen_sigma, infinite = {}, {}, {}, {}, {}
+    thresholds = np.full(num_classes, math.inf)
+    support = np.zeros(num_classes, dtype=np.int64)
+    est_error = np.zeros(num_classes)
+    chosen_sigma = np.zeros(num_classes)
     empty_val = len(val_scores) == 0
-    for c in classes:
-        if c is None:
-            u_mask = np.ones(len(unlabeled_scores), dtype=bool)
-            v_mask = np.ones(len(val_scores), dtype=bool)
-        else:
-            u_mask = unlabeled_preds == c
-            v_mask = val_preds == c
+    if cfg.per_class:
+        groups = [(c, unlabeled_preds == c, val_preds == c) for c in range(num_classes)]
+    else:  # one global scan whose result every class takes
+        groups = [(slice(None), np.ones(len(unlabeled_scores), dtype=bool),
+                   np.ones(len(val_scores), dtype=bool))]
+    for c, u_mask, v_mask in groups:
         if empty_val or not u_mask.any():
-            t, n_t, e, s = math.inf, 0, 0.0, 0.0
-        else:
-            t, n_t, e, s = _estimate_single(unlabeled_scores[u_mask],
-                                            val_scores[v_mask],
-                                            val_correct[v_mask], cfg)
-        key = c if c is not None else -1
-        thresholds[key] = t
-        support[key] = n_t
-        est_error[key] = e
-        chosen_sigma[key] = s
-        infinite[key] = not math.isfinite(t)
-    if not cfg.per_class:
-        # one global threshold applies to every class
-        t = thresholds[-1]
-        for c in range(num_classes):
-            thresholds[c] = t
-            support[c] = support[-1]
-            est_error[c] = est_error[-1]
-            chosen_sigma[c] = chosen_sigma[-1]
-            infinite[c] = infinite[-1]
+            continue  # abstain: the arrays start at (inf, 0, 0.0, 0.0)
+        thresholds[c], support[c], est_error[c], chosen_sigma[c] = _estimate_single(
+            unlabeled_scores[u_mask], val_scores[v_mask], val_correct[v_mask], cfg)
     return ThresholdDecision(thresholds, support, est_error, chosen_sigma,
-                             infinite, empty_validation=empty_val)
+                             empty_validation=empty_val)

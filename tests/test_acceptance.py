@@ -6,7 +6,6 @@ Each test prints the measured numbers so a failing band is diagnosable from
 the log alone.
 """
 
-import math
 import time
 
 import numpy as np
@@ -15,7 +14,7 @@ from scipy.stats import spearmanr
 
 from tbal.cli import _subsample_validation
 from tbal.confidence import AbsMargin, Softmax
-from tbal.core import AUTO, HUMAN, UNLABELED
+from tbal.core import AUTO, HUMAN, KINDS, UNLABELED
 from tbal.data import DatasetSpec, make_dataset, mnist_paths
 from tbal.engine import RunConfig, run
 from tbal.metrics import evaluate
@@ -152,28 +151,27 @@ class TestCriterion5ThresholdOracle:
 
 def check_invariants(res, pool_before, val_before):
     """Per-round invariant audit over a finished run."""
-    states = res.pool.states
+    pool = res.pool
     seen_auto = set()
     active = set(val_before.active_indices().tolist())
     for r in res.rounds:
         for i, lab in zip(r.auto_ids, r.auto_labels):
             assert i not in seen_auto
             seen_auto.add(int(i))
-            assert states[i].kind == AUTO
-            assert states[i].label == lab and states[i].round == r.index
+            assert KINDS[pool.kind[i]] == AUTO
+            assert pool.label[i] == lab and pool.round[i] == r.index
         if r.decision is not None:
-            for c in r.decision.thresholds:
-                assert r.decision.est_error[c] >= 0.0
+            assert np.all(r.decision.est_error >= 0.0)
         drops = set(r.val_deactivated.tolist())
         assert drops <= active  # only active points get deactivated
         active -= drops
-    kinds = [s.kind for s in states]
+    kinds = [KINDS[c] for c in pool.kind]
     assert kinds.count(AUTO) + kinds.count(HUMAN) + kinds.count(UNLABELED) \
-        == len(states)
+        == len(pool)
     assert kinds.count(AUTO) == res.N_a == len(seen_auto)
     assert kinds.count(HUMAN) == res.human_labels_used
     # the inputs were copied, never mutated
-    assert all(s.kind == UNLABELED for s in pool_before.states)
+    assert all(KINDS[c] == UNLABELED for c in pool_before.kind)
     assert val_before.n_active == len(val_before)
 
 
@@ -181,10 +179,9 @@ def check_threshold_soundness(res, epsilon_a):
     for r in res.rounds:
         if r.decision is None:
             continue
-        for c, t in r.decision.thresholds.items():
-            if math.isfinite(t):
-                assert (r.decision.est_error[c] + r.decision.chosen_sigma[c]
-                        <= epsilon_a + 1e-12)
+        d = r.decision
+        finite = np.isfinite(d.thresholds)
+        assert np.all(d.est_error[finite] + d.chosen_sigma[finite] <= epsilon_a + 1e-12)
 
 
 class TestCriterion6InvariantSuite:
@@ -214,10 +211,8 @@ class TestCriterion6InvariantSuite:
             cfg = RunConfig(method=method, n_s=40, n_b=10, N_q=120)
             a = run(pool, val, cfg, 3)
             b = run(pool, val, cfg, 3)
-            assert [s.kind for s in a.pool.states] == \
-                [s.kind for s in b.pool.states]
-            assert [s.label for s in a.pool.states] == \
-                [s.label for s in b.pool.states]
+            assert np.array_equal(a.pool.kind, b.pool.kind)
+            assert np.array_equal(a.pool.label, b.pool.label)
 
 
 class TestCriterion7BoundVerification:

@@ -1,17 +1,23 @@
 import csv
+import glob
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
 from tbal import engine
-from tbal.cli import (ConfigFileError, _subsample_validation, build_run_config,
-                      load_config, main, print_summary, run_experiment, run_single)
+from tbal.cli import (VALIDATION_SIZE, ConfigFileError, _subsample_validation,
+                      build_run_config, load_config, main, print_summary,
+                      run_experiment, run_single)
+from tbal.confidence import AbsMargin, Energy
 from tbal.core import AUTO, KINDS, UNLABELED
 from tbal.data import make_dataset
+from tbal.query import QueryConfig
 from tbal.theory import band_probability_bound, rademacher_vc
+from tbal.threshold import ThresholdConfig
 
 
 BASE_CONFIG = {
@@ -35,6 +41,19 @@ def write_config(tmp_path, overrides=None, **top):
     path = tmp_path / "exp.yaml"
     path.write_text(yaml.safe_dump(cfg))
     return str(path)
+
+
+def assert_config_error(tmp_path, capsys, command, message, **top):
+    """``tbal <command>`` on the base config with ``top`` set exits 2 with
+    ``message`` before running or writing anything."""
+    path = write_config(tmp_path, out=str(tmp_path / "o"), **top)
+    argv = [command, "--config", path]
+    if command == "export":
+        argv += ["--out", str(tmp_path / "labels.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert os.listdir(tmp_path) == ["exp.yaml"]  # nothing ran, nothing written
 
 
 class TestLoadConfig:
@@ -76,13 +95,45 @@ class TestLoadConfig:
     @pytest.mark.parametrize("command", ["run", "export"])
     @pytest.mark.parametrize("kind", ["platt", "entropy"])
     def test_unknown_confidence_kind_exits_2(self, tmp_path, capsys, command, kind):
-        path = write_config(tmp_path, confidence=kind, out=str(tmp_path / "o"))
-        argv = [command, "--config", path]
-        if command == "export":
-            argv += ["--out", str(tmp_path / "labels.csv")]
-        assert main(argv) == 2
-        assert f"unknown confidence kind {kind!r}" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == ["exp.yaml"]  # nothing ran, nothing written
+        assert_config_error(tmp_path, capsys, command, f"unknown confidence kind {kind!r}",
+                            confidence=kind)
+
+    @pytest.mark.parametrize("command", ["run", "export"])
+    @pytest.mark.parametrize("top, message", [
+        ({"threshold": {"sigma_kind": "stdrr"}}, "threshold.sigma_kind"),
+        ({"threshold": {"sigma_kind": "zero"}}, "threshold.sigma_kind"),
+        ({"query": {"strategy": "margn_random"}}, "unknown query strategy"),
+        ({"sweep": {"axis": "train_budget", "grid": [40], "N_q": 999}}, "sweep.N_q"),
+        ({"confidence": "softmax", "energy_temperature": 2.0}, "energy_temperature"),
+    ], ids=["unknown_sigma_kind", "zero_sigma_kind", "unknown_strategy",
+            "N_q_on_budget_sweep", "temperature_without_energy"])
+    def test_value_a_run_would_fail_on_or_ignore_exits_2(self, tmp_path, capsys,
+                                                           command, top, message):
+        assert_config_error(tmp_path, capsys, command, message, **top)
+
+    def test_blocks_become_their_dataclasses(self, tmp_path):
+        exp = load_config(write_config(
+            tmp_path, confidence="energy", energy_temperature=2,
+            threshold={"n0": 7, "sigma_kind": "hoeffding", "delta": 0.1,
+                       "per_class": False},
+            query={"strategy": "random", "C": 3.0}))
+        assert exp.threshold == ThresholdConfig(epsilon_a=0.05, n0=7, sigma_kind="hoeffding",
+                                                delta=0.1, per_class=False)
+        assert exp.epsilon_a == 0.05
+        assert exp.query == QueryConfig(strategy="random", C=3.0)
+        assert exp.confidence == Energy(temperature=2.0)
+        cfg = build_run_config(exp, "tbal", N_q=200)
+        assert cfg.threshold is exp.threshold and cfg.confidence is exp.confidence
+        assert cfg.query == replace(exp.query, batch=10)
+        assert exp.query.batch == QueryConfig().batch  # the shared block is not written
+
+    def test_defaults(self, tmp_path):
+        exp = load_config(write_config(tmp_path))
+        assert exp.threshold == ThresholdConfig(epsilon_a=0.05)
+        assert exp.query == QueryConfig()
+        assert exp.confidence == AbsMargin()
+        assert load_config(write_config(tmp_path, confidence="energy")).confidence \
+            == Energy(temperature=1.0)
 
     def test_unknown_axis(self, tmp_path):
         path = write_config(tmp_path, sweep={"axis": "epochs", "grid": [1]})
@@ -108,6 +159,25 @@ class TestBuildRunConfig:
         exp = load_config(write_config(tmp_path, n_s=7, n_b=3))
         cfg = build_run_config(exp, "al", N_q=100)
         assert cfg.n_s == 7 and cfg.n_b == 3
+
+
+SHIPPED = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
+                                         "configs", "*.yaml")))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+def test_shipped_config_builds_every_run(path):
+    exp = load_config(path)  # reads no data, so mnist.yaml loads without it
+    for method in exp.methods:
+        for value in exp.grid:
+            N_q = exp.N_q if exp.axis == VALIDATION_SIZE else value
+            cfg = build_run_config(exp, method, N_q)
+            assert (cfg.method, cfg.N_q, cfg.epsilon_a) == (method, N_q, exp.epsilon_a)
+
+
+def test_configs_are_shipped():
+    assert {os.path.basename(p) for p in SHIPPED} >= {
+        "xor.yaml", "unit_ball_budget.yaml", "unit_ball_validation.yaml", "mnist.yaml"}
 
 
 class TestRunExperiment:
@@ -220,6 +290,14 @@ class TestPrintSummary:
             "method", "axis", "err_mean", "err_std", "cov_mean", "cov_std"]
         assert [line.split()[:2] for line in lines[2:]] == [
             ["pl", "40"], ["pl", "80"], ["tbal", "40"], ["tbal", "80"]]
+
+    def test_run_command_prints_the_summary(self, tmp_path, capsys):
+        path = write_config(tmp_path, out=str(tmp_path / "res"), trials=1)
+        assert main(["run", "--config", path]) == 0
+        out = capsys.readouterr().out
+        print_summary(str(tmp_path / "res"))
+        assert out.endswith(capsys.readouterr().out)
+        assert "err_mean" in out
 
 
 class TestOtherCommands:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbal.core import (AUTO, HUMAN, UNLABELED, Oracle, PointState, Pool,
+from tbal.core import (AUTO, HUMAN, KINDS, UNLABELED, Oracle, Pool,
                        StateTransitionError, ValidationSet, check_partition,
                        partition_counts, rng_from)
 
@@ -48,11 +48,11 @@ class TestPool:
     def test_auto_records_round(self):
         pool = make_pool()
         pool.mark_auto(3, 1, rnd=7)
-        assert pool.states[3].kind == AUTO
-        assert pool.states[3].round == 7
+        assert KINDS[pool.kind[3]] == AUTO
+        assert pool.round[3] == 7
         pool.mark_human(5, 0)
-        assert pool.states[5].kind == HUMAN
-        assert pool.states[5].round is None
+        assert KINDS[pool.kind[5]] == HUMAN
+        assert pool.round[5] == -1  # rounds are set for auto-labels only
 
     def test_ids_with(self):
         pool = make_pool(6)
@@ -66,8 +66,8 @@ class TestPool:
         pool = make_pool()
         clone = pool.copy()
         clone.mark_human(0, 1)
-        assert pool.states[0].kind == UNLABELED
-        assert clone.states[0].kind == HUMAN
+        assert KINDS[pool.kind[0]] == UNLABELED
+        assert KINDS[clone.kind[0]] == HUMAN
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -92,9 +92,9 @@ class TestBatchMarking:
         pool.mark_human(np.array([0, 7]), [1, 0])
         assert list(pool.ids_with(AUTO)) == [1, 4, 6]
         assert list(pool.ids_with(HUMAN)) == [0, 7]
-        assert [pool.states[i].label for i in (1, 4, 6)] == [0, 1, 1]
-        assert {pool.states[i].round for i in (1, 4, 6)} == {2}
-        assert (pool.states[0].label, pool.states[7].label) == (1, 0)
+        assert pool.label[[1, 4, 6]].tolist() == [0, 1, 1]
+        assert set(pool.round[[1, 4, 6]].tolist()) == {2}
+        assert pool.label[[0, 7]].tolist() == [1, 0]
         assert partition_counts(pool) == (3, 2, 3)
 
     def test_batch_with_labeled_id_rejected_whole(self):
@@ -130,8 +130,8 @@ class TestBatchMarking:
         pool = make_pool()
         pool.mark_auto(np.int64(2), np.int64(1), rnd=5)
         pool.mark_human(6, 0)
-        assert pool.states[2] == PointState(AUTO, label=1, round=5)
-        assert pool.states[6] == PointState(HUMAN, label=0)
+        assert (KINDS[pool.kind[2]], pool.label[2], pool.round[2]) == (AUTO, 1, 5)
+        assert (KINDS[pool.kind[6]], pool.label[6], pool.round[6]) == (HUMAN, 0, -1)
         assert partition_counts(pool) == (1, 1, len(pool) - 2)
 
     def test_empty_batch_is_a_no_op(self):
@@ -140,17 +140,6 @@ class TestBatchMarking:
         pool.mark_auto(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), rnd=1)
         pool.mark_human([], [])
         assert_state_unchanged(pool, before)
-
-    def test_states_leave_unset_fields_none(self):
-        pool = make_pool(4)
-        pool.mark_human(1, 0)
-        pool.mark_auto(2, 0, rnd=1)
-        assert pool.states == (PointState(UNLABELED), PointState(HUMAN, label=0),
-                               PointState(AUTO, label=0, round=1),
-                               PointState(UNLABELED))
-        assert pool.states[0].label is None and pool.states[0].round is None
-        assert pool.states[1].round is None
-        assert all(type(s.label) is int for s in pool.states[1:3])
 
 
 class TestOracle:

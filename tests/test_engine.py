@@ -7,14 +7,14 @@ import pytest
 import tbal.confidence as conf
 from tbal.confidence import AbsMargin, Energy, Softmax
 from tbal.confidence import score as score_kind
-from tbal.core import AUTO, HUMAN, UNLABELED, Pool, ValidationSet, rng_from
+from tbal.core import AUTO, HUMAN, KINDS, UNLABELED, Pool, ValidationSet, rng_from
 from tbal.data import gen_unit_ball, gen_xor, split_pool_val
 import tbal.engine as engine
 from tbal.engine import METHODS, RoundRecord, RunConfig, _round_seed, run
 from tbal.model import TrainConfig
 import tbal.model as linmod
 from tbal.query import QueryConfig
-from tbal.threshold import ThresholdConfig
+from tbal.threshold import ThresholdConfig, ThresholdDecision
 import tbal.query as qry
 from tbal.metrics import evaluate
 
@@ -92,8 +92,8 @@ class TestTbalLoop:
                         train=TrainConfig(normalized=True, learning_rate=3.0))
         r1 = run(pool, val, cfg, seed=9)
         r2 = run(pool, val, cfg, seed=9)
-        assert [s.kind for s in r1.pool.states] == [s.kind for s in r2.pool.states]
-        assert [s.label for s in r1.pool.states] == [s.label for s in r2.pool.states]
+        assert np.array_equal(r1.pool.kind, r2.pool.kind)
+        assert np.array_equal(r1.pool.label, r2.pool.label)
         for a, b in zip(r1.rounds, r2.rounds):
             assert np.array_equal(a.queried_ids, b.queried_ids)
             assert np.array_equal(a.auto_ids, b.auto_ids)
@@ -108,8 +108,7 @@ class TestTbalLoop:
         res = run(pool, val, cfg, seed=0)
         assert [r.index for r in res.rounds] == list(range(1, res.k + 1))
         for r in res.rounds:
-            for i in r.auto_ids:
-                assert res.pool.states[i].round == r.index
+            assert np.all(res.pool.round[r.auto_ids] == r.index)
 
     def test_validation_only_deactivates(self):
         pool, val = small_problem(seed=5)
@@ -129,7 +128,7 @@ class TestTbalLoop:
         res = run(pool, val, cfg, seed=0)
         assert res.N_a == 0
         assert all(r.n_a == 0 for r in res.rounds)
-        assert all(r.decision is None or all(r.decision.infinite.values())
+        assert all(r.decision is None or r.decision.infinite.all()
                    for r in res.rounds)
         # full budget went to humans, everything else stays unlabeled
         assert res.human_labels_used == 100
@@ -220,8 +219,7 @@ class TestBaselines:
             cfg = RunConfig(method=method, n_s=20, n_b=10, N_q=40,
                             train=TrainConfig(normalized=True, learning_rate=3.0))
             res = run(pool, val, cfg, seed=7)
-            for i in seed_ids:
-                assert res.pool.states[i].kind == HUMAN
+            assert np.all(res.pool.kind[seed_ids] == KINDS.index(HUMAN))
 
     def test_run_dispatch(self):
         pool, val = small_problem(seed=12, n=100, val=60)
@@ -232,8 +230,8 @@ class TestBaselines:
         pool, val = small_problem(seed=13)
         cfg = RunConfig(method="al", n_s=20, n_b=10, N_q=40)
         res = run(pool, val, cfg, seed=0)
-        for i in res.pool.ids_with(HUMAN):
-            assert res.pool.states[i].label == pool._truth[i]
+        human = res.pool.ids_with(HUMAN)
+        assert np.array_equal(res.pool.label[human], pool._truth[human])
 
 
 def record_fits(monkeypatch):
@@ -332,7 +330,8 @@ class TestMulticlassOffline:
                 continue
             pred, score = score_kind(Softmax(), model, pool.features[r.auto_ids])
             assert np.array_equal(pred, r.auto_labels)
-            t = np.array([r.decision.threshold_for(c) for c in range(self.K)])
+            t = r.decision.thresholds
+            assert t.shape == (self.K,)
             assert np.all(score >= t[pred])
             if not per_class:
                 assert len(set(t.tolist())) == 1  # one threshold for every class
@@ -444,10 +443,13 @@ def assert_same_run(got, want):
     for a, b in zip(got.rounds, want.rounds):
         for f in fields(RoundRecord):
             x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(y, ThresholdDecision):  # its arrays, as exact lists
+                x, y = ([v.tolist() if isinstance(v, np.ndarray) else v
+                         for v in vars(d).values()] for d in (x, y))
             if isinstance(y, np.ndarray):
                 assert isinstance(x, np.ndarray) and x.dtype == y.dtype, f.name
                 assert np.array_equal(x, y), f.name
-            else:  # repr: exact floats, nan equal to nan, dicts compared whole
+            else:  # repr: exact floats, nan equal to nan, lists compared whole
                 assert repr(x) == repr(y), f.name
 
 

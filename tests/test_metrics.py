@@ -8,6 +8,7 @@ from tbal.data import gen_unit_ball, split_pool_val
 from tbal.engine import RoundRecord, RunConfig, RunResult, run
 from tbal.metrics import IntegrityError, MetricReport, evaluate, summarize_trials
 from tbal.model import TrainConfig
+from tbal.threshold import ThresholdDecision
 
 
 def build_result(truth, marks):
@@ -50,6 +51,14 @@ class TestEvaluate:
             pytest.approx(rep.err_hat * res.N_a)
         assert (rep.n_auto, rep.n_human, rep.n_unlabeled) == (5, 0, 1)
 
+    def test_round_estimate_is_the_largest_class_error(self):
+        pool, res = build_result([0, 1, 0, 1], [[(0, 0)], [(1, 1)]])
+        res.rounds[0].decision = ThresholdDecision(
+            thresholds=np.array([0.5, 0.7]), support=np.array([30, 40]),
+            est_error=np.array([0.01, 0.03]), chosen_sigma=np.zeros(2))
+        rep = evaluate(res, pool)
+        assert [r[3] for r in rep.per_round] == [0.03, 0.0]  # no decision: 0
+
     def test_no_auto_labels_error_undefined_not_zero(self):
         pool, res = build_result([0, 1, 0], [])
         rep = evaluate(res, pool)
@@ -86,9 +95,9 @@ class TestEvaluate:
         assert rep.n_auto + rep.n_human + rep.n_unlabeled == len(pool)
         assert rep.cov_hat == rep.n_auto / len(pool)
         if rep.err_defined:
-            # recount mistakes independently from the pool states
-            wrong = sum(1 for i, s in enumerate(res.pool.states)
-                        if s.kind == "auto" and s.label != pool._truth[i])
+            # recount mistakes independently from the pool state arrays
+            auto = res.pool.ids_with("auto")
+            wrong = int(np.sum(res.pool.label[auto] != pool._truth[auto]))
             assert rep.err_hat == pytest.approx(wrong / rep.n_auto)
 
 

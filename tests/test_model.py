@@ -3,8 +3,7 @@ import pytest
 
 from tbal.model import (LinearModel, TrainConfig, TrainingError, _hinge_grad,
                         _hinge_loss, _logistic_grad, _logistic_loss, fit,
-                        hinge_value_grad, load_model, logistic_value_grad, logits,
-                        predict, predict_proba, save_model)
+                        hinge_value_grad, logistic_value_grad, logits, predict)
 
 
 def central_diff(f, x0, h=1e-6):
@@ -149,11 +148,6 @@ class TestLogitsPredict:
         assert np.allclose(logits(m, x), [[2.0, 0.1, -2.0]])
         assert predict(m, x)[0] == 0
 
-    def test_proba_sums_to_one(self):
-        m = LinearModel(np.array([0.3, -0.7]), np.asarray(0.2), num_classes=2)
-        p = predict_proba(m, np.random.default_rng(0).standard_normal((5, 2)))
-        assert np.allclose(p.sum(axis=1), 1.0)
-
 
 class TestFit:
     def separable(self, n=1000, d=2, seed=0, margin=0.8):
@@ -255,32 +249,3 @@ class TestFit:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1)
 
-
-class TestSaveLoad:
-    def test_binary_roundtrip(self, tmp_path):
-        m = LinearModel(np.array([0.25, -1.5, 3.0]), np.asarray(0.125),
-                        num_classes=2, normalized=False)
-        p = str(tmp_path / "m.txt")
-        save_model(m, p)
-        back = load_model(p)
-        assert np.array_equal(back.weights, m.weights)
-        assert float(back.bias) == 0.125
-        assert back.num_classes == 2 and not back.normalized
-
-    def test_multiclass_roundtrip(self, tmp_path):
-        W = np.random.default_rng(0).standard_normal((3, 4))
-        b = np.array([0.1, -0.2, 0.3])
-        m = LinearModel(W, b, num_classes=3)
-        p = str(tmp_path / "m.txt")
-        save_model(m, p)
-        back = load_model(p)
-        assert np.array_equal(back.weights, W)
-        assert np.array_equal(back.bias, b)
-        X = np.random.default_rng(1).standard_normal((6, 4))
-        assert np.array_equal(predict(back, X), predict(m, X))
-
-    def test_bad_header(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text("not-a-model\n")
-        with pytest.raises(ValueError, match="unrecognized model header"):
-            load_model(str(p))

@@ -193,6 +193,15 @@ class TestRunPlumbing:
             assert 0 < inputs.p0 < 1
             assert len(inputs.n_v) == inputs.k <= res.k
 
+    def test_round_error_is_the_largest_class_error(self):
+        res = small_run(0)
+        rounds = [r for r in res.rounds if r.n_a > 0]
+        assert rounds
+        for i, r in enumerate(rounds):  # distinct per-class errors, class 1 the largest
+            r.decision.est_error = np.array([0.001 * i, 0.002 * i + 0.01])
+        inputs = inputs_from_run(res, d=5)
+        assert inputs.e_val == [0.002 * i + 0.01 for i in range(len(rounds))]
+
     def test_mc_report_shape(self):
         report = verify_error_bound_mc(small_run, d=5, trials=5)
         assert report.trials == 5

@@ -210,7 +210,7 @@ class TestDecisionProperties:
                                  np.empty(0), np.empty(0, dtype=np.int64),
                                  np.empty(0, dtype=bool), cfg, num_classes=2)
         assert dec.empty_validation
-        assert all(dec.infinite.values())
+        assert dec.infinite.all()
 
     def test_nonfinite_pool_scores_rejected(self):
         cfg = ThresholdConfig()
@@ -231,6 +231,7 @@ class TestDecisionProperties:
                                  np.array([0.6]), np.array([0]),
                                  np.array([True]), cfg, num_classes=1)
         assert dec.threshold_for(9) == math.inf
+        assert dec.threshold_for(-1) == math.inf
 
 
 class TestPerClass:
