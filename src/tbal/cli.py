@@ -87,6 +87,13 @@ def _check_keys(block: dict, allowed: set, where: str):
         raise ConfigFileError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
+def _at_least_one(name: str, value) -> int:
+    value = int(value)
+    if value < 1:
+        raise ConfigFileError(f"{name} must be >= 1, not {value}")
+    return value
+
+
 def load_config(path: str) -> ExperimentConfig:
     with open(path) as f:
         raw = yaml.safe_load(f)
@@ -138,10 +145,10 @@ def load_config(path: str) -> ExperimentConfig:
         axis=axis,
         grid=[int(v) for v in grid],
         N_q=int(sweep["N_q"]) if "N_q" in sweep else None,
-        trials=int(raw.get("trials", 1)),
+        trials=_at_least_one("trials", raw.get("trials", 1)),
         seed_base=int(raw.get("seed_base", 0)),
         out=str(raw.get("out", "results")),
-        workers=int(raw.get("workers", 1)),
+        workers=_at_least_one("workers", raw.get("workers", 1)),
         n_s=int(raw["n_s"]) if "n_s" in raw else None,
         n_b=int(raw["n_b"]) if "n_b" in raw else None,
         train=TrainConfig(**train_block),
@@ -167,21 +174,34 @@ def _subsample_validation(val: ValidationSet, n: int, seed: int) -> ValidationSe
     return ValidationSet(val.features[idx], val.labels[idx])
 
 
-def _run_point(exp: ExperimentConfig, method: str, axis_value: int,
-               trial: int) -> engine.RunResult:
-    """The engine run of one sweep point: (method, grid value, trial)."""
+def _point_inputs(exp: ExperimentConfig, axis_value: int, trial: int):
+    """(pool, validation set, N_q, seed) of one grid value and trial."""
     seed = exp.seed_base + trial
     pool, val = make_dataset(exp.dataset, seed)
     if exp.axis == VALIDATION_SIZE:
-        N_q = exp.N_q
-        val = _subsample_validation(val, axis_value, seed)
-    else:
-        N_q = axis_value
-    return engine.run(pool, val, build_run_config(exp, method, N_q), seed)
+        return pool, _subsample_validation(val, axis_value, seed), exp.N_q, seed
+    return pool, val, axis_value, seed
 
 
-def run_single(exp: ExperimentConfig, method: str, axis_value: int, trial: int):
-    result = _run_point(exp, method, axis_value, trial)
+def _run_point(exp: ExperimentConfig, method: str, axis_value: int, trial: int,
+               shared: dict | None = None) -> engine.RunResult:
+    """The engine run of one sweep point: (method, grid value, trial).
+
+    ``shared``, a dict kept across the methods of one grid value and trial,
+    holds the point's dataset, built by the first run that needs it, and the
+    engine's memo of trajectories (see ``engine.run``)."""
+    if shared is None:
+        shared = {}
+    if "inputs" not in shared:
+        shared["inputs"] = _point_inputs(exp, axis_value, trial)
+    pool, val, N_q, seed = shared["inputs"]
+    return engine.run(pool, val, build_run_config(exp, method, N_q), seed,
+                      memo=shared.setdefault("trajectories", {}))
+
+
+def run_single(exp: ExperimentConfig, method: str, axis_value: int, trial: int,
+               shared: dict | None = None):
+    result = _run_point(exp, method, axis_value, trial, shared)
     report = metrics.evaluate(result, result.pool)
     return {
         "method": method, "axis_value": axis_value, "seed": result.seed,
@@ -191,13 +211,27 @@ def run_single(exp: ExperimentConfig, method: str, axis_value: int, trial: int):
     }
 
 
-def _run_task(task):
-    """run_single on one task; a failure comes back as its message, so a
-    parallel sweep keeps the other runs' results just as a serial one does."""
-    try:
-        return run_single(*task), None
-    except Exception as e:
-        return None, str(e)
+def _group_runs(exp: ExperimentConfig, axis_value: int, trial: int):
+    """Yield ((method, grid value, trial), row, error) for each method at one
+    grid value and trial, one ``run_single`` call each. The calls share the
+    dataset and the trajectories (al/alsc, pl/plsc); a trajectory is dropped
+    after the last run that reads it. A failure comes back as its message,
+    so a sweep keeps the other runs' results."""
+    keys = [engine.trajectory_key(m, exp.query.strategy) for m in exp.methods]
+    shared: dict = {}
+    for i, method in enumerate(exp.methods):
+        try:
+            outcome = run_single(exp, method, axis_value, trial, shared), None
+        except Exception as e:
+            outcome = None, str(e)
+        if keys[i] not in keys[i + 1:]:
+            shared.get("trajectories", {}).pop(keys[i], None)
+        yield (method, axis_value, trial), *outcome
+
+
+def _run_group(group):
+    """All of ``_group_runs`` for one (exp, grid value, trial), in one worker."""
+    return list(_group_runs(*group))
 
 
 def _fmt(v) -> str:
@@ -208,19 +242,18 @@ def _fmt(v) -> str:
 
 def run_experiment(exp: ExperimentConfig) -> int:
     """Execute the full sweep; returns 0 when every run completed."""
-    tasks = [(exp, m, g, t)
-             for m in exp.methods for g in exp.grid for t in range(exp.trials)]
+    groups = [(exp, g, t) for g in exp.grid for t in range(exp.trials)]
     if exp.workers > 1:
         with ProcessPoolExecutor(max_workers=exp.workers) as ex:
-            outcomes = list(ex.map(_run_task, tasks))
-    else:
-        outcomes = map(_run_task, tasks)  # lazy: failures print as they happen
+            outcomes = [o for runs in ex.map(_run_group, groups) for o in runs]
+    else:  # lazy: failures print as they happen
+        outcomes = (o for group in groups for o in _group_runs(*group))
     rows, failed = [], 0
-    for task, (row, error) in zip(tasks, outcomes):
+    for task, row, error in outcomes:
         if error is None:
             rows.append(row)
         else:  # keep partial results on mid-sweep failure
-            print(f"run failed for {task[1:]}: {error}", file=sys.stderr)
+            print(f"run failed for {task}: {error}", file=sys.stderr)
             failed += 1
     rows.sort(key=lambda r: (r["method"], r["axis_value"], r["seed"]))
     os.makedirs(exp.out, exist_ok=True)
@@ -279,10 +312,12 @@ def export_dataset(result, path: str, include_features: bool = False) -> None:
 
 
 def _load(args) -> ExperimentConfig | None:
-    """The config of ``args.config`` with ``--seed`` applied; None, after
-    printing the reason, when the config is invalid."""
+    """The config of ``args.config`` with ``--seed`` and ``--workers``
+    applied; None, after printing the reason, when the config is invalid."""
     try:
         exp = load_config(args.config)
+        if getattr(args, "workers", None) is not None:
+            exp.workers = _at_least_one("--workers", args.workers)
     except (ConfigFileError, TypeError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return None
@@ -297,8 +332,6 @@ def _cmd_run(args) -> int:
         return 2
     if args.out is not None:
         exp.out = args.out
-    if args.workers is not None:
-        exp.workers = args.workers
     status = run_experiment(exp)
     print_summary(exp.out)
     return status

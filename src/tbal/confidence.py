@@ -4,6 +4,7 @@ kind-agnostic."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,10 @@ class Energy:
     the engine shifts scores into R+ per round (see shift_nonnegative)."""
     temperature: float = 1.0
     name: str = "energy"
+
+    def __post_init__(self):
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError("energy temperature must be finite and > 0")
 
 
 KINDS = {"abs_margin": AbsMargin, "softmax": Softmax, "energy": Energy}

@@ -16,6 +16,12 @@ choices, each fixed by the method, set the methods apart:
 A round trains only when something reads the model: TBAL's pass, the
 margin-random query or the labeling after the last round. So pl/plsc train
 once, on the full budget, with the seed of their last round.
+
+A run is its trajectory (the seed query and the round loop) followed by
+``finish`` (the labeling at the end). The first two choices shape the
+trajectory, so al/alsc, and pl/plsc, make the same queries and fits and
+differ only in ``finish``: ``run`` takes a memo in which such a pair shares
+one trajectory.
 """
 
 from __future__ import annotations
@@ -154,19 +160,49 @@ def _query_human(pool, oracle, ids, train_X, train_y):
     train_X.extend(pool.features[ids])
 
 
-def _choices(cfg: RunConfig) -> tuple[str, bool, bool]:
+def _choices(method: str, strategy: str) -> tuple[str, bool, bool]:
     """The three per-method choices: the query strategy, whether to
     auto-label every round (else once, after the loop) and, for that last
-    labeling, a threshold pass (selective) or blanket prediction."""
-    if cfg.method == TBAL:
-        return cfg.query.strategy, True, True
-    strategy = qry.MARGIN_RANDOM if cfg.method in (AL, ALSC) else qry.RANDOM
-    return strategy, False, cfg.method in (PLSC, ALSC)
+    labeling, a threshold pass (selective) or blanket prediction.
+    ``strategy`` is the configured one, which TBAL follows."""
+    if method == TBAL:
+        return strategy, True, True
+    strategy = qry.MARGIN_RANDOM if method in (AL, ALSC) else qry.RANDOM
+    return strategy, False, method in (PLSC, ALSC)
 
 
-def run(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> RunResult:
-    """Run ``cfg.method`` on copies of the inputs."""
-    strategy, every_round, selective = _choices(cfg)
+def trajectory_key(method: str, strategy: str) -> tuple[str, bool]:
+    """The choices that shape the trajectory: runs with equal keys on the same
+    inputs, seed and config (apart from the method) make the same queries and
+    fits. ``run`` keys its memo by it."""
+    return _choices(method, strategy)[:2]
+
+
+@dataclass
+class Trajectory:
+    """A run's state after its round loop, and what it was run from.
+    ``finish`` writes none of it, so every run of a pair finishes from the
+    same state."""
+    pool: Pool
+    validation: ValidationSet
+    model: linmod.LinearModel
+    remaining: np.ndarray  # the ids left unlabeled, ascending
+    rounds: list
+    human_labels_used: int
+    seed: int
+    source: tuple  # (pool, validation set, RunConfig) passed to ``trajectory``
+
+    def ran_from(self, pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> bool:
+        src_pool, src_val, src_cfg = self.source
+        return (src_pool is pool and src_val is val and self.seed == seed
+                and replace(src_cfg, method=cfg.method) == cfg)
+
+
+def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> Trajectory:
+    """The seed query and the round loop of ``cfg.method``, on copies of the
+    inputs."""
+    strategy, every_round, _ = _choices(cfg.method, cfg.query.strategy)
+    source = (pool, val, cfg)
     pool = pool.copy()
     val = val.copy()
     oracle = Oracle(pool)
@@ -207,13 +243,25 @@ def run(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> RunResult:
         else:
             queried, _ = qry.query_random(remaining, n_next, rng)
         _query_human(pool, oracle, queried, train_X, train_y)
+    return Trajectory(pool=pool, validation=val, model=model, remaining=remaining,
+                      rounds=rounds, human_labels_used=len(train_y), seed=seed,
+                      source=source)
 
+
+def finish(traj: Trajectory, cfg: RunConfig) -> RunResult:
+    """``cfg.method``'s labeling after the loop of ``traj``, on a copy of its
+    state; a method that labels nothing more (TBAL) copies nothing."""
+    _, every_round, selective = _choices(cfg.method, cfg.query.strategy)
+    pool, val, rounds, model = traj.pool, traj.validation, list(traj.rounds), traj.model
+    remaining = traj.remaining
     no_ids = np.empty(0, dtype=np.int64)
     if not every_round:
         if selective:
+            pool, val = pool.copy(), val.copy()
             record, _, _ = _auto_label_pass(cfg, model, pool, val, remaining, 1, no_ids)
             rounds.append(record)
         elif len(remaining):
+            pool = pool.copy()
             preds = linmod.predict(model, pool.features[remaining])
             pool.mark_auto(remaining, preds, 1)
             rounds.append(RoundRecord(
@@ -222,6 +270,25 @@ def run(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> RunResult:
                 decision=None, auto_ids=remaining, auto_labels=np.asarray(preds),
                 val_deactivated=no_ids, n_a=len(remaining), n_v=val.n_active))
     check_partition(pool)
-    return RunResult(method=cfg.method, seed=seed, pool=pool, validation=val,
+    return RunResult(method=cfg.method, seed=traj.seed, pool=pool, validation=val,
                      rounds=rounds, N_a=sum(r.n_a for r in rounds), k=len(rounds),
-                     human_labels_used=len(train_y), val_labels_used=len(val))
+                     human_labels_used=traj.human_labels_used, val_labels_used=len(val))
+
+
+def run(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int,
+        memo: dict | None = None) -> RunResult:
+    """Run ``cfg.method`` on copies of the inputs.
+
+    ``memo``, a dict the caller keeps for one (pool, validation set, seed),
+    holds finished trajectories by ``trajectory_key``: a run whose trajectory
+    is in it runs only ``finish``, and a run that computes one stores it.
+    """
+    if memo is None:
+        return finish(trajectory(pool, val, cfg, seed), cfg)
+    key = trajectory_key(cfg.method, cfg.query.strategy)
+    traj = memo.get(key)
+    if traj is None:
+        traj = memo[key] = trajectory(pool, val, cfg, seed)
+    elif not traj.ran_from(pool, val, cfg, seed):
+        raise ValueError("the memo's trajectory was run from other inputs, seed or config")
+    return finish(traj, cfg)

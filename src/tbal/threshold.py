@@ -34,6 +34,8 @@ class ThresholdConfig:
             raise ValueError("epsilon_a must be in (0, 1)")
         if self.n0 < 1:
             raise ValueError("n0 must be >= 1")
+        if not 0 < self.delta < 1:
+            raise ValueError("delta must be in (0, 1)")
 
 
 @dataclass

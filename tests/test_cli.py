@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import yaml
 
+import tbal.cli as cli
+import tbal.model as linmod
 from tbal import engine
 from tbal.cli import (VALIDATION_SIZE, ConfigFileError, _subsample_validation,
                       build_run_config, load_config, main, print_summary,
@@ -43,11 +45,11 @@ def write_config(tmp_path, overrides=None, **top):
     return str(path)
 
 
-def assert_config_error(tmp_path, capsys, command, message, **top):
-    """``tbal <command>`` on the base config with ``top`` set exits 2 with
-    ``message`` before running or writing anything."""
+def assert_config_error(tmp_path, capsys, command, message, flags=(), **top):
+    """``tbal <command> <flags>`` on the base config with ``top`` set exits 2
+    with ``message`` before running or writing anything."""
     path = write_config(tmp_path, out=str(tmp_path / "o"), **top)
-    argv = [command, "--config", path]
+    argv = [command, "--config", path, *flags]
     if command == "export":
         argv += ["--out", str(tmp_path / "labels.csv")]
     assert main(argv) == 2
@@ -105,11 +107,23 @@ class TestLoadConfig:
         ({"query": {"strategy": "margn_random"}}, "unknown query strategy"),
         ({"sweep": {"axis": "train_budget", "grid": [40], "N_q": 999}}, "sweep.N_q"),
         ({"confidence": "softmax", "energy_temperature": 2.0}, "energy_temperature"),
+        ({"threshold": {"delta": 2.0}}, "delta must be in (0, 1)"),
+        ({"threshold": {"delta": 0}}, "delta must be in (0, 1)"),
+        ({"confidence": "energy", "energy_temperature": 0}, "temperature"),
+        ({"confidence": "energy", "energy_temperature": -1.0}, "temperature"),
+        ({"trials": 0}, "trials must be >= 1"),
+        ({"workers": 0}, "workers must be >= 1"),
     ], ids=["unknown_sigma_kind", "zero_sigma_kind", "unknown_strategy",
-            "N_q_on_budget_sweep", "temperature_without_energy"])
+            "N_q_on_budget_sweep", "temperature_without_energy", "delta_above_one",
+            "delta_zero", "temperature_zero", "temperature_negative", "trials_zero",
+            "workers_zero"])
     def test_value_a_run_would_fail_on_or_ignore_exits_2(self, tmp_path, capsys,
                                                            command, top, message):
         assert_config_error(tmp_path, capsys, command, message, **top)
+
+    def test_workers_flag_below_one_exits_2(self, tmp_path, capsys):
+        assert_config_error(tmp_path, capsys, "run", "--workers must be >= 1",
+                            flags=["--workers", "0"])
 
     def test_blocks_become_their_dataclasses(self, tmp_path):
         exp = load_config(write_config(
@@ -264,6 +278,114 @@ class TestRunExperiment:
         assert row["method"] == "pl" and row["seed"] == 1
         assert row["human_labels"] == 40
         assert 0 <= row["cov_hat"] <= 1
+
+
+class TestSharedGroups:
+    """A sweep runs the methods of one grid value and trial as a group: one
+    dataset build, and one trajectory for each of al/alsc and pl/plsc."""
+
+    read = TestRunExperiment.read
+
+    def sweep(self, tmp_path, name, **top):
+        top.setdefault("methods", list(engine.METHODS))
+        exp = load_config(write_config(tmp_path, out=str(tmp_path / name), **top))
+        return run_experiment(exp), tmp_path / name
+
+    def test_a_pair_fits_as_often_as_one_of_its_runs(self, tmp_path, monkeypatch):
+        real_fit = linmod.fit
+        fits = {}
+        for methods in (["al"], ["al", "alsc"], ["pl"], ["pl", "plsc"]):
+            calls = []
+
+            def counting_fit(*args, **kwargs):
+                calls.append(1)
+                return real_fit(*args, **kwargs)
+
+            monkeypatch.setattr(linmod, "fit", counting_fit)
+            assert self.sweep(tmp_path, "-".join(methods), methods=methods)[0] == 0
+            fits[tuple(methods)] = len(calls)
+        assert fits[("al",)] == fits[("al", "alsc")] > fits[("pl",)] == fits[("pl", "plsc")]
+
+    def test_one_dataset_build_per_grid_value_and_trial(self, tmp_path, monkeypatch):
+        builds = []
+        real = cli.make_dataset
+
+        def counting(spec, seed):
+            builds.append(seed)
+            return real(spec, seed)
+
+        monkeypatch.setattr(cli, "make_dataset", counting)
+        assert self.sweep(tmp_path, "s")[0] == 0
+        assert builds == [0, 1, 0, 1]  # grid [40, 80] x trials 2
+
+    def test_runs_leave_the_group_dataset_unchanged(self, tmp_path):
+        exp = load_config(write_config(tmp_path))
+        shared = {}
+        for method in engine.METHODS:
+            run_single(exp, method, 80, 1, shared)
+        assert len(shared["trajectories"]) == 3
+        pool, val, N_q, seed = shared["inputs"]
+        fresh_pool, fresh_val = make_dataset(exp.dataset, seed)
+        assert (N_q, seed) == (80, 1)
+        assert np.array_equal(pool.features, fresh_pool.features)
+        assert np.array_equal(pool._truth, fresh_pool._truth)
+        for name in ("kind", "label", "round"):
+            assert np.array_equal(getattr(pool, name), getattr(fresh_pool, name))
+        assert np.all(pool.kind == KINDS.index(UNLABELED))
+        assert np.array_equal(val.features, fresh_val.features)
+        assert np.array_equal(val.labels, fresh_val.labels)
+        assert val.active.all()
+
+    def test_trajectory_dropped_after_its_last_run(self, tmp_path, monkeypatch):
+        held = []
+        real = cli.run_single
+
+        def spy(exp, method, axis_value, trial, shared):
+            held.append((method, sorted(shared.get("trajectories", {}))))
+            return real(exp, method, axis_value, trial, shared)
+
+        monkeypatch.setattr(cli, "run_single", spy)
+        assert self.sweep(tmp_path, "s", trials=1, sweep={"axis": "train_budget",
+                                                          "grid": [80]})[0] == 0
+        rand, margin = (engine.trajectory_key(m, "margin_random") for m in ("pl", "al"))
+        assert held == [("tbal", []), ("pl", []), ("al", [rand]),
+                        ("plsc", sorted([rand, margin])), ("alsc", [margin])]
+
+    def test_lone_method_writes_the_rows_of_the_full_sweep(self, tmp_path):
+        _, full = self.sweep(tmp_path, "full")
+        for method in ("alsc", "plsc", "al"):
+            _, lone = self.sweep(tmp_path, method, methods=[method])
+            rows = [r for r in self.read(full / "runs.csv") if r[0] == method]
+            assert len(rows) == 4
+            assert self.read(lone / "runs.csv")[1:] == rows
+
+    def test_workers_match_serial_on_five_methods(self, tmp_path):
+        assert self.sweep(tmp_path, "serial")[0] == 0
+        assert self.sweep(tmp_path, "parallel", workers=2)[0] == 0
+        for name in ("runs.csv", "summary.csv"):
+            assert (tmp_path / "serial" / name).read_bytes() == \
+                (tmp_path / "parallel" / name).read_bytes()
+        assert len(self.read(tmp_path / "serial" / "runs.csv")) == 1 + 20
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergence
+    def test_failing_trajectory_fails_both_runs_of_its_pair(self, tmp_path, capsys):
+        # a diverged model has non-finite logits: the margin-random query of
+        # the al/alsc trajectory fails in its first round
+        errs = {}
+        for name, workers in (("serial", 1), ("parallel", 2)):
+            status, _ = self.sweep(tmp_path, name, methods=["al", "alsc"], trials=1,
+                                   workers=workers,
+                                   train={"epochs": 20, "learning_rate": 1e308})
+            assert status == 1
+            errs[name] = capsys.readouterr().err.splitlines()
+        failed = [line for line in errs["serial"] if line.startswith("run failed")]
+        assert failed == [f"run failed for ({m!r}, {g}, 0): non-finite logits"
+                          for g in (40, 80) for m in ("al", "alsc")]
+        assert errs["parallel"] == errs["serial"]
+        for name in ("runs.csv", "summary.csv"):
+            assert len(self.read(tmp_path / "serial" / name)) == 1  # the header
+            assert (tmp_path / "serial" / name).read_bytes() == \
+                (tmp_path / "parallel" / name).read_bytes()
 
 
 class TestPrintSummary:

@@ -190,6 +190,11 @@ class TestEnergy:
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
             score(Energy(), m, np.array([[1e10, 1e10]]))
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    def test_temperature_must_be_finite_and_positive(self, t):
+        with pytest.raises(ValueError, match="temperature"):
+            Energy(temperature=t)
+
 
 class TestScoreShapes:
     def test_single_row_returns_scalars(self):

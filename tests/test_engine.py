@@ -537,6 +537,66 @@ class TestOneLoopMatchesTheTwoLoops:
             run(pool, val, RunConfig(method=method, n_s=40, n_b=20, N_q=80), seed=0)
 
 
+class TestSharedTrajectories:
+    """A pair that shares a trajectory through ``run``'s memo gets the runs
+    that two independent calls give, in either order."""
+
+    @pytest.mark.parametrize("pair", [("al", "alsc"), ("alsc", "al"),
+                                      ("pl", "plsc"), ("plsc", "pl")])
+    @pytest.mark.parametrize("case", ["xor", "unit_ball", "k4_softmax",
+                                      "budget_is_seed_batch",
+                                      "pool_drained_before_budget"])
+    def test_shared_runs_equal_independent_runs(self, case, pair):
+        problem, kw = MERGE_CASES[case]
+        pool, val = problem()
+        for seed in (0, 5):
+            memo = {}
+            shared = [run(pool, val, RunConfig(method=m, **kw), seed, memo) for m in pair]
+            (key,) = memo
+            assert key == engine.trajectory_key(pair[0], qry.MARGIN_RANDOM)
+            for method, got in zip(pair, shared):
+                assert_same_run(got, run(pool, val, RunConfig(method=method, **kw), seed))
+
+    def test_the_second_run_of_a_pair_only_finishes(self, monkeypatch):
+        pool, val = xor_problem(seed=1)
+        memo = {}
+        fits = record_fits(monkeypatch)
+        run(pool, val, RunConfig(method="al", n_s=40, n_b=20, N_q=100), 0, memo)
+        n = len(fits)
+        assert n > 1
+        run(pool, val, RunConfig(method="alsc", n_s=40, n_b=20, N_q=100), 0, memo)
+        assert len(fits) == n
+
+    def test_tbal_keeps_its_own_trajectory(self):
+        pool, val = xor_problem(seed=1)
+        cfg = dict(n_s=40, n_b=20, N_q=100)
+        memo = {}
+        for method in METHODS:
+            run(pool, val, RunConfig(method=method, **cfg), 0, memo)
+        assert sorted(memo) == sorted({engine.trajectory_key(m, qry.MARGIN_RANDOM)
+                                       for m in METHODS})
+        assert len(memo) == 3
+        # TBAL's result is its trajectory's state, uncopied
+        res = run(pool, val, RunConfig(method="tbal", **cfg), 0, memo)
+        traj = memo[engine.trajectory_key("tbal", qry.MARGIN_RANDOM)]
+        assert res.pool is traj.pool and res.validation is traj.validation
+
+    @pytest.mark.parametrize("change", [
+        lambda pool, val, cfg, seed: (pool.copy(), val, cfg, seed),
+        lambda pool, val, cfg, seed: (pool, val.copy(), cfg, seed),
+        lambda pool, val, cfg, seed: (pool, val, replace(cfg, N_q=120), seed),
+        lambda pool, val, cfg, seed: (pool, val, cfg, seed + 1),
+    ], ids=["pool", "validation", "config", "seed"])
+    def test_memo_of_other_inputs_is_refused(self, change):
+        pool, val = xor_problem(seed=1)
+        cfg = RunConfig(method="pl", n_s=40, n_b=20, N_q=100)
+        memo = {}
+        run(pool, val, cfg, 0, memo)
+        pool2, val2, cfg2, seed2 = change(pool, val, replace(cfg, method="plsc"), 0)
+        with pytest.raises(ValueError, match="memo"):
+            run(pool2, val2, cfg2, seed2, memo)
+
+
 class TestBinaryConfidenceKindsAgree:
     """For a binary model every confidence kind is an increasing function of
     |w.x + b|, so the kinds rank points alike and pick the same thresholds:

@@ -224,6 +224,9 @@ class TestDecisionProperties:
             ThresholdConfig(epsilon_a=0.0)
         with pytest.raises(ValueError):
             ThresholdConfig(n0=0)
+        for delta in (0.0, 1.0, 2.0, -0.05, math.nan):
+            with pytest.raises(ValueError, match="delta"):
+                ThresholdConfig(delta=delta)
 
     def test_threshold_for_unknown_class(self):
         cfg = ThresholdConfig(sigma_kind=ZERO, n0=1, epsilon_a=0.5)
