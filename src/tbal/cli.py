@@ -20,6 +20,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
 import yaml
 
@@ -94,6 +95,35 @@ def _at_least_one(name: str, value) -> int:
     return value
 
 
+def _block(raw: dict, where: str, allowed: set, cls) -> dict:
+    """The ``where`` block of ``raw``, its keys checked and each value of an
+    ``int`` or ``float`` field of ``cls`` read as that type: PyYAML follows
+    YAML 1.1, which reads ``1e-4`` (no dot) as a string."""
+    block = dict(raw.get(where, {}))
+    _check_keys(block, allowed, where)
+    types = get_type_hints(cls)
+    for key, value in block.items():
+        kind = types[key]
+        if kind not in (int, float):
+            continue
+        name = f"{where}.{key}"
+        try:
+            if isinstance(value, bool):
+                raise ValueError
+            number = float(value)
+        except (TypeError, ValueError):
+            raise ConfigFileError(f"{name} must be a number, not {value!r}") from None
+        if not math.isfinite(number):
+            raise ConfigFileError(f"{name} must be finite, not {value!r}")
+        if kind is float:
+            block[key] = number
+        elif number.is_integer():
+            block[key] = value if isinstance(value, int) else int(number)
+        else:
+            raise ConfigFileError(f"{name} must be an integer, not {value!r}")
+    return block
+
+
 def load_config(path: str) -> ExperimentConfig:
     with open(path) as f:
         raw = yaml.safe_load(f)
@@ -103,8 +133,7 @@ def load_config(path: str) -> ExperimentConfig:
     for key in ("dataset", "methods", "sweep"):
         if key not in raw:
             raise ConfigFileError(f"{path}: missing required key {key!r}")
-    ds = dict(raw["dataset"])
-    _check_keys(ds, _DATASET_KEYS, "dataset")
+    ds = _block(raw, "dataset", _DATASET_KEYS, DatasetSpec)
     sweep = dict(raw["sweep"])
     _check_keys(sweep, _SWEEP_KEYS, "sweep")
     axis = sweep.get("axis", TRAIN_BUDGET)
@@ -118,15 +147,12 @@ def load_config(path: str) -> ExperimentConfig:
     if axis == TRAIN_BUDGET and "N_q" in sweep:
         raise ConfigFileError("sweep.N_q is not read on a train_budget sweep: "
                               "its grid values are the budgets")
-    train_block = dict(raw.get("train", {}))
-    _check_keys(train_block, _TRAIN_KEYS, "train")
-    thr = dict(raw.get("threshold", {}))
-    _check_keys(thr, _THRESHOLD_KEYS, "threshold")
+    train_block = _block(raw, "train", _TRAIN_KEYS, TrainConfig)
+    thr = _block(raw, "threshold", _THRESHOLD_KEYS, ThresholdConfig)
     if thr.get("sigma_kind", SIGMA_KINDS[0]) not in SIGMA_KINDS:
         raise ConfigFileError(f"threshold.sigma_kind must be one of {list(SIGMA_KINDS)}, "
                               f"not {thr['sigma_kind']!r}")
-    q = dict(raw.get("query", {}))
-    _check_keys(q, _QUERY_KEYS, "query")
+    q = _block(raw, "query", _QUERY_KEYS, QueryConfig)
     methods = list(raw["methods"])
     for m in methods:
         if m not in engine.METHODS:

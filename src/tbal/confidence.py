@@ -1,6 +1,9 @@
 """Confidence functions g(model, x) -> nonnegative score, larger = more
 confident. All kinds share that orientation so threshold search stays
-kind-agnostic."""
+kind-agnostic.
+
+Only NumPy is imported here: scipy, which the energy kind reads, is imported
+on its first use, so importing the package and failing a config stay cheap."""
 
 from __future__ import annotations
 
@@ -8,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from . import model as linmod
 
@@ -53,17 +55,20 @@ def _abs_margin(model, s):
 
 
 def _score_logits(kind, model, X):
-    z = linmod.logits(model, X)
-    if not np.all(np.isfinite(z)):
-        raise FloatingPointError("non-finite logits")
+    z = linmod.check_finite(linmod.logits(model, X))
     pred = np.argmax(z, axis=1)
     if isinstance(kind, AbsMargin):
         if not model.binary:
             raise ValueError("abs_margin is defined for binary models only")
         conf = _abs_margin(model, linmod.margin(model, X))
     elif isinstance(kind, Softmax):
-        conf = softmax(z, axis=1).max(axis=1)
+        # scipy.special.softmax's own steps, so the scores keep its bits
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        conf = (e / e.sum(axis=1, keepdims=True)).max(axis=1)
     elif isinstance(kind, Energy):
+        # not a two-line NumPy formula (it sums the non-max terms with log1p),
+        # so scipy's, whose bits the energy scores keep
+        from scipy.special import logsumexp
         t = kind.temperature
         conf = t * logsumexp(z / t, axis=1)
     else:
@@ -79,9 +84,7 @@ def score(kind, model, x) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(kind, AbsMargin) and model.binary and model.constant_class is None:
         # one product serves both: the argmax of the logit pair (-s, s) is
         # s > 0, with a tie (s == 0) going to class 0
-        s = linmod.margin(model, X)
-        if not np.all(np.isfinite(s)):
-            raise FloatingPointError("non-finite logits")
+        s = linmod.check_finite(linmod.margin(model, X))
         pred, conf = (s > 0).astype(np.int64), _abs_margin(model, s)
     else:
         pred, conf = _score_logits(kind, model, X)

@@ -16,6 +16,7 @@ from .core import rng_from
 
 HINGE = "hinge"
 LOGISTIC = "logistic"
+LOSSES = (HINGE, LOGISTIC)
 
 
 class TrainingError(RuntimeError):
@@ -34,6 +35,8 @@ class TrainConfig:
     normalized: bool = False  # project to the unit sphere, no bias (homogeneous)
 
     def __post_init__(self):
+        if self.loss not in LOSSES:
+            raise ValueError(f"unknown loss {self.loss!r}; choose from {list(LOSSES)}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
@@ -89,10 +92,16 @@ def logits(model: LinearModel, x: np.ndarray) -> np.ndarray:
     return z[0] if single else z
 
 
+def check_finite(z: np.ndarray) -> np.ndarray:
+    """``z`` as given; a diverged model's scores raise FloatingPointError."""
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError("non-finite logits")
+    return z
+
+
 def predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
     """Argmax of the class scores; ties go to the smallest class index."""
-    z = logits(model, x)
-    return np.argmax(z, axis=-1)
+    return np.argmax(check_finite(logits(model, x)), axis=-1)
 
 
 def _hinge_loss(w: np.ndarray, b: float, X: np.ndarray, ypm: np.ndarray,

@@ -113,10 +113,18 @@ class TestLoadConfig:
         ({"confidence": "energy", "energy_temperature": -1.0}, "temperature"),
         ({"trials": 0}, "trials must be >= 1"),
         ({"workers": 0}, "workers must be >= 1"),
+        ({"train": {"loss": "hinje"}}, "unknown loss 'hinje'"),
+        ({"train": {"l2": "abc"}}, "train.l2 must be a number, not 'abc'"),
+        ({"train": {"epochs": 2.5}}, "train.epochs must be an integer"),
+        ({"threshold": {"n0": True}}, "threshold.n0 must be a number"),
+        ({"query": {"C": math.inf}}, "query.C must be finite"),
+        ({"dataset": dict(BASE_CONFIG["dataset"], xor_radius="wide")},
+         "dataset.xor_radius must be a number"),
     ], ids=["unknown_sigma_kind", "zero_sigma_kind", "unknown_strategy",
             "N_q_on_budget_sweep", "temperature_without_energy", "delta_above_one",
             "delta_zero", "temperature_zero", "temperature_negative", "trials_zero",
-            "workers_zero"])
+            "workers_zero", "unknown_loss", "l2_not_a_number", "epochs_not_an_integer",
+            "n0_boolean", "C_infinite", "xor_radius_not_a_number"])
     def test_value_a_run_would_fail_on_or_ignore_exits_2(self, tmp_path, capsys,
                                                            command, top, message):
         assert_config_error(tmp_path, capsys, command, message, **top)
@@ -140,6 +148,20 @@ class TestLoadConfig:
         assert cfg.threshold is exp.threshold and cfg.confidence is exp.confidence
         assert cfg.query == replace(exp.query, batch=10)
         assert exp.query.batch == QueryConfig().batch  # the shared block is not written
+
+    def test_exponent_floats_are_numbers(self, tmp_path):
+        assert yaml.safe_load("l2: 1e-4") == {"l2": "1e-4"}  # YAML 1.1: a string
+        dataset = dict(BASE_CONFIG["dataset"], n_total="7e2", xor_radius="5e-1")
+        exp = load_config(write_config(
+            tmp_path, train={"l2": "1e-4", "learning_rate": "1e-3", "epochs": "2e1"},
+            threshold={"n0": "1e1", "delta": "5e-2"}, query={"C": "3e0"},
+            dataset=dataset))
+        assert (exp.dataset.n_total, exp.dataset.xor_radius) == (700, 0.5)
+        assert exp.train == linmod.TrainConfig(l2=0.0001, learning_rate=0.001, epochs=20)
+        assert exp.threshold == ThresholdConfig(epsilon_a=0.05, n0=10, delta=0.05)
+        assert exp.query == QueryConfig(C=3.0)
+        assert type(exp.train.l2) is float and type(exp.train.epochs) is int
+        assert type(exp.threshold.n0) is int and type(exp.query.C) is float
 
     def test_defaults(self, tmp_path):
         exp = load_config(write_config(tmp_path))
@@ -368,19 +390,21 @@ class TestSharedGroups:
         assert len(self.read(tmp_path / "serial" / "runs.csv")) == 1 + 20
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergence
-    def test_failing_trajectory_fails_both_runs_of_its_pair(self, tmp_path, capsys):
+    @pytest.mark.parametrize("pair", [("al", "alsc"), ("pl", "plsc")], ids="-".join)
+    def test_failing_trajectory_fails_both_runs_of_its_pair(self, tmp_path, capsys, pair):
         # a diverged model has non-finite logits: the margin-random query of
-        # the al/alsc trajectory fails in its first round
+        # the al/alsc trajectory fails in its first round; pl's blanket
+        # prediction and plsc's threshold pass fail on its one model
         errs = {}
         for name, workers in (("serial", 1), ("parallel", 2)):
-            status, _ = self.sweep(tmp_path, name, methods=["al", "alsc"], trials=1,
+            status, _ = self.sweep(tmp_path, name, methods=list(pair), trials=1,
                                    workers=workers,
                                    train={"epochs": 20, "learning_rate": 1e308})
             assert status == 1
             errs[name] = capsys.readouterr().err.splitlines()
         failed = [line for line in errs["serial"] if line.startswith("run failed")]
         assert failed == [f"run failed for ({m!r}, {g}, 0): non-finite logits"
-                          for g in (40, 80) for m in ("al", "alsc")]
+                          for g in (40, 80) for m in pair]
         assert errs["parallel"] == errs["serial"]
         for name in ("runs.csv", "summary.csv"):
             assert len(self.read(tmp_path / "serial" / name)) == 1  # the header

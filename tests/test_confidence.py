@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -194,6 +198,64 @@ class TestEnergy:
     def test_temperature_must_be_finite_and_positive(self, t):
         with pytest.raises(ValueError, match="temperature"):
             Energy(temperature=t)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestSameBitsAsScipy:
+    """Softmax is computed in NumPy and energy imports scipy on first use;
+    both keep the scores scipy.special gives, bit for bit."""
+
+    def models(self):
+        rng = np.random.default_rng(11)
+        yield binary_model(rng.standard_normal(3), rng.standard_normal())
+        for K in (4, 10):
+            for scale in (1e-3, 1.0, 30.0, 1e4):  # the largest rounds rows to 1.0
+                yield multi_model(scale * rng.standard_normal((K, 3)),
+                                  scale * rng.standard_normal(K))
+
+    def test_softmax(self):
+        X = np.random.default_rng(12).standard_normal((200, 3))
+        ones = 0
+        for m in self.models():
+            z = logits(m, X)
+            _, conf = score(Softmax(), m, X)
+            assert np.array_equal(bits(conf), bits(scipy.special.softmax(z, axis=1).max(1)))
+            ones += int(np.sum(conf == 1.0))
+            for x in X[:5]:  # a single row scores through the same steps
+                want = scipy.special.softmax(logits(m, x[None, :]), axis=1).max(1)
+                assert bits(score(Softmax(), m, x)[1]) == bits(want)[0]
+        assert ones > 0
+
+    def test_energy(self):
+        X = np.random.default_rng(13).standard_normal((200, 3))
+        for m in self.models():
+            z = logits(m, X)
+            for t in (0.5, 1.0, 2.0):
+                _, conf = score(Energy(temperature=t), m, X)
+                want = t * scipy.special.logsumexp(z / t, axis=1)
+                assert np.array_equal(bits(conf), bits(want))
+
+
+def test_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import sys\n"
+        "import tbal, tbal.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert loaded == [], loaded\n"
+        "import numpy as np\n"
+        "from tbal.confidence import Energy, score\n"
+        "from tbal.model import LinearModel\n"
+        "m = LinearModel(np.eye(3), np.zeros(3), num_classes=3)\n"
+        "print(score(Energy(), m, np.array([0.0, 0.0, 0.0]))[1])\n")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) == pytest.approx(math.log(3.0), rel=1e-12)
 
 
 class TestScoreShapes:

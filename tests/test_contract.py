@@ -1,17 +1,23 @@
-"""The package's public names and the README's config schema agree with the
-code."""
+"""The package's public names, the README's config schema and the declared
+dependencies agree with the code."""
 
+import ast
+import glob
 import os
 import re
+import sys
 import textwrap
 
+import pytest
+
 import tbal
-from tbal import confidence, engine, query, threshold
+from tbal import confidence, engine, model, query, threshold
 from tbal.cli import load_config
 
 from test_cli import write_config
 
-README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+README = os.path.join(ROOT, "README.md")
 
 
 def schema_line(path):
@@ -56,6 +62,14 @@ def test_readme_lists_the_sigma_kinds_a_config_accepts(tmp_path):
         assert exp.threshold.sigma_kind == kind
 
 
+def test_readme_lists_the_losses_a_config_accepts(tmp_path):
+    losses = alternatives("train.loss")
+    assert losses == list(model.LOSSES)
+    for loss in losses:
+        exp = load_config(write_config(tmp_path, train={"loss": loss}))
+        assert exp.train.loss == loss
+
+
 def test_readme_lists_the_query_strategies(tmp_path):
     strategies = alternatives("query.strategy")
     assert strategies == list(query.STRATEGIES)
@@ -68,3 +82,51 @@ def test_nested_keys_read_from_their_own_block():
     assert schema_line("dataset.kind").startswith("unit_ball")
     assert schema_line("threshold.delta") == "0.05"
     assert schema_line("train.loss") == "hinge | logistic"
+
+
+# third-party modules the package imports at module level: the cold start of
+# ``import tbal`` loads these and nothing else outside the standard library
+MODULE_LEVEL = {"numpy", "yaml"}
+DISTRIBUTION = {"yaml": "pyyaml"}  # import name -> name in pyproject.toml
+
+
+def imports(node, module_level=True):
+    """(top-level module name, imported at module level) of each import
+    under ``node``; relative imports are ``tbal``'s own."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            for alias in child.names:
+                yield alias.name.split(".")[0], module_level
+        elif isinstance(child, ast.ImportFrom):
+            yield ("tbal" if child.level else child.module.split(".")[0]), module_level
+        else:  # a function body runs when called, a class body on import
+            yield from imports(child, module_level and not isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
+def package_imports():
+    found = set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "tbal", "*.py"))):
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        found |= {(name, top, os.path.basename(path)) for name, top in imports(tree)
+                  if name not in sys.stdlib_module_names and name != "tbal"}
+    return found
+
+
+def test_every_third_party_import_is_declared():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
+        deps = tomllib.load(f)["project"]["dependencies"]
+    declared = {re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0].lower() for d in deps}
+    found = package_imports()
+    assert {name for name, _, _ in found} >= MODULE_LEVEL | {"scipy"}
+    undeclared = sorted((DISTRIBUTION.get(name, name), where) for name, _, where in found
+                        if DISTRIBUTION.get(name, name) not in declared)
+    assert undeclared == []
+
+
+def test_module_level_imports_are_numpy_and_pyyaml_only():
+    eager = sorted((name, where) for name, top, where in package_imports()
+                   if top and name not in MODULE_LEVEL)
+    assert eager == []

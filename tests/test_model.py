@@ -148,6 +148,15 @@ class TestLogitsPredict:
         assert np.allclose(logits(m, x), [[2.0, 0.1, -2.0]])
         assert predict(m, x)[0] == 0
 
+    def test_predict_rejects_nonfinite_logits(self):
+        m = LinearModel(np.array([np.inf, 0.0]), np.asarray(0.0), num_classes=2)
+        with pytest.raises(FloatingPointError, match="non-finite logits"):
+            predict(m, np.ones((3, 2)))
+        m = LinearModel(np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]]), np.zeros(3),
+                        num_classes=3)
+        with pytest.raises(FloatingPointError, match="non-finite logits"):
+            predict(m, np.ones(2))
+
 
 class TestFit:
     def separable(self, n=1000, d=2, seed=0, margin=0.8):
@@ -224,9 +233,13 @@ class TestFit:
             fit(X, y, TrainConfig(loss="hinge"), seed=0, num_classes=3)
 
     def test_unknown_loss(self):
+        with pytest.raises(ValueError, match="unknown loss"):
+            TrainConfig(loss="perceptron")
         X, y = self.separable(n=20)
+        cfg = TrainConfig()
+        cfg.loss = "perceptron"  # set after the check
         with pytest.raises(TrainingError, match="unknown loss"):
-            fit(X, y, TrainConfig(loss="perceptron"), seed=0)
+            fit(X, y, cfg, seed=0)
 
     def test_same_seed_same_model(self):
         X, y = self.separable(seed=3)
