@@ -106,20 +106,46 @@ def _round_seed(seed: int, *stream) -> int:
     return int(rng_from(seed, *stream).integers(0, 2**63 - 1))
 
 
-def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried):
+def _row_buffer(pool: Pool, val: ValidationSet) -> np.ndarray:
+    """Room for the feature rows of the pool or of the validation set,
+    whichever is longer, for a run's gathers (see ``_rows``)."""
+    return np.empty((max(len(pool), len(val)), pool.dimension))
+
+
+def _rows(features, ids, buffer) -> np.ndarray:
+    """``features[ids]``, written into the first rows of ``buffer``.
+
+    Every round scores the unlabeled pool rows and the active validation
+    rows. Gathered into fresh arrays, that was a copy of nearly the whole
+    pool per round, and whether the allocator reused the last round's block
+    or grew the heap by another hinged on the small arrays placed in
+    between, so a run's peak memory moved by a whole pool copy from one seed
+    to the next. A run gathers into one buffer instead; the rows and their
+    order are those of ``features[ids]``, so the scores keep their bits. A
+    gather holds until the next one."""
+    # mode "raise" gathers into a temporary first and copies it over; the
+    # ids index these features, so "clip" changes none of them
+    return np.take(features, ids, axis=0, out=buffer[:len(ids)], mode="clip")
+
+
+def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried, buffer):
     """One threshold estimate + auto-label + validation filter over the
-    ``unlabeled`` ids, recorded as round ``rnd``. Also returns the ids the
-    pass leaves unlabeled and their unshifted confidence, in id order: the
-    margin-random query reads them."""
+    ``unlabeled`` ids, recorded as round ``rnd``, gathering the rows it
+    scores into ``buffer``. Also returns the ids the pass leaves unlabeled
+    and their unshifted confidence, in id order: the margin-random query
+    reads them."""
     act = val.active_indices()
     n_v = len(act)
     decision = None
     auto_ids = auto_labels = drop = np.empty(0, dtype=np.int64)
     take, raw_u = np.zeros(0, dtype=bool), np.empty(0)
     if len(unlabeled):
-        pred_u, raw_u = conf.score(cfg.confidence, model, pool.features[unlabeled])
+        X_u = _rows(pool.features, unlabeled, buffer)
+        pred_u, raw_u = conf.score(cfg.confidence, model, X_u)
         if n_v:
-            pred_v, conf_v = conf.score(cfg.confidence, model, val.features[act])
+            # the validation rows overwrite X_u, whose scores are taken
+            X_v = _rows(val.features, act, buffer)
+            pred_v, conf_v = conf.score(cfg.confidence, model, X_v)
         else:
             pred_v, conf_v = np.empty(0, dtype=np.int64), np.empty(0)
         conf_u, conf_v = conf.shift_nonnegative(raw_u, conf_v)
@@ -205,6 +231,7 @@ def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> Tra
     source = (pool, val, cfg)
     pool = pool.copy()
     val = val.copy()
+    buffer = _row_buffer(pool, val)
     oracle = Oracle(pool)
     train_X: list = []
     train_y: list = []
@@ -227,7 +254,7 @@ def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> Tra
         left_scores = None
         if every_round:
             record, remaining, left_scores = _auto_label_pass(
-                cfg, model, pool, val, remaining, rnd, queried)
+                cfg, model, pool, val, remaining, rnd, queried, buffer)
             rounds.append(record)
         if spent or not len(remaining):
             break
@@ -237,7 +264,7 @@ def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> Tra
             # TBAL's pass has just scored exactly these points with this model
             scores = left_scores
             if scores is None or cfg.query.use_gap:
-                scores = _margin_scores(cfg, model, pool.features[remaining])
+                scores = _margin_scores(cfg, model, _rows(pool.features, remaining, buffer))
             queried, _ = qry.query_margin_random(
                 remaining, scores, replace(cfg.query, batch=n_next), rng)
         else:
@@ -258,7 +285,8 @@ def finish(traj: Trajectory, cfg: RunConfig) -> RunResult:
     if not every_round:
         if selective:
             pool, val = pool.copy(), val.copy()
-            record, _, _ = _auto_label_pass(cfg, model, pool, val, remaining, 1, no_ids)
+            record, _, _ = _auto_label_pass(cfg, model, pool, val, remaining, 1, no_ids,
+                                            _row_buffer(pool, val))
             rounds.append(record)
         elif len(remaining):
             pool = pool.copy()

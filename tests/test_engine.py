@@ -101,6 +101,23 @@ class TestTbalLoop:
         assert any(not np.array_equal(a.auto_ids, b.auto_ids)
                    for a, b in zip(r1.rounds, r3.rounds)) or r1.N_a != r3.N_a
 
+    def test_rounds_gather_their_rows_into_one_buffer(self, monkeypatch):
+        # a fresh pool-sized copy per round left a run's peak memory to where
+        # the allocator placed it, which varied from seed to seed
+        pool, val = small_problem(seed=5)
+        cfg = RunConfig(method="tbal", n_s=20, n_b=10, N_q=60,
+                        train=TrainConfig(normalized=True, learning_rate=3.0))
+        scored, real_score = [], conf.score
+
+        def score(kind, model, x):
+            scored.append(x)
+            return real_score(kind, model, x)
+
+        monkeypatch.setattr(conf, "score", score)
+        res = run(pool, val, cfg, seed=0)
+        assert len(scored) == 2 * res.k >= 4  # the pool and the validation rows
+        assert all(np.shares_memory(scored[0], x) for x in scored[1:])
+
     def test_auto_rounds_recorded_in_order(self):
         pool, val = small_problem(seed=4)
         cfg = RunConfig(method="tbal", n_s=20, n_b=10, N_q=60,
