@@ -88,8 +88,27 @@ def _check_keys(block: dict, allowed: set, where: str):
         raise ConfigFileError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
+def _number(name: str, value, kind):
+    """``value`` of the config key ``name`` read as ``kind``, ``int`` or
+    ``float``: a finite number, integral for ``int``. PyYAML follows YAML
+    1.1, which reads ``1e-4`` (no dot) as a string."""
+    try:
+        if isinstance(value, bool):
+            raise ValueError
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigFileError(f"{name} must be a number, not {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigFileError(f"{name} must be finite, not {value!r}")
+    if kind is float:
+        return number
+    if number.is_integer():
+        return value if isinstance(value, int) else int(number)
+    raise ConfigFileError(f"{name} must be an integer, not {value!r}")
+
+
 def _at_least_one(name: str, value) -> int:
-    value = int(value)
+    value = _number(name, value, int)
     if value < 1:
         raise ConfigFileError(f"{name} must be >= 1, not {value}")
     return value
@@ -97,30 +116,13 @@ def _at_least_one(name: str, value) -> int:
 
 def _block(raw: dict, where: str, allowed: set, cls) -> dict:
     """The ``where`` block of ``raw``, its keys checked and each value of an
-    ``int`` or ``float`` field of ``cls`` read as that type: PyYAML follows
-    YAML 1.1, which reads ``1e-4`` (no dot) as a string."""
+    ``int`` or ``float`` field of ``cls`` read as that type."""
     block = dict(raw.get(where, {}))
     _check_keys(block, allowed, where)
     types = get_type_hints(cls)
     for key, value in block.items():
-        kind = types[key]
-        if kind not in (int, float):
-            continue
-        name = f"{where}.{key}"
-        try:
-            if isinstance(value, bool):
-                raise ValueError
-            number = float(value)
-        except (TypeError, ValueError):
-            raise ConfigFileError(f"{name} must be a number, not {value!r}") from None
-        if not math.isfinite(number):
-            raise ConfigFileError(f"{name} must be finite, not {value!r}")
-        if kind is float:
-            block[key] = number
-        elif number.is_integer():
-            block[key] = value if isinstance(value, int) else int(number)
-        else:
-            raise ConfigFileError(f"{name} must be an integer, not {value!r}")
+        if types[key] in (int, float):
+            block[key] = _number(f"{where}.{key}", value, types[key])
     return block
 
 
@@ -140,8 +142,8 @@ def load_config(path: str) -> ExperimentConfig:
     if axis not in (TRAIN_BUDGET, VALIDATION_SIZE):
         raise ConfigFileError(f"sweep.axis must be {TRAIN_BUDGET} or {VALIDATION_SIZE}")
     grid = sweep.get("grid", [])
-    if not grid:
-        raise ConfigFileError("sweep.grid must be nonempty")
+    if not isinstance(grid, list) or not grid:
+        raise ConfigFileError(f"sweep.grid must be a nonempty list, not {grid!r}")
     if axis == VALIDATION_SIZE and "N_q" not in sweep:
         raise ConfigFileError("sweep.N_q is required when sweeping validation_size")
     if axis == TRAIN_BUDGET and "N_q" in sweep:
@@ -169,14 +171,14 @@ def load_config(path: str) -> ExperimentConfig:
         dataset=DatasetSpec(**ds),
         methods=methods,
         axis=axis,
-        grid=[int(v) for v in grid],
-        N_q=int(sweep["N_q"]) if "N_q" in sweep else None,
+        grid=[_number(f"sweep.grid[{i}]", v, int) for i, v in enumerate(grid)],
+        N_q=_number("sweep.N_q", sweep["N_q"], int) if "N_q" in sweep else None,
         trials=_at_least_one("trials", raw.get("trials", 1)),
-        seed_base=int(raw.get("seed_base", 0)),
+        seed_base=_number("seed_base", raw.get("seed_base", 0), int),
         out=str(raw.get("out", "results")),
         workers=_at_least_one("workers", raw.get("workers", 1)),
-        n_s=int(raw["n_s"]) if "n_s" in raw else None,
-        n_b=int(raw["n_b"]) if "n_b" in raw else None,
+        n_s=_number("n_s", raw["n_s"], int) if raw.get("n_s") is not None else None,
+        n_b=_number("n_b", raw["n_b"], int) if raw.get("n_b") is not None else None,
         train=TrainConfig(**train_block),
         threshold=ThresholdConfig(epsilon_a=float(raw.get("epsilon_a", 0.01)), **thr),
         query=QueryConfig(**q),

@@ -41,6 +41,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass
@@ -106,8 +108,12 @@ def predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
 
 def _hinge_loss(w: np.ndarray, b: float, X: np.ndarray, ypm: np.ndarray,
                 l2: float) -> float:
-    margins = ypm * (X @ w + b)
-    return float(np.maximum(0.0, 1.0 - margins).mean() + 0.5 * l2 * w @ w)
+    margins = X.dot(w)
+    margins += b
+    margins *= ypm
+    np.subtract(1.0, margins, out=margins)
+    np.maximum(0.0, margins, out=margins)
+    return float(margins.mean() + ((0.5 * l2) * w).dot(w))
 
 
 def _hinge_grad(w: np.ndarray, b: float, X: np.ndarray, ypm: np.ndarray,
@@ -168,9 +174,15 @@ def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
     else:
         w *= cfg.init_scale
         b = float(rng.standard_normal() * cfg.init_scale)
-    steps_per_epoch = max(1, -(-n // cfg.batch_size))
+    bs = cfg.batch_size
+    lr = cfg.learning_rate
+    l2 = cfg.l2
+    steps_per_epoch = max(1, -(-n // bs))
     t0 = 5.0 * steps_per_epoch
     avg_start = int(cfg.epochs * 0.75)
+    # each row's batch length in shuffled order; the last batch may be short
+    batch_len = np.full(n, float(bs))
+    batch_len[n - n % bs:] = n % bs
     w_sum = np.zeros(d)
     b_sum = 0.0
     n_avg = 0
@@ -178,20 +190,33 @@ def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
     prev = np.inf
     t = 0
     for epoch in range(cfg.epochs):
+        # one gather per epoch, batches are views of it. The step is the
+        # subgradient of _hinge_grad computed in place, its float operations
+        # in the same order, so the fitted bits do not change
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
+        Xo = X[order]
+        yo = ypm[order]
+        co = -yo / batch_len
+        for start in range(0, n, bs):
+            sl = slice(start, start + bs)
+            Xb = Xo[sl]
             t += 1
-            eta = cfg.learning_rate / (1.0 + t / t0)
-            gw, gb = _hinge_grad(w, b, X[idx], ypm[idx], cfg.l2)
-            w -= eta * gw
+            eta = lr / (1.0 + t / t0)
+            mg = Xb.dot(w)
+            mg += b
+            mg *= yo[sl]
+            coef = np.where(mg < 1.0, co[sl], 0.0)
+            gw = Xb.T.dot(coef)
+            gw += l2 * w
+            gw *= eta
+            w -= gw
             if not cfg.normalized:
-                b -= eta * gb
+                b -= eta * float(np.add.reduce(coef))
             if epoch >= avg_start:
                 w_sum += w
                 b_sum += b
                 n_avg += 1
-        loss = _hinge_loss(w, b, X, ypm, cfg.l2)
+        loss = _hinge_loss(w, b, X, ypm, l2)
         trace.append(loss)
         if abs(prev - loss) < cfg.tolerance and epoch >= avg_start:
             break
@@ -204,7 +229,7 @@ def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
             if nrm > 0:
                 w /= nrm
             b = 0.0
-        loss = _hinge_loss(w, b, X, ypm, cfg.l2)
+        loss = _hinge_loss(w, b, X, ypm, l2)
         trace.append(loss)
     return LinearModel(w, np.asarray(b), num_classes=2, normalized=cfg.normalized,
                        loss_trace=trace)

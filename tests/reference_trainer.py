@@ -1,0 +1,84 @@
+"""The binary hinge trainer as it stood before its step loop was rewritten
+to run in place: ``_fit_hinge`` with the helpers it reads, copied
+unchanged. ``tests/test_model.py`` checks that ``model.fit`` reproduces it
+byte for byte."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from tbal.model import LinearModel, TrainConfig
+
+
+def _hinge_loss(w: np.ndarray, b: float, X: np.ndarray, ypm: np.ndarray,
+                l2: float) -> float:
+    margins = ypm * (X @ w + b)
+    return float(np.maximum(0.0, 1.0 - margins).mean() + 0.5 * l2 * w @ w)
+
+
+def _hinge_grad(w: np.ndarray, b: float, X: np.ndarray, ypm: np.ndarray,
+                l2: float) -> tuple[np.ndarray, float]:
+    margins = ypm * (X @ w + b)
+    coef = np.where(margins < 1.0, -ypm, 0.0) / len(X)
+    return X.T @ coef + l2 * w, float(coef.sum())
+
+
+def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
+    # minibatch subgradient descent with 1/t decay and tail iterate
+    # averaging. The start point is random per call: on non-separable data
+    # the hinge optimum can be a useless degenerate separator, and a noisy
+    # start lets repeated refits explore near-optimal alternatives instead
+    # of collapsing to it every time.
+    n, d = X.shape
+    ypm = np.where(y == 1, 1.0, -1.0)
+    w = rng.standard_normal(d)
+    if cfg.normalized:
+        # the homogeneous variant optimizes unconstrained from a unit-norm
+        # start with the bias pinned at zero and projects once at the end;
+        # projecting every step caps all margins below 1 and degrades the
+        # solution to the class-mean direction
+        w /= max(np.linalg.norm(w), 1e-12)
+        b = 0.0
+    else:
+        w *= cfg.init_scale
+        b = float(rng.standard_normal() * cfg.init_scale)
+    steps_per_epoch = max(1, -(-n // cfg.batch_size))
+    t0 = 5.0 * steps_per_epoch
+    avg_start = int(cfg.epochs * 0.75)
+    w_sum = np.zeros(d)
+    b_sum = 0.0
+    n_avg = 0
+    trace = []
+    prev = np.inf
+    t = 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            t += 1
+            eta = cfg.learning_rate / (1.0 + t / t0)
+            gw, gb = _hinge_grad(w, b, X[idx], ypm[idx], cfg.l2)
+            w -= eta * gw
+            if not cfg.normalized:
+                b -= eta * gb
+            if epoch >= avg_start:
+                w_sum += w
+                b_sum += b
+                n_avg += 1
+        loss = _hinge_loss(w, b, X, ypm, cfg.l2)
+        trace.append(loss)
+        if abs(prev - loss) < cfg.tolerance and epoch >= avg_start:
+            break
+        prev = loss
+    if n_avg:
+        w = w_sum / n_avg
+        b = b_sum / n_avg
+        if cfg.normalized:
+            nrm = np.linalg.norm(w)
+            if nrm > 0:
+                w /= nrm
+            b = 0.0
+        loss = _hinge_loss(w, b, X, ypm, cfg.l2)
+        trace.append(loss)
+    return LinearModel(w, np.asarray(b), num_classes=2, normalized=cfg.normalized,
+                       loss_trace=trace)

@@ -120,11 +120,26 @@ class TestLoadConfig:
         ({"query": {"C": math.inf}}, "query.C must be finite"),
         ({"dataset": dict(BASE_CONFIG["dataset"], xor_radius="wide")},
          "dataset.xor_radius must be a number"),
+        ({"train": {"batch_size": 0}}, "batch_size must be >= 1"),
+        ({"trials": 2.5}, "trials must be an integer, not 2.5"),
+        ({"workers": "two"}, "workers must be a number, not 'two'"),
+        ({"seed_base": 0.5}, "seed_base must be an integer"),
+        ({"n_s": 1.5}, "n_s must be an integer"),
+        ({"n_b": True}, "n_b must be a number"),
+        ({"sweep": {"axis": "train_budget", "grid": [40, 8.5]}},
+         "sweep.grid[1] must be an integer, not 8.5"),
+        ({"sweep": {"axis": "train_budget", "grid": 40}},
+         "sweep.grid must be a nonempty list"),
+        ({"sweep": {"axis": "validation_size", "grid": [40], "N_q": "many"}},
+         "sweep.N_q must be a number, not 'many'"),
     ], ids=["unknown_sigma_kind", "zero_sigma_kind", "unknown_strategy",
             "N_q_on_budget_sweep", "temperature_without_energy", "delta_above_one",
             "delta_zero", "temperature_zero", "temperature_negative", "trials_zero",
             "workers_zero", "unknown_loss", "l2_not_a_number", "epochs_not_an_integer",
-            "n0_boolean", "C_infinite", "xor_radius_not_a_number"])
+            "n0_boolean", "C_infinite", "xor_radius_not_a_number", "batch_size_zero",
+            "trials_not_an_integer", "workers_not_a_number", "seed_base_not_an_integer",
+            "n_s_not_an_integer", "n_b_boolean", "grid_value_not_an_integer",
+            "grid_not_a_list", "N_q_not_a_number"])
     def test_value_a_run_would_fail_on_or_ignore_exits_2(self, tmp_path, capsys,
                                                            command, top, message):
         assert_config_error(tmp_path, capsys, command, message, **top)
@@ -162,6 +177,20 @@ class TestLoadConfig:
         assert exp.query == QueryConfig(C=3.0)
         assert type(exp.train.l2) is float and type(exp.train.epochs) is int
         assert type(exp.threshold.n0) is int and type(exp.query.C) is float
+
+    def test_top_level_and_sweep_integers_take_integral_numbers(self, tmp_path):
+        exp = load_config(write_config(
+            tmp_path, trials="2e0", workers=1.0, seed_base="1e1", n_s="2e1", n_b=5.0,
+            sweep={"axis": "validation_size", "grid": ["8e1", 100.0], "N_q": "4e1"}))
+        assert (exp.trials, exp.workers, exp.seed_base) == (2, 1, 10)
+        assert (exp.n_s, exp.n_b) == (20, 5)
+        assert (exp.grid, exp.N_q) == ([80, 100], 40)
+        assert all(type(v) is int for v in (exp.trials, exp.workers, exp.seed_base,
+                                            exp.n_s, exp.n_b, exp.N_q, *exp.grid))
+
+    def test_null_batch_sizes_take_the_defaults(self, tmp_path):
+        exp = load_config(write_config(tmp_path, n_s=None, n_b=None))
+        assert (exp.n_s, exp.n_b) == (None, None)
 
     def test_defaults(self, tmp_path):
         exp = load_config(write_config(tmp_path))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from tbal.core import rng_from
 from tbal.model import (LinearModel, TrainConfig, TrainingError, _hinge_grad,
                         _hinge_loss, _logistic_grad, _logistic_loss, fit,
                         hinge_value_grad, logistic_value_grad, logits, predict)
+
+import reference_trainer
 
 
 def central_diff(f, x0, h=1e-6):
@@ -158,6 +161,32 @@ class TestLogitsPredict:
             predict(m, np.ones(2))
 
 
+class TestHingeTrainerMatchesReference:
+    """``fit`` reproduces the hinge trainer frozen in
+    ``tests/reference_trainer.py`` byte for byte: its in-place step loop
+    keeps every float operation of the original in the same order."""
+
+    @pytest.mark.parametrize("d", [2, 30])
+    @pytest.mark.parametrize("n", [2, 31, 32, 33, 137, 500])
+    def test_weights_bias_and_trace_are_byte_equal(self, n, d):
+        rng = np.random.default_rng(n * 100 + d)
+        X = rng.standard_normal((n, d))
+        y = (X[:, 0] * X[:, 1] > 0).astype(np.int64)
+        y[:2] = (0, 1)
+        for normalized in (False, True):
+            for tolerance in (1e-5, 1.0):  # 1.0 stops before the last epoch
+                cfg = TrainConfig(normalized=normalized, tolerance=tolerance,
+                                  learning_rate=3.0 if normalized else 0.1)
+                got = fit(X, y, cfg, seed=n)
+                want = reference_trainer._fit_hinge(X, y, cfg, rng_from(n, "fit"))
+                assert got.weights.tobytes() == want.weights.tobytes()
+                assert got.bias.tobytes() == want.bias.tobytes()
+                assert np.array(got.loss_trace).tobytes() \
+                    == np.array(want.loss_trace).tobytes()
+                if tolerance == 1.0:
+                    assert len(got.loss_trace) < cfg.epochs + 1
+
+
 class TestFit:
     def separable(self, n=1000, d=2, seed=0, margin=0.8):
         # separable with a real margin; points hugging the boundary are not
@@ -261,4 +290,6 @@ class TestFit:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            TrainConfig(batch_size=0)
 
