@@ -62,7 +62,7 @@ class ExperimentConfig:
     n_b: int | None = None  # default: 5% of N_q
     train: TrainConfig = field(default_factory=TrainConfig)
     threshold: ThresholdConfig = field(default_factory=ThresholdConfig)
-    query: QueryConfig = field(default_factory=QueryConfig)  # batch set per run
+    query: QueryConfig = field(default_factory=QueryConfig)
     confidence: object = field(default_factory=conf.AbsMargin)
 
     @property
@@ -144,11 +144,25 @@ def load_config(path: str) -> ExperimentConfig:
     grid = sweep.get("grid", [])
     if not isinstance(grid, list) or not grid:
         raise ConfigFileError(f"sweep.grid must be a nonempty list, not {grid!r}")
-    if axis == VALIDATION_SIZE and "N_q" not in sweep:
-        raise ConfigFileError("sweep.N_q is required when sweeping validation_size")
-    if axis == TRAIN_BUDGET and "N_q" in sweep:
-        raise ConfigFileError("sweep.N_q is not read on a train_budget sweep: "
-                              "its grid values are the budgets")
+    if axis == TRAIN_BUDGET:
+        if "N_q" in sweep:
+            raise ConfigFileError("sweep.N_q is not read on a train_budget sweep: "
+                                  "its grid values are the budgets")
+        N_q = None
+        grid = [_at_least_one(f"sweep.grid[{i}]", v) for i, v in enumerate(grid)]
+        budget = min(grid)
+    else:
+        if "N_q" not in sweep:
+            raise ConfigFileError("sweep.N_q is required when sweeping validation_size")
+        N_q = budget = _at_least_one("sweep.N_q", sweep["N_q"])
+        grid = [_number(f"sweep.grid[{i}]", v, int) for i, v in enumerate(grid)]
+        for i, v in enumerate(grid):  # 0 is a point without validation data
+            if v < 0:
+                raise ConfigFileError(f"sweep.grid[{i}] must be >= 0, not {v}")
+    n_s, n_b = (_at_least_one(k, raw[k]) if raw.get(k) is not None else None
+                for k in ("n_s", "n_b"))
+    if n_s is not None and n_s > budget:
+        raise ConfigFileError(f"n_s must not exceed the smallest budget {budget}, not {n_s}")
     train_block = _block(raw, "train", _TRAIN_KEYS, TrainConfig)
     thr = _block(raw, "threshold", _THRESHOLD_KEYS, ThresholdConfig)
     if thr.get("sigma_kind", SIGMA_KINDS[0]) not in SIGMA_KINDS:
@@ -171,14 +185,14 @@ def load_config(path: str) -> ExperimentConfig:
         dataset=DatasetSpec(**ds),
         methods=methods,
         axis=axis,
-        grid=[_number(f"sweep.grid[{i}]", v, int) for i, v in enumerate(grid)],
-        N_q=_number("sweep.N_q", sweep["N_q"], int) if "N_q" in sweep else None,
+        grid=grid,
+        N_q=N_q,
         trials=_at_least_one("trials", raw.get("trials", 1)),
         seed_base=_number("seed_base", raw.get("seed_base", 0), int),
         out=str(raw.get("out", "results")),
         workers=_at_least_one("workers", raw.get("workers", 1)),
-        n_s=_number("n_s", raw["n_s"], int) if raw.get("n_s") is not None else None,
-        n_b=_number("n_b", raw["n_b"], int) if raw.get("n_b") is not None else None,
+        n_s=n_s,
+        n_b=n_b,
         train=TrainConfig(**train_block),
         threshold=ThresholdConfig(epsilon_a=float(raw.get("epsilon_a", 0.01)), **thr),
         query=QueryConfig(**q),

@@ -68,9 +68,7 @@ class RunConfig:
         if self.threshold is None:
             self.threshold = ThresholdConfig(epsilon_a=self.epsilon_a)
         if self.query is None:
-            self.query = qry.QueryConfig(batch=self.n_b)
-        else:  # a copy: the caller's QueryConfig may be shared
-            self.query = replace(self.query, batch=self.n_b)
+            self.query = qry.QueryConfig()
         if self.train is None:
             self.train = linmod.TrainConfig()
 
@@ -172,18 +170,10 @@ def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried, buffer):
     return record, unlabeled[~take], raw_u[~take]
 
 
-def _margin_scores(cfg, model, X):
-    """The margin-random query's score of each row of X under ``model``."""
-    if cfg.query.use_gap:
-        return qry.logit_gap(linmod.logits(model, X))
-    return conf.score(cfg.confidence, model, X)[1]
-
-
-def _query_human(pool, oracle, ids, train_X, train_y):
-    labels = [oracle.label(int(i)) for i in ids]
-    pool.mark_human(ids, labels)
-    train_y.extend(labels)
-    train_X.extend(pool.features[ids])
+def _query_human(pool, oracle, ids, human):
+    """Label ``ids`` by the oracle; ``human`` with them appended."""
+    pool.mark_human(ids, [oracle.label(int(i)) for i in ids])
+    return np.concatenate([human, ids])
 
 
 def _choices(method: str, strategy: str) -> tuple[str, bool, bool]:
@@ -233,22 +223,21 @@ def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> Tra
     val = val.copy()
     buffer = _row_buffer(pool, val)
     oracle = Oracle(pool)
-    train_X: list = []
-    train_y: list = []
 
     # one seed stream for every method, so comparative sweeps share a start
     queried, _ = qry.query_random(pool.ids_with(UNLABELED), cfg.n_s,
                                   rng_from(seed, "seed_query"))
-    _query_human(pool, oracle, queried, train_X, train_y)
+    # the human-labeled training set: the queried ids in query order
+    human = _query_human(pool, oracle, queried, np.empty(0, dtype=np.int64))
 
     rounds: list[RoundRecord] = []
     rnd = 0
     while True:
         rnd += 1
         remaining = pool.ids_with(UNLABELED)
-        spent = len(train_y) >= cfg.N_q
+        spent = len(human) >= cfg.N_q
         if every_round or strategy == qry.MARGIN_RANDOM or spent or not len(remaining):
-            model = linmod.fit(np.asarray(train_X), np.asarray(train_y), cfg.train,
+            model = linmod.fit(pool.features[human], pool.label[human], cfg.train,
                                _round_seed(seed, "train", rnd),
                                num_classes=pool.num_classes)
         left_scores = None
@@ -258,20 +247,21 @@ def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> Tra
             rounds.append(record)
         if spent or not len(remaining):
             break
-        n_next = min(cfg.n_b, cfg.N_q - len(train_y), len(remaining))
+        n_next = min(cfg.n_b, cfg.N_q - len(human), len(remaining))
         rng = rng_from(seed, "query", rnd)
         if strategy == qry.MARGIN_RANDOM:
             # TBAL's pass has just scored exactly these points with this model
             scores = left_scores
-            if scores is None or cfg.query.use_gap:
-                scores = _margin_scores(cfg, model, _rows(pool.features, remaining, buffer))
-            queried, _ = qry.query_margin_random(
-                remaining, scores, replace(cfg.query, batch=n_next), rng)
+            if scores is None:
+                X = _rows(pool.features, remaining, buffer)
+                scores = conf.score(cfg.confidence, model, X)[1]
+            queried, _ = qry.query_margin_random(remaining, scores, n_next,
+                                                 cfg.query.C, rng)
         else:
             queried, _ = qry.query_random(remaining, n_next, rng)
-        _query_human(pool, oracle, queried, train_X, train_y)
+        human = _query_human(pool, oracle, queried, human)
     return Trajectory(pool=pool, validation=val, model=model, remaining=remaining,
-                      rounds=rounds, human_labels_used=len(train_y), seed=seed,
+                      rounds=rounds, human_labels_used=len(human), seed=seed,
                       source=source)
 
 

@@ -51,7 +51,6 @@ class LinearModel:
     bias: np.ndarray  # scalar array binary, (K,) multiclass
     num_classes: int
     normalized: bool = False
-    single_class_warning: bool = False
     constant_class: int | None = None
     loss_trace: list = field(default_factory=list, repr=False)
 
@@ -116,19 +115,6 @@ def _hinge_loss(w: np.ndarray, b: float, X: np.ndarray, ypm: np.ndarray,
     return float(margins.mean() + ((0.5 * l2) * w).dot(w))
 
 
-def _hinge_grad(w: np.ndarray, b: float, X: np.ndarray, ypm: np.ndarray,
-                l2: float) -> tuple[np.ndarray, float]:
-    margins = ypm * (X @ w + b)
-    coef = np.where(margins < 1.0, -ypm, 0.0) / len(X)
-    return X.T @ coef + l2 * w, float(coef.sum())
-
-
-def hinge_value_grad(w: np.ndarray, b: float, X: np.ndarray, ypm: np.ndarray,
-                     l2: float) -> tuple[float, np.ndarray, float]:
-    """Regularized mean hinge loss and its subgradient. ypm in {-1, +1}."""
-    return (_hinge_loss(w, b, X, ypm, l2), *_hinge_grad(w, b, X, ypm, l2))
-
-
 def _log_softmax(W: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
     z = X @ W.T + b
     z = z - z.max(axis=1, keepdims=True)
@@ -147,12 +133,6 @@ def _logistic_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray,
     p = np.exp(_log_softmax(W, b, X))
     p[np.arange(n), y] -= 1.0
     return p.T @ X / n + l2 * W, p.mean(axis=0)
-
-
-def logistic_value_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray,
-                        l2: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Regularized mean multinomial logistic loss and its gradient."""
-    return (_logistic_loss(W, b, X, y, l2), *_logistic_grad(W, b, X, y, l2))
 
 
 def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
@@ -191,8 +171,9 @@ def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
     t = 0
     for epoch in range(cfg.epochs):
         # one gather per epoch, batches are views of it. The step is the
-        # subgradient of _hinge_grad computed in place, its float operations
-        # in the same order, so the fitted bits do not change
+        # mean hinge subgradient plus l2 * w, computed in place with the float
+        # operations in the order of the frozen trainer in
+        # tests/reference_trainer.py, so the fitted bits do not change
         order = rng.permutation(n)
         Xo = X[order]
         yo = ypm[order]
@@ -261,9 +242,9 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig, seed: int,
         num_classes: int | None = None) -> LinearModel:
     """ERM on the gathered human labels.
 
-    A single-class training set yields a constant-class model flagged with
-    a warning rather than an error: early TBAL rounds can legitimately see
-    one class only.
+    A single-class training set yields a model that predicts that class
+    (``constant_class``) rather than an error: early TBAL rounds can
+    legitimately see one class only.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -274,10 +255,8 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig, seed: int,
     if len(classes) == 1:
         d = X.shape[1]
         shape = (d,) if K == 2 else (K, d)
-        m = LinearModel(np.zeros(shape), np.zeros(() if K == 2 else K),
-                        num_classes=K, single_class_warning=True,
-                        constant_class=int(classes[0]))
-        return m
+        return LinearModel(np.zeros(shape), np.zeros(() if K == 2 else K),
+                           num_classes=K, constant_class=int(classes[0]))
     rng = rng_from(seed, "fit")
     if cfg.loss == HINGE:
         if K != 2:

@@ -15,17 +15,13 @@ STRATEGIES = (MARGIN_RANDOM, RANDOM)
 @dataclass
 class QueryConfig:
     strategy: str = MARGIN_RANDOM
-    batch: int = 25
     C: float = 2.0
-    use_gap: bool = False  # top1-top2 logit gap instead of the run's g
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown query strategy {self.strategy!r}")
         if self.strategy == MARGIN_RANDOM and self.C <= 1:
             raise ValueError("C must be > 1 for margin-random querying")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
 
 
 def query_random(unlabeled_ids: np.ndarray, n: int,
@@ -37,12 +33,6 @@ def query_random(unlabeled_ids: np.ndarray, n: int,
         return ids.copy(), n > len(ids)
     chosen = rng.choice(ids, size=n, replace=False)
     return np.sort(chosen), False
-
-
-def logit_gap(z: np.ndarray) -> np.ndarray:
-    """Top-1 minus top-2 logit per row: the margin score of ``use_gap``."""
-    top2 = np.partition(z, -2, axis=1)[:, -2:]
-    return top2[:, 1] - top2[:, 0]
 
 
 def _lowest(ids: np.ndarray, scores: np.ndarray, n: int) -> np.ndarray:
@@ -58,20 +48,19 @@ def _lowest(ids: np.ndarray, scores: np.ndarray, n: int) -> np.ndarray:
     return ids[np.lexsort((ids, scores))]
 
 
-def query_margin_random(unlabeled_ids: np.ndarray, scores: np.ndarray,
-                        cfg: QueryConfig,
-                        rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-    """Keep the C*n_b ids with the lowest scores, in ascending score order,
-    and sample the batch uniformly from that slice. ``scores[i]`` is the
+def query_margin_random(unlabeled_ids: np.ndarray, scores: np.ndarray, n: int,
+                        C: float, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
+    """Keep the C*n ids with the lowest scores, in ascending score order,
+    and sample n ids uniformly from that slice. ``scores[i]`` is the
     caller's margin score of ``unlabeled_ids[i]``. Ties break on id so
-    identical seeds reproduce identical batches."""
+    identical seeds reproduce identical batches. An n of ``len(ids)`` or
+    more returns every id, with ``query_random``'s truncation flag."""
     ids = np.asarray(unlabeled_ids, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != ids.shape:
         raise ValueError(f"{len(scores)} scores for {len(ids)} ids")
-    n_b = cfg.batch
-    if n_b >= len(ids):
-        return ids.copy(), n_b > len(ids)
-    pool_slice = _lowest(ids, scores, min(int(cfg.C * n_b), len(ids)))
-    chosen = rng.choice(pool_slice, size=n_b, replace=False)
+    if n >= len(ids):
+        return ids.copy(), n > len(ids)
+    pool_slice = _lowest(ids, scores, min(int(C * n), len(ids)))
+    chosen = rng.choice(pool_slice, size=n, replace=False)
     return np.sort(chosen), False

@@ -6,9 +6,7 @@ a Monte-Carlo harness that checks the error bound against actual runs."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 
 class DomainError(ValueError):
@@ -25,8 +23,6 @@ class BoundInputs:
     n_a: list  # per-round auto-label counts
     e_val: list  # per-round estimated validation errors
     N_a: int
-    N: int = 0
-    t_hat_min: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.p0 < 1:
@@ -131,8 +127,7 @@ def inputs_from_run(result, d: int, delta: float = 0.05) -> BoundInputs | None:
     if not 0 < p0 < 1:
         return None
     return BoundInputs(d=d, k=len(rounds), delta=delta, p0=p0,
-                       n_v=n_v, n_a=n_a, e_val=e_val, N_a=result.N_a,
-                       N=len(result.pool))
+                       n_v=n_v, n_a=n_a, e_val=e_val, N_a=result.N_a)
 
 
 @dataclass

@@ -1,11 +1,11 @@
 """The two engine loops as they stood before ``engine.run`` merged them:
 ``run_tbal`` and ``run_baseline`` with the helpers they read, copied
-unchanged. ``tests/test_engine.py`` checks that the single loop reproduces
-them record for record."""
+unchanged apart from the margin-random query's arguments (the batch size
+and ``C``, once a copy of the ``QueryConfig``) and the branches of the
+removed ``use_gap`` option. ``tests/test_engine.py`` checks that the single loop reproduces them
+record for record."""
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -64,8 +64,6 @@ def _auto_label_pass(cfg, model, pool, val, rnd, queried):
 
 def _margin_scores(cfg, model, X):
     """The margin-random query's score of each row of X under ``model``."""
-    if cfg.query.use_gap:
-        return qry.logit_gap(linmod.logits(model, X))
     return conf.score(cfg.confidence, model, X)[1]
 
 
@@ -107,12 +105,9 @@ def run_tbal(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> RunRe
             break
         n_next = min(cfg.n_b, budget_left, len(remaining))
         if cfg.query.strategy == qry.MARGIN_RANDOM:
-            qcfg = replace(cfg.query, batch=n_next)
             # the pass has just scored exactly these points with this model
-            scores = (_margin_scores(cfg, model, pool.features[remaining])
-                      if cfg.query.use_gap else left_scores)
-            queried, _ = qry.query_margin_random(remaining, scores, qcfg,
-                                                 rng_from(seed, "query", rnd))
+            queried, _ = qry.query_margin_random(remaining, left_scores, n_next,
+                                                 cfg.query.C, rng_from(seed, "query", rnd))
         else:
             queried, _ = qry.query_random(remaining, n_next,
                                           rng_from(seed, "query", rnd))
@@ -153,9 +148,8 @@ def run_baseline(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> R
             break
         n_next = min(cfg.n_b, cfg.N_q - len(train_y), len(remaining))
         if active:
-            qcfg = replace(cfg.query, batch=n_next)
             scores = _margin_scores(cfg, model, pool.features[remaining])
-            ids, _ = qry.query_margin_random(remaining, scores, qcfg,
+            ids, _ = qry.query_margin_random(remaining, scores, n_next, cfg.query.C,
                                              rng_from(seed, "query", rnd))
         else:
             ids, _ = qry.query_random(remaining, n_next, rng_from(seed, "query", rnd))

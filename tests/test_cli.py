@@ -2,8 +2,6 @@ import csv
 import glob
 import math
 import os
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import yaml
@@ -132,6 +130,20 @@ class TestLoadConfig:
          "sweep.grid must be a nonempty list"),
         ({"sweep": {"axis": "validation_size", "grid": [40], "N_q": "many"}},
          "sweep.N_q must be a number, not 'many'"),
+        ({"n_s": 0}, "n_s must be >= 1, not 0"),
+        ({"n_b": 0}, "n_b must be >= 1, not 0"),
+        ({"sweep": {"axis": "train_budget", "grid": [40, 0]}},
+         "sweep.grid[1] must be >= 1, not 0"),
+        ({"sweep": {"axis": "validation_size", "grid": [40], "N_q": 0}},
+         "sweep.N_q must be >= 1, not 0"),
+        ({"n_s": 600, "sweep": {"axis": "train_budget", "grid": [500]}},
+         "n_s must not exceed the smallest budget 500, not 600"),
+        ({"n_s": 60, "sweep": {"axis": "train_budget", "grid": [80, 40]}},
+         "n_s must not exceed the smallest budget 40, not 60"),
+        ({"n_s": 600, "sweep": {"axis": "validation_size", "grid": [40], "N_q": 500}},
+         "n_s must not exceed the smallest budget 500, not 600"),
+        ({"sweep": {"axis": "validation_size", "grid": [100, -5], "N_q": 80}},
+         "sweep.grid[1] must be >= 0, not -5"),
     ], ids=["unknown_sigma_kind", "zero_sigma_kind", "unknown_strategy",
             "N_q_on_budget_sweep", "temperature_without_energy", "delta_above_one",
             "delta_zero", "temperature_zero", "temperature_negative", "trials_zero",
@@ -139,7 +151,9 @@ class TestLoadConfig:
             "n0_boolean", "C_infinite", "xor_radius_not_a_number", "batch_size_zero",
             "trials_not_an_integer", "workers_not_a_number", "seed_base_not_an_integer",
             "n_s_not_an_integer", "n_b_boolean", "grid_value_not_an_integer",
-            "grid_not_a_list", "N_q_not_a_number"])
+            "grid_not_a_list", "N_q_not_a_number", "n_s_zero", "n_b_zero",
+            "budget_zero", "N_q_zero", "n_s_above_budget", "n_s_above_smallest_budget",
+            "n_s_above_N_q", "validation_size_negative"])
     def test_value_a_run_would_fail_on_or_ignore_exits_2(self, tmp_path, capsys,
                                                            command, top, message):
         assert_config_error(tmp_path, capsys, command, message, **top)
@@ -161,8 +175,7 @@ class TestLoadConfig:
         assert exp.confidence == Energy(temperature=2.0)
         cfg = build_run_config(exp, "tbal", N_q=200)
         assert cfg.threshold is exp.threshold and cfg.confidence is exp.confidence
-        assert cfg.query == replace(exp.query, batch=10)
-        assert exp.query.batch == QueryConfig().batch  # the shared block is not written
+        assert cfg.query == exp.query
 
     def test_exponent_floats_are_numbers(self, tmp_path):
         assert yaml.safe_load("l2: 1e-4") == {"l2": "1e-4"}  # YAML 1.1: a string
@@ -181,10 +194,10 @@ class TestLoadConfig:
     def test_top_level_and_sweep_integers_take_integral_numbers(self, tmp_path):
         exp = load_config(write_config(
             tmp_path, trials="2e0", workers=1.0, seed_base="1e1", n_s="2e1", n_b=5.0,
-            sweep={"axis": "validation_size", "grid": ["8e1", 100.0], "N_q": "4e1"}))
+            sweep={"axis": "validation_size", "grid": ["8e1", 100.0, 0], "N_q": "4e1"}))
         assert (exp.trials, exp.workers, exp.seed_base) == (2, 1, 10)
         assert (exp.n_s, exp.n_b) == (20, 5)
-        assert (exp.grid, exp.N_q) == ([80, 100], 40)
+        assert (exp.grid, exp.N_q) == ([80, 100, 0], 40)  # 0: no validation data
         assert all(type(v) is int for v in (exp.trials, exp.workers, exp.seed_base,
                                             exp.n_s, exp.n_b, exp.N_q, *exp.grid))
 
@@ -298,12 +311,15 @@ class TestRunExperiment:
             (tmp_path / "p" / "runs.csv").read_bytes()
 
     def test_parallel_failures_keep_partial_results(self, tmp_path, capsys):
-        # n_s=50 exceeds the budget at grid point 40, so those runs fail
+        # n_s=50 exceeds the budget at grid point 40, so those runs fail; the
+        # grid is set after loading, which rejects such a config
         outs = {}
         for name, workers in (("serial", 1), ("parallel", 2)):
             outs[name] = tmp_path / name
             exp = load_config(write_config(tmp_path, out=str(outs[name]), trials=1,
-                                           n_s=50, workers=workers))
+                                           n_s=50, workers=workers,
+                                           sweep={"axis": "train_budget", "grid": [80]}))
+            exp.grid = [40, 80]
             assert run_experiment(exp) == 1
             assert capsys.readouterr().err.count("run failed") == 2
         runs = self.read(outs["parallel"] / "runs.csv")[1:]

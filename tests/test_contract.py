@@ -2,6 +2,7 @@
 dependencies agree with the code."""
 
 import ast
+import dataclasses
 import glob
 import os
 import re
@@ -11,8 +12,9 @@ import textwrap
 import pytest
 
 import tbal
-from tbal import confidence, engine, model, query, threshold
+from tbal import cli, confidence, engine, model, query, threshold
 from tbal.cli import load_config
+from tbal.data import DatasetSpec
 
 from test_cli import write_config
 
@@ -20,16 +22,23 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 README = os.path.join(ROOT, "README.md")
 
 
+def schema_block(*blocks):
+    """The README's YAML config schema, narrowed to the indented lines of the
+    nested ``blocks``, dedented."""
+    text = open(README).read()
+    schema = text.split("## Config schema (YAML)", 1)[1].split("```")[1]
+    for block in blocks:
+        (body,) = re.findall(rf"^{block}:.*\n((?:[ ]+.*\n)*)", schema, flags=re.M)
+        schema = textwrap.dedent(body)
+    return schema
+
+
 def schema_line(path):
     """The value of ``path`` in the README's YAML config schema: a top-level
     ``key`` or a nested ``block.key``."""
-    text = open(README).read()
-    schema = text.split("## Config schema (YAML)", 1)[1].split("```")[1]
     *blocks, key = path.split(".")
-    for block in blocks:  # narrow to the block's indented lines, dedented
-        (body,) = re.findall(rf"^{block}:.*\n((?:[ ]+.*\n)*)", schema, flags=re.M)
-        schema = textwrap.dedent(body)
-    (value,) = re.findall(rf"^{key}:\s*(.*?)\s*(?:#.*)?$", schema, flags=re.M)
+    (value,) = re.findall(rf"^{key}:\s*(.*?)\s*(?:#.*)?$", schema_block(*blocks),
+                          flags=re.M)
     return value
 
 
@@ -76,6 +85,20 @@ def test_readme_lists_the_query_strategies(tmp_path):
     for strategy in strategies:
         exp = load_config(write_config(tmp_path, query={"strategy": strategy}))
         assert exp.query.strategy == strategy
+
+
+@pytest.mark.parametrize("block, accepted, cls, top_level", [
+    ("dataset", cli._DATASET_KEYS, DatasetSpec, set()),
+    ("train", cli._TRAIN_KEYS, model.TrainConfig, set()),
+    ("threshold", cli._THRESHOLD_KEYS, threshold.ThresholdConfig, {"epsilon_a"}),
+    ("query", cli._QUERY_KEYS, query.QueryConfig, set()),
+])
+def test_block_keys_are_the_dataclass_fields(block, accepted, cls, top_level):
+    """A field no config can set is unreachable: each block's keys in the
+    README and in ``cli`` are its dataclass's fields, bar top-level keys."""
+    fields = {f.name for f in dataclasses.fields(cls)} - top_level
+    assert set(re.findall(r"^(\w+):", schema_block(block), flags=re.M)) == fields
+    assert accepted == fields
 
 
 def test_nested_keys_read_from_their_own_block():

@@ -51,19 +51,10 @@ class TestRunConfig:
             with pytest.raises(ValueError, match="n_s must be >= 1"):
                 RunConfig(method=method, n_s=0, N_q=50)
 
-    def test_shared_query_config_keeps_its_batch(self):
-        shared = QueryConfig(strategy="random", batch=7, C=3.0)
-        a = RunConfig(n_b=10, query=shared)
-        b = RunConfig(n_b=20, query=shared)
-        assert shared.batch == 7
-        assert (a.query.batch, b.query.batch) == (10, 20)
-        assert a.query.strategy == b.query.strategy == "random"
-        assert a.query.C == b.query.C == 3.0
-
     def test_defaults_threaded(self):
         cfg = RunConfig(epsilon_a=0.07, n_b=13)
         assert cfg.threshold.epsilon_a == 0.07
-        assert cfg.query.batch == 13
+        assert cfg.query == QueryConfig()
         assert isinstance(cfg.train, TrainConfig)
 
 
@@ -163,7 +154,7 @@ class TestTbalLoop:
     def test_random_query_strategy(self):
         pool, val = small_problem(seed=7)
         cfg = RunConfig(method="tbal", n_s=20, n_b=10, N_q=50,
-                        query=QueryConfig(strategy="random", batch=10),
+                        query=QueryConfig(strategy="random"),
                         train=TrainConfig(normalized=True, learning_rate=3.0))
         res = run(pool, val, cfg, seed=0)
         assert res.human_labels_used <= 50
@@ -370,8 +361,8 @@ class TestMulticlassOffline:
 class TestQueryReadsThePassScores:
     """TBAL scores the pool once per round. Each round's queried batch must
     equal the old score-then-select: score the remaining pool again with
-    that round's model (unshifted confidence, or the logit gap), lexsort all
-    of it and draw on the same rng."""
+    that round's model (unshifted confidence), lexsort all of it and draw on
+    the same rng."""
 
     def record(self, monkeypatch, bias_shift=0.0):
         models, shifted, passed = [], [], []
@@ -389,9 +380,9 @@ class TestQueryReadsThePassScores:
             shifted.append(min(a.min() for a in arrays if len(a)) < 0)
             return real_shift(*arrays)
 
-        def query(ids, scores, cfg, rng):
+        def query(ids, scores, n, C, rng):
             passed.append(np.array(scores, copy=True))
-            return real_query(ids, scores, cfg, rng)
+            return real_query(ids, scores, n, C, rng)
 
         monkeypatch.setattr(linmod, "fit", fit)
         monkeypatch.setattr(conf, "shift_nonnegative", shift)
@@ -406,21 +397,16 @@ class TestQueryReadsThePassScores:
             done = np.concatenate([done, prev.queried_ids, prev.auto_ids])
             remaining = np.setdiff1d(np.arange(len(pool)), done)
             X, model = pool.features[remaining], models[r - 1]
-            if cfg.query.use_gap:
-                want_scores = qry.logit_gap(linmod.logits(model, X))
-            else:
-                _, want_scores = score_kind(cfg.confidence, model, X)
+            _, want_scores = score_kind(cfg.confidence, model, X)
             assert passed[r - 1].tobytes() == want_scores.tobytes()
             batch = res.rounds[r].queried_ids
-            want, _ = full_sort_margin_random(
-                remaining, want_scores, replace(cfg.query, batch=len(batch)),
-                rng_from(seed, "query", r))
+            want, _ = full_sort_margin_random(remaining, want_scores, len(batch),
+                                              cfg.query.C, rng_from(seed, "query", r))
             assert np.array_equal(batch, want)
 
-    def multiclass_config(self, confidence, use_gap=False):
+    def multiclass_config(self, confidence):
         return RunConfig(method="tbal", epsilon_a=0.05, n_s=60, n_b=30, N_q=240,
                          threshold=ThresholdConfig(epsilon_a=0.05),
-                         query=QueryConfig(use_gap=use_gap),
                          train=TrainConfig(loss="logistic"), confidence=confidence)
 
     def test_multiclass_energy_reads_unshifted_scores(self, monkeypatch):
@@ -431,18 +417,10 @@ class TestQueryReadsThePassScores:
         assert all(shifted)  # every round's raw energy scores were negative
         self.check_rounds(pool, res, cfg, models, passed, 2)
 
-    def test_multiclass_logit_gap(self, monkeypatch):
-        pool, val = TestMulticlassOffline().problem()
-        models, _, passed = self.record(monkeypatch)
-        cfg = self.multiclass_config(Softmax(), use_gap=True)
-        res = run(pool, val, cfg, seed=2)
-        self.check_rounds(pool, res, cfg, models, passed, 2)
-
-    @pytest.mark.parametrize("use_gap", [False, True])
-    def test_binary_abs_margin(self, monkeypatch, use_gap):
+    def test_binary_abs_margin(self, monkeypatch):
         pool, val = xor_problem(seed=1)
         models, _, passed = self.record(monkeypatch)
-        cfg = RunConfig(n_s=40, n_b=20, N_q=200, query=QueryConfig(use_gap=use_gap))
+        cfg = RunConfig(n_s=40, n_b=20, N_q=200)
         res = run(pool, val, cfg, seed=4)
         self.check_rounds(pool, res, cfg, models, passed, 4)
 
@@ -494,9 +472,6 @@ MERGE_CASES = {
     "random_query": (lambda: small_problem(seed=7),
                      dict(n_s=20, n_b=10, N_q=80, train=unit_ball_train(),
                           query=QueryConfig(strategy="random"))),
-    # K=4: the logit gap orders points unlike softmax (for K=2 both follow |s|)
-    "use_gap": (lambda: TestMulticlassOffline().problem(seed=1),
-                k4_config(n_s=60, n_b=30, N_q=240, query=QueryConfig(use_gap=True))),
 }
 
 

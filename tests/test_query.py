@@ -5,34 +5,30 @@ from hypothesis import strategies as st
 
 from tbal.confidence import AbsMargin, score
 from tbal.core import rng_from
-from tbal.model import LinearModel, logits
-from tbal.query import (MARGIN_RANDOM, QueryConfig, _lowest, logit_gap,
-                        query_margin_random, query_random)
+from tbal.model import LinearModel
+from tbal.query import (MARGIN_RANDOM, QueryConfig, _lowest, query_margin_random,
+                        query_random)
 
 
 def line_model():
     return LinearModel(np.array([1.0, 0.0]), np.asarray(0.0), num_classes=2)
 
 
-def scored_query(model, kind, ids, X, cfg, rng):
+def scored_query(model, kind, ids, X, n, C, rng):
     """Score the rows of ``ids`` as the engine does, then query."""
-    if cfg.use_gap:
-        scores = logit_gap(logits(model, X[ids]))
-    else:
-        _, scores = score(kind, model, X[ids])
-    return query_margin_random(ids, scores, cfg, rng)
+    _, scores = score(kind, model, X[ids])
+    return query_margin_random(ids, scores, n, C, rng)
 
 
-def full_sort_margin_random(ids, scores, cfg, rng):
+def full_sort_margin_random(ids, scores, n, C, rng):
     """Reference: the selection before the partition. Lexsort every
-    (score, id), keep the first C*n_b, sample the batch from them."""
+    (score, id), keep the first C*n, sample n from them."""
     ids = np.asarray(ids, dtype=np.int64)
-    n_b = cfg.batch
-    if n_b >= len(ids):
-        return ids.copy(), n_b > len(ids)
+    if n >= len(ids):
+        return ids.copy(), n > len(ids)
     order = np.lexsort((ids, scores))
-    pool_slice = ids[order[:min(int(cfg.C * n_b), len(ids))]]
-    chosen = rng.choice(pool_slice, size=n_b, replace=False)
+    pool_slice = ids[order[:min(int(C * n), len(ids))]]
+    chosen = rng.choice(pool_slice, size=n, replace=False)
     return np.sort(chosen), False
 
 
@@ -78,8 +74,7 @@ class TestMarginRandom:
         m = line_model()
         X = spaced_features(40)
         ids = np.arange(40)
-        cfg = QueryConfig(batch=5, C=2.0)
-        got, truncated = scored_query(m, AbsMargin(), ids, X, cfg,
+        got, truncated = scored_query(m, AbsMargin(), ids, X, 5, 2.0,
                                       rng_from(0, "q"))
         assert not truncated
         # slice is the 10 smallest |x0| values, i.e. ids 0..9
@@ -89,15 +84,14 @@ class TestMarginRandom:
     def test_truncation_returns_everything(self):
         m = line_model()
         X = spaced_features(4)
-        got, truncated = scored_query(m, AbsMargin(), np.arange(4), X,
-                                      QueryConfig(batch=6), rng_from(0, "q"))
+        got, truncated = scored_query(m, AbsMargin(), np.arange(4), X, 6, 2.0,
+                                      rng_from(0, "q"))
         assert truncated and np.array_equal(got, np.arange(4))
 
     def test_slice_capped_at_pool_size(self):
         m = line_model()
         X = spaced_features(6)
-        cfg = QueryConfig(batch=5, C=10.0)
-        got, _ = scored_query(m, AbsMargin(), np.arange(6), X, cfg,
+        got, _ = scored_query(m, AbsMargin(), np.arange(6), X, 5, 10.0,
                               rng_from(1, "q"))
         assert len(got) == 5
 
@@ -106,10 +100,9 @@ class TestMarginRandom:
         m = line_model()
         X = spaced_features(30)
         ids = np.arange(30)
-        cfg = QueryConfig(batch=5, C=2.0)
         counts = np.zeros(30)
         for t in range(1000):
-            got, _ = scored_query(m, AbsMargin(), ids, X, cfg,
+            got, _ = scored_query(m, AbsMargin(), ids, X, 5, 2.0,
                                   rng_from(t, "freq"))
             counts[got] += 1
         assert np.all(counts[:10] > 350) and np.all(counts[:10] < 650)
@@ -118,23 +111,12 @@ class TestMarginRandom:
     def test_ties_break_by_id(self):
         m = line_model()
         X = np.ones((10, 2))  # all scores identical
-        cfg = QueryConfig(batch=2, C=2.0)
-        a, _ = scored_query(m, AbsMargin(), np.arange(10), X, cfg,
+        a, _ = scored_query(m, AbsMargin(), np.arange(10), X, 2, 2.0,
                             rng_from(5, "q"))
-        b, _ = scored_query(m, AbsMargin(), np.arange(10), X, cfg,
+        b, _ = scored_query(m, AbsMargin(), np.arange(10), X, 2, 2.0,
                             rng_from(5, "q"))
         assert np.array_equal(a, b)
         assert set(a) <= set(range(4))  # tie-broken slice is the lowest ids
-
-    def test_gap_scores(self):
-        W = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-        m = LinearModel(W, np.zeros(3), num_classes=3)
-        X = np.array([[3.0, 0.0], [0.55, 0.5], [0.0, 2.0], [0.52, 0.5]])
-        cfg = QueryConfig(batch=1, C=2.0, use_gap=True)
-        got, _ = scored_query(m, AbsMargin(), np.arange(4), X, cfg,
-                              rng_from(0, "q"))
-        # smallest top1-top2 logit gaps are rows 1 and 3
-        assert got[0] in (1, 3)
 
     @given(st.integers(1, 8), st.floats(1.1, 4.0), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -142,8 +124,7 @@ class TestMarginRandom:
         m = line_model()
         n = 25
         X = spaced_features(n)
-        cfg = QueryConfig(batch=batch, C=C)
-        got, _ = scored_query(m, AbsMargin(), np.arange(n), X, cfg,
+        got, _ = scored_query(m, AbsMargin(), np.arange(n), X, batch, C,
                               rng_from(seed, "prop"))
         slice_n = min(int(C * batch), n)
         k = min(batch, n)
@@ -162,12 +143,11 @@ class TestPartitionSelection:
         return ids, rng.choice(np.asarray(values, dtype=np.float64), size=n)
 
     def check(self, ids, scores, batch, C, seed):
-        cfg = QueryConfig(batch=batch, C=C)
         n = min(int(C * batch), len(ids))
         want = ids[np.lexsort((ids, scores))[:n]]
         assert np.array_equal(_lowest(ids, scores, n), want)
-        got = query_margin_random(ids, scores, cfg, rng_from(seed, "sel"))
-        ref = full_sort_margin_random(ids, scores, cfg, rng_from(seed, "sel"))
+        got = query_margin_random(ids, scores, batch, C, rng_from(seed, "sel"))
+        ref = full_sort_margin_random(ids, scores, batch, C, rng_from(seed, "sel"))
         assert got[1] == ref[1]
         assert np.array_equal(got[0], ref[0])
 
@@ -196,15 +176,14 @@ class TestPartitionSelection:
         ids, scores = self.instances(0, 8, [1.0, 2.0])
         for batch in (8, 9, 20):
             self.check(ids, scores, batch, 2.0, 0)
-            got, truncated = query_margin_random(ids, scores, QueryConfig(batch=batch),
+            got, truncated = query_margin_random(ids, scores, batch, 2.0,
                                                  rng_from(0, "sel"))
             assert truncated == (batch > 8)
             assert np.array_equal(got, ids)
 
     def test_scores_must_match_ids(self):
         with pytest.raises(ValueError, match="scores"):
-            query_margin_random(np.arange(10), np.zeros(9), QueryConfig(batch=2),
-                                rng_from(0, "sel"))
+            query_margin_random(np.arange(10), np.zeros(9), 2, 2.0, rng_from(0, "sel"))
 
     @given(st.lists(st.integers(-3, 3), min_size=2, max_size=40),
            st.integers(1, 10), st.floats(1.1, 5.0), st.integers(0, 10**6))
@@ -219,6 +198,4 @@ class TestQueryConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="C must be > 1"):
             QueryConfig(strategy=MARGIN_RANDOM, C=1.0)
-        with pytest.raises(ValueError, match="batch"):
-            QueryConfig(batch=0)
         QueryConfig(strategy="random", C=0.5)  # C unused for random
