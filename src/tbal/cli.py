@@ -180,7 +180,8 @@ def load_config(path: str) -> ExperimentConfig:
     if "energy_temperature" in raw:
         if confidence != "energy":
             raise ConfigFileError("energy_temperature is read by confidence: energy only")
-        params["temperature"] = float(raw["energy_temperature"])
+        params["temperature"] = _number("energy_temperature",
+                                        raw["energy_temperature"], float)
     return ExperimentConfig(
         dataset=DatasetSpec(**ds),
         methods=methods,
@@ -194,7 +195,8 @@ def load_config(path: str) -> ExperimentConfig:
         n_s=n_s,
         n_b=n_b,
         train=TrainConfig(**train_block),
-        threshold=ThresholdConfig(epsilon_a=float(raw.get("epsilon_a", 0.01)), **thr),
+        threshold=ThresholdConfig(
+            epsilon_a=_number("epsilon_a", raw.get("epsilon_a", 0.01), float), **thr),
         query=QueryConfig(**q),
         confidence=conf.make_kind(confidence, **params),
     )

@@ -90,10 +90,8 @@ class Oracle:
 
     def __init__(self, pool: Pool):
         self._pool = pool
-        self.queries = 0
 
     def label(self, i: int) -> int:
-        self.queries += 1
         return int(self._pool._truth[i])
 
 

@@ -77,7 +77,7 @@ class RunConfig:
 class RoundRecord:
     index: int
     queried_ids: np.ndarray  # human batch consumed at the start of this round
-    train_loss: float
+    train_loss: float  # the model's last loss_trace entry (see tbal.model)
     decision: ThresholdDecision | None
     auto_ids: np.ndarray
     auto_labels: np.ndarray

@@ -115,26 +115,6 @@ def _hinge_loss(w: np.ndarray, b: float, X: np.ndarray, ypm: np.ndarray,
     return float(margins.mean() + ((0.5 * l2) * w).dot(w))
 
 
-def _log_softmax(W: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
-    z = X @ W.T + b
-    z = z - z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
-def _logistic_loss(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray,
-                   l2: float) -> float:
-    logp = _log_softmax(W, b, X)
-    return float(-logp[np.arange(len(X)), y].mean() + 0.5 * l2 * (W * W).sum())
-
-
-def _logistic_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray,
-                   l2: float) -> tuple[np.ndarray, np.ndarray]:
-    n = len(X)
-    p = np.exp(_log_softmax(W, b, X))
-    p[np.arange(n), y] -= 1.0
-    return p.T @ X / n + l2 * W, p.mean(axis=0)
-
-
 def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
     # minibatch subgradient descent with 1/t decay and tail iterate
     # averaging. The start point is random per call: on non-separable data
@@ -217,20 +197,51 @@ def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
 
 
 def _fit_logistic(X, y, K, cfg: TrainConfig, rng) -> LinearModel:
+    # minibatch SGD on the mean multinomial log loss plus 0.5 * l2 * ||W||^2,
+    # with a per-epoch 1/t step. Each step runs in place with the float
+    # operations of the frozen trainer in tests/reference_trainer.py, in the
+    # same order, so a fit whose stop test does not fire keeps its bits. The
+    # stop test reads the epoch's loss as its batches saw it: each batch's
+    # log loss at the weights it stepped from, taken from the log-softmax the
+    # step computes anyway, so no epoch pays a full-data pass
     n, d = X.shape
     W = np.zeros((K, d))
     b = np.zeros(K)
+    bs = cfg.batch_size
+    l2 = cfg.l2
+    rows = np.arange(min(n, bs))
     trace = []
     prev = np.inf
     for epoch in range(cfg.epochs):
         eta = cfg.learning_rate / (1.0 + 0.1 * epoch)
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            gW, gb = _logistic_grad(W, b, X[idx], y[idx], cfg.l2)
-            W -= eta * gW
-            b -= eta * gb
-        loss = _logistic_loss(W, b, X, y, cfg.l2)
+        nll = 0.0
+        for start in range(0, n, bs):
+            idx = order[start:start + bs]
+            Xb = X[idx]
+            yb = y[idx]
+            m = len(idx)
+            r = rows[:m]
+            z = Xb @ W.T
+            z += b
+            z -= np.maximum.reduce(z, axis=1, keepdims=True)
+            lse = np.add.reduce(np.exp(z), axis=1, keepdims=True)
+            np.log(lse, out=lse)
+            z -= lse
+            nll -= np.add.reduce(z[r, yb])
+            np.exp(z, out=z)
+            z[r, yb] -= 1.0
+            gW = z.T @ Xb
+            gW /= m
+            gW += l2 * W
+            gW *= eta
+            W -= gW
+            gb = np.add.reduce(z, axis=0)
+            gb /= m
+            gb *= eta
+            b -= gb
+        w2 = W.ravel()
+        loss = float(nll / n + 0.5 * l2 * w2.dot(w2))
         trace.append(loss)
         if abs(prev - loss) < cfg.tolerance:
             break

@@ -42,8 +42,8 @@ def error_bound_vc(inputs: BoundInputs,
                    complexity=None) -> float:
     """Auto-labeling error bound for VC classes.
 
-    sum_i (n_a_i/N_a) [e_val_i + (4/p0) sqrt((2/n_v_i)(2d log(e n_v_i/d) + log(8k/d)))]
-      + (4/p0) sqrt((2k/N_a)(2d log(e N_a/d) + log(8k/d)))
+    sum_i (n_a_i/N_a) [e_val_i + (4/p0) sqrt((2/n_v_i)(2d log(e n_v_i/d) + log(8k/delta)))]
+      + (4/p0) sqrt((2k/N_a)(2d log(e N_a/d) + log(8k/delta)))
 
     `complexity(n)` may replace the VC term 2d log(en/d) for classes whose
     complexity is supplied externally.

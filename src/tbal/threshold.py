@@ -46,7 +46,6 @@ class ThresholdDecision:
     support: np.ndarray  # validation count at the chosen threshold
     est_error: np.ndarray  # empirical validation error at the threshold
     chosen_sigma: np.ndarray  # inflation applied at the threshold
-    empty_validation: bool = False
 
     @property
     def infinite(self) -> np.ndarray:
@@ -137,5 +136,4 @@ def estimate_threshold(unlabeled_scores: np.ndarray,
             continue  # abstain: the arrays start at (inf, 0, 0.0, 0.0)
         thresholds[c], support[c], est_error[c], chosen_sigma[c] = _estimate_single(
             unlabeled_scores[u_mask], val_scores[v_mask], val_correct[v_mask], cfg)
-    return ThresholdDecision(thresholds, support, est_error, chosen_sigma,
-                             empty_validation=empty_val)
+    return ThresholdDecision(thresholds, support, est_error, chosen_sigma)

@@ -144,6 +144,11 @@ class TestLoadConfig:
          "n_s must not exceed the smallest budget 500, not 600"),
         ({"sweep": {"axis": "validation_size", "grid": [100, -5], "N_q": 80}},
          "sweep.grid[1] must be >= 0, not -5"),
+        ({"confidence": "energy", "energy_temperature": "abc"},
+         "energy_temperature must be a number, not 'abc'"),
+        ({"confidence": "energy", "energy_temperature": True},
+         "energy_temperature must be a number, not True"),
+        ({"epsilon_a": "abc"}, "epsilon_a must be a number, not 'abc'"),
     ], ids=["unknown_sigma_kind", "zero_sigma_kind", "unknown_strategy",
             "N_q_on_budget_sweep", "temperature_without_energy", "delta_above_one",
             "delta_zero", "temperature_zero", "temperature_negative", "trials_zero",
@@ -153,7 +158,8 @@ class TestLoadConfig:
             "n_s_not_an_integer", "n_b_boolean", "grid_value_not_an_integer",
             "grid_not_a_list", "N_q_not_a_number", "n_s_zero", "n_b_zero",
             "budget_zero", "N_q_zero", "n_s_above_budget", "n_s_above_smallest_budget",
-            "n_s_above_N_q", "validation_size_negative"])
+            "n_s_above_N_q", "validation_size_negative", "temperature_not_a_number",
+            "temperature_boolean", "epsilon_a_not_a_number"])
     def test_value_a_run_would_fail_on_or_ignore_exits_2(self, tmp_path, capsys,
                                                            command, top, message):
         assert_config_error(tmp_path, capsys, command, message, **top)

@@ -143,12 +143,11 @@ class TestBatchMarking:
 
 
 class TestOracle:
-    def test_returns_truth_and_counts(self):
+    def test_returns_truth(self):
         pool = make_pool(seed=3)
         oracle = Oracle(pool)
         labs = [oracle.label(i) for i in range(5)]
         assert labs == list(pool._truth[:5])
-        assert oracle.queries == 5
 
 
 class TestValidationSet:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tbal.core import rng_from
-from tbal.model import (LinearModel, TrainConfig, TrainingError, _hinge_loss,
-                        _logistic_grad, _logistic_loss, fit, logits, predict)
+from tbal.model import (LinearModel, TrainConfig, TrainingError, _hinge_loss, fit,
+                        logits, predict)
 
 import reference_trainer
 
@@ -54,9 +54,10 @@ class TestGradients:
             W = rng.standard_normal((K, d))
             b = rng.standard_normal(K)
             l2 = 1e-3
-            gW, gb = _logistic_grad(W, b, X, y, l2)
-            fW = lambda Wv: _logistic_loss(Wv, b, X, y, l2)
-            fb = lambda bv: _logistic_loss(W, bv, X, y, l2)
+            # the gradient the logistic steps compute, frozen with its loss
+            gW, gb = reference_trainer._logistic_grad(W, b, X, y, l2)
+            fW = lambda Wv: reference_trainer._logistic_loss(Wv, b, X, y, l2)
+            fb = lambda bv: reference_trainer._logistic_loss(W, bv, X, y, l2)
             assert rel_err(gW, central_diff(fW, W)) <= 1e-4
             assert rel_err(gb, central_diff(fb, b)) <= 1e-4
 
@@ -87,9 +88,9 @@ def reference_logistic_value_grad(W, b, X, y, l2):
 
 
 class TestGradientOnlyHelpers:
-    """SGD steps use the gradient-only helpers and epochs the loss-only ones.
-    Both must match the one-pass reference bit for bit, so fitted models do
-    not change."""
+    """The loss-only and gradient-only helpers, ``model._hinge_loss`` and the
+    frozen logistic pair in ``tests/reference_trainer.py``, match the
+    one-pass reference bit for bit."""
 
     SHAPES = [(1, 1), (7, 2), (32, 2), (32, 30), (500, 3)]
 
@@ -114,9 +115,11 @@ class TestGradientOnlyHelpers:
                 b = rng.standard_normal(K)
                 l2 = float(rng.choice([0.0, 1e-4, 1e-2]))
                 loss, gW, gb = reference_logistic_value_grad(W, b, X, y, l2)
-                assert all(map(bitwise_equal, _logistic_grad(W, b, X, y, l2),
+                assert all(map(bitwise_equal,
+                               reference_trainer._logistic_grad(W, b, X, y, l2),
                                (gW, gb)))
-                assert bitwise_equal(_logistic_loss(W, b, X, y, l2), loss)
+                assert bitwise_equal(reference_trainer._logistic_loss(W, b, X, y, l2),
+                                     loss)
 
 
 class TestLogitsPredict:
@@ -179,6 +182,77 @@ class TestHingeTrainerMatchesReference:
                     == np.array(want.loss_trace).tobytes()
                 if tolerance == 1.0:
                     assert len(got.loss_trace) < cfg.epochs + 1
+
+
+def batch_seen_replay(X, y, K, cfg, rng):
+    """The logistic trainer rebuilt from the frozen helpers: the frozen steps,
+    and as each epoch's statistic the summed log loss of every batch at the
+    weights it stepped from, over n, plus 0.5 * l2 * ||W||^2 at the epoch's
+    end. Returns (W, b, trace)."""
+    n, d = X.shape
+    W, b = np.zeros((K, d)), np.zeros(K)
+    trace, prev = [], np.inf
+    for epoch in range(cfg.epochs):
+        eta = cfg.learning_rate / (1.0 + 0.1 * epoch)
+        order = rng.permutation(n)
+        seen = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            seen += len(idx) * reference_trainer._logistic_loss(W, b, X[idx], y[idx], 0.0)
+            gW, gb = reference_trainer._logistic_grad(W, b, X[idx], y[idx], cfg.l2)
+            W -= eta * gW
+            b -= eta * gb
+        trace.append(seen / n + 0.5 * cfg.l2 * (W * W).sum())
+        if abs(prev - trace[-1]) < cfg.tolerance:
+            break
+        prev = trace[-1]
+    return W, b, trace
+
+
+def multiclass_problem(n, K, d, seed):
+    """Gaussian clusters, one per class; every class is present once n >= K,
+    and at least two are."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, K, size=n)
+    y[:min(n, K)] = np.arange(min(n, K))
+    X = rng.standard_normal((K, d))[y] * 1.5 + rng.standard_normal((n, d))
+    return X, y
+
+
+class TestLogisticTrainerMatchesReference:
+    """The logistic trainer keeps the frozen trainer's steps bit for bit; only
+    its stop test reads a different loss: the one its batches saw."""
+
+    @pytest.mark.parametrize("d", [2, 784])
+    @pytest.mark.parametrize("K", [2, 3, 10])
+    @pytest.mark.parametrize("n", [2, 31, 32, 33, 137, 600])
+    def test_weights_and_bias_are_byte_equal_when_no_stop_fires(self, n, K, d):
+        X, y = multiclass_problem(n, K, d, seed=n * 1000 + K * 10 + d)
+        cfg = TrainConfig(loss="logistic", tolerance=0.0)  # the test never fires
+        got = fit(X, y, cfg, seed=n, num_classes=K)
+        want = reference_trainer._fit_logistic(X, y, K, cfg, rng_from(n, "fit"))
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+        assert len(got.loss_trace) == cfg.epochs
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-3, 1.0])
+    @pytest.mark.parametrize("n, K, d", [(33, 3, 2), (137, 10, 784), (300, 4, 5)])
+    def test_loss_trace_is_the_loss_the_batches_saw(self, n, K, d, tolerance):
+        X, y = multiclass_problem(n, K, d, seed=n + K + d)
+        cfg = TrainConfig(loss="logistic", tolerance=tolerance)
+        got = fit(X, y, cfg, seed=3, num_classes=K)
+        W, b, trace = batch_seen_replay(X, y, K, cfg, rng_from(3, "fit"))
+        assert np.allclose(got.loss_trace, trace, rtol=1e-12, atol=0.0)
+        assert got.weights.tobytes() == W.tobytes()
+        assert got.bias.tobytes() == b.tobytes()
+        if tolerance > 0:
+            # it stops at the first epoch whose statistic moved by less than
+            # the tolerance, long before the last one
+            full = batch_seen_replay(X, y, K, TrainConfig(loss="logistic", tolerance=0.0),
+                                     rng_from(3, "fit"))[2]
+            moved = np.abs(np.diff(full))
+            assert len(got.loss_trace) == int(np.argmax(moved < tolerance)) + 2
+            assert len(got.loss_trace) < cfg.epochs // 2
 
 
 class TestFit:

@@ -209,8 +209,9 @@ class TestDecisionProperties:
         dec = estimate_threshold(np.array([0.1, 0.9]), np.array([0, 1]),
                                  np.empty(0), np.empty(0, dtype=np.int64),
                                  np.empty(0, dtype=bool), cfg, num_classes=2)
-        assert dec.empty_validation
+        # without validation data every class abstains
         assert dec.infinite.all()
+        assert list(dec.support) == [0, 0]
 
     def test_nonfinite_pool_scores_rejected(self):
         cfg = ThresholdConfig()
