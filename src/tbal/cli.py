@@ -18,7 +18,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
@@ -288,6 +287,9 @@ def run_experiment(exp: ExperimentConfig) -> int:
     """Execute the full sweep; returns 0 when every run completed."""
     groups = [(exp, g, t) for g in exp.grid for t in range(exp.trials)]
     if exp.workers > 1:
+        # imported here: it adds to every start-up, and a serial sweep
+        # never reads it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=exp.workers) as ex:
             outcomes = [o for runs in ex.map(_run_group, groups) for o in runs]
     else:  # lazy: failures print as they happen

@@ -54,10 +54,10 @@ def gen_unit_ball(d: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     g = rng.standard_normal((n, d))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     r = rng.random(n) ** (1.0 / d)
-    x = g * r[:, None]
+    g *= r[:, None]
     w_star = np.full(d, 1.0 / np.sqrt(d))
-    y = (x @ w_star >= 0).astype(np.int64)
-    return x, y
+    y = (g @ w_star >= 0).astype(np.int64)
+    return g, y
 
 
 XOR_CENTERS = np.array([[2.0, 2.0], [-2.0, -2.0], [2.0, -2.0], [-2.0, 2.0]])

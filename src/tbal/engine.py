@@ -26,6 +26,7 @@ one trajectory.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -104,26 +105,81 @@ def _round_seed(seed: int, *stream) -> int:
     return int(rng_from(seed, *stream).integers(0, 2**63 - 1))
 
 
-def _row_buffer(pool: Pool, val: ValidationSet) -> np.ndarray:
-    """Room for the feature rows of the pool or of the validation set,
-    whichever is longer, for a run's gathers (see ``_rows``)."""
-    return np.empty((max(len(pool), len(val)), pool.dimension))
+# a scoring chunk's float64 rows take up to this many bytes (see ``_chunks``),
+# so a chunk stays in cache while it is scored
+CHUNK_BYTES = 2 * 1024 * 1024
+# on CPUs with AVX-512, OpenBLAS multiplies matrices of at most this many
+# multiply-adds with a small-matrix kernel, whose bits differ from those of
+# its blocked kernel
+SMALL_GEMM = 100 ** 3
 
 
-def _rows(features, ids, buffer) -> np.ndarray:
-    """``features[ids]``, written into the first rows of ``buffer``.
+def _chunk_rows(d: int, k: int) -> int:
+    """The chunk length c for rows of dimension ``d`` scored by a product
+    with ``k`` columns (see ``_columns``): the largest power of two whose
+    rows fit in ``CHUNK_BYTES``, at least 256, and doubled until a chunk's
+    product is too large for OpenBLAS's small-matrix kernel.
 
-    Every round scores the unlabeled pool rows and the active validation
-    rows. Gathered into fresh arrays, that was a copy of nearly the whole
-    pool per round, and whether the allocator reused the last round's block
-    or grew the heap by another hinged on the small arrays placed in
-    between, so a run's peak memory moved by a whole pool copy from one seed
-    to the next. A run gathers into one buffer instead; the rows and their
-    order are those of ``features[ids]``, so the scores keep their bits. A
-    gather holds until the next one."""
-    # mode "raise" gathers into a temporary first and copies it over; the
-    # ids index these features, so "clip" changes none of them
-    return np.take(features, ids, axis=0, out=buffer[:len(ids)], mode="clip")
+    A binary model (k = 1) scores its rows with a matrix-vector product,
+    which multithreaded OpenBLAS splits between threads at a row set by the
+    row count; a row's bits depend on where it falls, so a binary model
+    scores all its rows in one chunk."""
+    if k == 1:
+        return sys.maxsize
+    c = 256
+    while 2 * c * 8 * d <= CHUNK_BYTES:
+        c *= 2
+    while c * k * d <= SMALL_GEMM:
+        c *= 2
+    return c
+
+
+def _columns(model) -> int:
+    """The columns of the product that scores a row of ``model``: 1 for a
+    binary model, else one per class (a constant model needs no product)."""
+    return 1 if model.binary and model.constant_class is None else model.num_classes
+
+
+def _row_buffer(pool: Pool, val: ValidationSet, cfg: RunConfig) -> np.ndarray:
+    """Room for the longest chunk a run of ``cfg`` gathers: 2c - 1 rows, or
+    every row of the pool or of the validation set if that is fewer. Only
+    the hinge loss fits binary models; the logistic loss fits a weight row
+    per class."""
+    d = pool.dimension
+    k = 1 if cfg.train.loss == linmod.HINGE else pool.num_classes
+    return np.empty((min(2 * _chunk_rows(d, k) - 1, max(len(pool), len(val))), d))
+
+
+def _chunks(model, features, ids, buffer):
+    """``features[ids]`` in chunks for scoring by ``model``, each written
+    into the first rows of ``buffer``; a chunk holds until the next one is
+    gathered.
+
+    Chunks start at multiples of c (``_chunk_rows``), and the last one takes
+    the remainder, so it holds c to 2c - 1 rows (fewer than c ids are one
+    chunk). BLAS results for a row depend on how the rows around it are laid
+    out, and with this rule every row's scores keep the bits of one gather
+    of all ``ids``, on the kinds, K and d the tests cover: scoring the whole
+    matrix and indexing it does not, nor do shorter chunks. A run gathers
+    into one buffer, so its peak memory does not hinge on where the
+    allocator puts a fresh pool-sized copy."""
+    c = _chunk_rows(features.shape[1], _columns(model))
+    n = len(ids)
+    bounds = [i * c for i in range(max(1, n // c))] + [n]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # mode "raise" gathers into a temporary first and copies it over;
+        # the ids index these features, so "clip" changes none of them
+        yield np.take(features, ids[lo:hi], axis=0, out=buffer[:hi - lo], mode="clip")
+
+
+def _score_rows(kind, model, features, ids, buffer) -> tuple[np.ndarray, np.ndarray]:
+    """``conf.score(kind, model, features[ids])``, gathered and scored a
+    chunk at a time (see ``_chunks``)."""
+    scored = [conf.score(kind, model, X) for X in _chunks(model, features, ids, buffer)]
+    if len(scored) == 1:
+        return scored[0]
+    preds, confs = zip(*scored)
+    return np.concatenate(preds), np.concatenate(confs)
 
 
 def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried, buffer):
@@ -138,12 +194,10 @@ def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried, buffer):
     auto_ids = auto_labels = drop = np.empty(0, dtype=np.int64)
     take, raw_u = np.zeros(0, dtype=bool), np.empty(0)
     if len(unlabeled):
-        X_u = _rows(pool.features, unlabeled, buffer)
-        pred_u, raw_u = conf.score(cfg.confidence, model, X_u)
+        pred_u, raw_u = _score_rows(cfg.confidence, model, pool.features, unlabeled,
+                                    buffer)
         if n_v:
-            # the validation rows overwrite X_u, whose scores are taken
-            X_v = _rows(val.features, act, buffer)
-            pred_v, conf_v = conf.score(cfg.confidence, model, X_v)
+            pred_v, conf_v = _score_rows(cfg.confidence, model, val.features, act, buffer)
         else:
             pred_v, conf_v = np.empty(0, dtype=np.int64), np.empty(0)
         conf_u, conf_v = conf.shift_nonnegative(raw_u, conf_v)
@@ -221,7 +275,7 @@ def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> Tra
     source = (pool, val, cfg)
     pool = pool.copy()
     val = val.copy()
-    buffer = _row_buffer(pool, val)
+    buffer = _row_buffer(pool, val, cfg)
     oracle = Oracle(pool)
 
     # one seed stream for every method, so comparative sweeps share a start
@@ -253,8 +307,8 @@ def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> Tra
             # TBAL's pass has just scored exactly these points with this model
             scores = left_scores
             if scores is None:
-                X = _rows(pool.features, remaining, buffer)
-                scores = conf.score(cfg.confidence, model, X)[1]
+                scores = _score_rows(cfg.confidence, model, pool.features, remaining,
+                                     buffer)[1]
             queried, _ = qry.query_margin_random(remaining, scores, n_next,
                                                  cfg.query.C, rng)
         else:
@@ -276,11 +330,13 @@ def finish(traj: Trajectory, cfg: RunConfig) -> RunResult:
         if selective:
             pool, val = pool.copy(), val.copy()
             record, _, _ = _auto_label_pass(cfg, model, pool, val, remaining, 1, no_ids,
-                                            _row_buffer(pool, val))
+                                            _row_buffer(pool, val, cfg))
             rounds.append(record)
         elif len(remaining):
             pool = pool.copy()
-            preds = linmod.predict(model, pool.features[remaining])
+            preds = np.concatenate([
+                linmod.predict(model, X)
+                for X in _chunks(model, pool.features, remaining, _row_buffer(pool, val, cfg))])
             pool.mark_auto(remaining, preds, 1)
             rounds.append(RoundRecord(
                 index=1, queried_ids=no_ids,

@@ -20,7 +20,6 @@ class MetricReport:
     err_hat: float  # nan when undefined (no auto-labels)
     err_defined: bool
     cov_hat: float
-    per_round: list  # (round, n_a, m_a, est_val_error)
     human_labels_used: int
     val_labels_used: int
     n_auto: int
@@ -39,15 +38,12 @@ def evaluate(result, pool: Pool) -> MetricReport:
         raise IntegrityError("result does not match the given pool")
     truth = pool._truth
     mistakes = 0
-    per_round = []
     n_a_total = 0
     for rec in result.rounds:
         m = int(np.sum(truth[rec.auto_ids] != rec.auto_labels)) if rec.n_a else 0
         rec.m_a = m
         mistakes += m
         n_a_total += rec.n_a
-        est = float(rec.decision.est_error.max()) if rec.decision is not None else 0.0
-        per_round.append((rec.index, rec.n_a, m, est))
     if n_a_total != result.N_a:
         raise IntegrityError("per-round auto counts disagree with the total")
     n_auto, n_human, n_unl = partition_counts(rpool)
@@ -57,7 +53,6 @@ def evaluate(result, pool: Pool) -> MetricReport:
     err = mistakes / n_a_total if defined else math.nan
     cov = n_a_total / len(pool)
     return MetricReport(err_hat=err, err_defined=defined, cov_hat=cov,
-                        per_round=per_round,
                         human_labels_used=result.human_labels_used,
                         val_labels_used=result.val_labels_used,
                         n_auto=n_auto, n_human=n_human, n_unlabeled=n_unl)

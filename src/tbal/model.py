@@ -112,7 +112,8 @@ def _hinge_loss(w: np.ndarray, b: float, X: np.ndarray, ypm: np.ndarray,
     margins *= ypm
     np.subtract(1.0, margins, out=margins)
     np.maximum(0.0, margins, out=margins)
-    return float(margins.mean() + ((0.5 * l2) * w).dot(w))
+    # np.mean's own sum and divide, without its Python wrapper
+    return float(np.add.reduce(margins) / len(margins) + ((0.5 * l2) * w).dot(w))
 
 
 def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:

@@ -6,6 +6,7 @@ import dataclasses
 import glob
 import os
 import re
+import subprocess
 import sys
 import textwrap
 
@@ -153,3 +154,14 @@ def test_module_level_imports_are_numpy_and_pyyaml_only():
     eager = sorted((name, where) for name, top, where in package_imports()
                    if top and name not in MODULE_LEVEL)
     assert eager == []
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # a serial sweep never reads it, and every start-up paid for loading it
+    code = ("import sys\n"
+            "import tbal.cli\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

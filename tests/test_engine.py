@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -31,6 +33,27 @@ def small_problem(seed=0, n=600, val=200, d=4):
 def xor_problem(seed=0, n=800, val=300):
     x, y = gen_xor(n + val, seed=seed)
     return split_pool_val(x, y, n, val, seed)
+
+
+def gauss_clusters(seed=0, K=4, d=8, n=1200, val=600, spread=1.0):
+    """K Gaussian clusters generated here: the multiclass path without
+    MNIST."""
+    rng = rng_from(seed, "gauss_clusters")
+    centres = spread * rng.standard_normal((K, d))
+    y = rng.integers(0, K, size=n + val)
+    X = centres[y] + rng.standard_normal((n + val, d))
+    return split_pool_val(X, y, n, val, seed, num_classes=K)
+
+
+def k10_problem(seed=0, n=1400, val=600):
+    """The MNIST shape, K=10 and d=784: the pool spans 5 scoring chunks and
+    the validation set 2, and TBAL labels part of the pool each round."""
+    return gauss_clusters(seed, K=10, d=784, n=n, val=val, spread=0.2)
+
+
+def softmax_config(**kw):
+    return dict(epsilon_a=0.05, threshold=ThresholdConfig(epsilon_a=0.05),
+                train=TrainConfig(loss="logistic"), confidence=Softmax(), **kw)
 
 
 def count_kinds(pool):
@@ -92,12 +115,16 @@ class TestTbalLoop:
         assert any(not np.array_equal(a.auto_ids, b.auto_ids)
                    for a, b in zip(r1.rounds, r3.rounds)) or r1.N_a != r3.N_a
 
-    def test_rounds_gather_their_rows_into_one_buffer(self, monkeypatch):
+    @pytest.mark.parametrize("problem,kw,c", [
+        (lambda: small_problem(seed=5),
+         dict(n_s=20, n_b=10, N_q=60, train=TrainConfig(normalized=True, learning_rate=3.0)),
+         sys.maxsize),  # a binary model scores all its rows in one call
+        (k10_problem, softmax_config(n_s=60, n_b=60, N_q=180), 256),
+    ], ids=["binary", "k10_chunks"])
+    def test_rounds_gather_their_rows_into_one_buffer(self, monkeypatch, problem, kw, c):
         # a fresh pool-sized copy per round left a run's peak memory to where
         # the allocator placed it, which varied from seed to seed
-        pool, val = small_problem(seed=5)
-        cfg = RunConfig(method="tbal", n_s=20, n_b=10, N_q=60,
-                        train=TrainConfig(normalized=True, learning_rate=3.0))
+        pool, val = problem()
         scored, real_score = [], conf.score
 
         def score(kind, model, x):
@@ -105,9 +132,18 @@ class TestTbalLoop:
             return real_score(kind, model, x)
 
         monkeypatch.setattr(conf, "score", score)
-        res = run(pool, val, cfg, seed=0)
-        assert len(scored) == 2 * res.k >= 4  # the pool and the validation rows
-        assert all(np.shares_memory(scored[0], x) for x in scored[1:])
+        res = run(pool, val, RunConfig(method="tbal", **kw), seed=0)
+        # each round scores its unlabeled pool rows and its validation rows,
+        # a chunk of c to 2c - 1 rows (or all of fewer than c) a call
+        chunks, unlabeled = 0, len(pool) - kw["n_s"]
+        for r in res.rounds:
+            chunks += max(1, unlabeled // c) + max(1, r.n_v // c)
+            unlabeled -= r.n_a + kw["n_b"]
+        assert len(scored) == chunks >= 2 * res.k >= 4
+        assert all(len(x) < 2 * c for x in scored)
+        (buffer,) = {id(x.base): x.base for x in scored}.values()
+        assert len(buffer) <= 2 * c
+        assert all(x.base is buffer for x in scored)
 
     def test_auto_rounds_recorded_in_order(self):
         pool, val = small_problem(seed=4)
@@ -167,6 +203,85 @@ class TestTbalLoop:
                             threshold=ThresholdConfig(epsilon_a=0.05))
             res = run(pool, val, cfg, seed=0)
             assert sum(count_kinds(res.pool).values()) == len(pool)
+
+
+def random_model(rng, K, d, binary=False):
+    """Weights of a unit-scale margin: one vector (a binary model, as the
+    hinge loss fits) or a row per class (as the logistic loss fits)."""
+    if binary:
+        w = rng.standard_normal(d) / math.sqrt(d)
+        return linmod.LinearModel(w, np.array(rng.standard_normal()), 2, normalized=True)
+    return linmod.LinearModel(rng.standard_normal((K, d)) / math.sqrt(d),
+                              rng.standard_normal(K), K)
+
+
+class TestChunkedScoring:
+    """``_score_rows`` against one gather of every row: the chunk rule keeps
+    each score's bits, which neither scoring the whole matrix and indexing it
+    nor shorter chunks do."""
+
+    @pytest.mark.parametrize("d,k,c", [
+        (2, 10, 131072), (2, 2, 262144), (5, 10, 32768), (8, 10, 32768), (8, 3, 65536),
+        (30, 10, 8192), (30, 2, 32768), (50, 10, 4096), (784, 10, 256), (784, 4, 512),
+        (784, 2, 1024), (100_000, 10, 256), (30, 1, sys.maxsize)])
+    def test_chunk_length(self, d, k, c):
+        assert engine._chunk_rows(d, k) == c
+
+    @pytest.mark.parametrize("d", [2, 5, 8, 30, 50, 784])
+    def test_scores_keep_the_bits_of_one_gather(self, d):
+        rng = np.random.default_rng(d)
+        chunk = {K: engine._chunk_rows(d, K) for K in (2, 3, 4, 10)}
+        features = rng.standard_normal((3 * max(chunk.values()) + 57, d))
+        assert features.nbytes < 24e6
+        # (K, binary model): a binary model scores all its rows in one call,
+        # here at the bounds of the 2 MiB chunks it does not take
+        for K, binary in [(2, True), (2, False), (3, False), (4, False), (10, False)]:
+            c = chunk[10 if binary else K]
+            kinds = [Softmax(), Energy()] + ([AbsMargin()] if binary else [])
+            sizes = [c - 1, c, c + 1, 2 * c - 1, 2 * c, 3 * c + 7,
+                     rng.integers(1, 3 * c + 7)]
+            buffer = np.empty((len(features) if binary else 2 * c - 1, d))
+            model = random_model(rng, K, d, binary)
+            for n in sizes:
+                ids = rng.permutation(len(features))[:n]
+                X = features[ids]
+                for kind in kinds:
+                    pred, score = engine._score_rows(kind, model, features, ids, buffer)
+                    want_pred, want_score = score_kind(kind, model, X)
+                    case = (K, binary, kind.name, n)
+                    assert pred.dtype == want_pred.dtype, case
+                    assert pred.tobytes() == want_pred.tobytes(), case
+                    assert score.tobytes() == want_score.tobytes(), case
+
+    @pytest.mark.parametrize("n,calls", [(1, 1), (255, 1), (256, 1), (511, 1),
+                                         (512, 2), (767, 2), (768, 3), (1031, 4)])
+    def test_one_score_call_per_chunk(self, monkeypatch, n, calls):
+        rng = np.random.default_rng(0)
+        features = rng.standard_normal((1100, 784))
+        sizes, real_score = [], conf.score
+
+        def score(kind, model, x):
+            sizes.append(len(x))
+            return real_score(kind, model, x)
+
+        monkeypatch.setattr(conf, "score", score)
+        engine._score_rows(Softmax(), random_model(rng, 10, 784), features,
+                           np.arange(n), np.empty((511, 784)))
+        assert len(sizes) == calls and sum(sizes) == n
+        assert all(s == 256 for s in sizes[:-1]) and sizes[-1] < 512
+
+    @pytest.mark.parametrize("method", ["tbal", "pl", "alsc"])
+    def test_a_run_holds_no_pool_sized_copy(self, method):
+        # the pool spans 9 chunks; gathering it whole took one full copy
+        pool, val = k10_problem(n=2400, val=300)
+        cfg = RunConfig(method=method, **softmax_config(n_s=30, n_b=30, N_q=60))
+        tracemalloc.start()
+        try:
+            run(pool, val, cfg, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pool.features.nbytes / 2
 
 
 class TestAbstainEquivalence:
@@ -313,11 +428,7 @@ class TestMulticlassOffline:
     K = 4
 
     def problem(self, seed=0, d=8, n=1200, val=600):
-        rng = rng_from(seed, "gauss_clusters")
-        centres = 1.0 * rng.standard_normal((self.K, d))
-        y = rng.integers(0, self.K, size=n + val)
-        X = centres[y] + rng.standard_normal((n + val, d))
-        return split_pool_val(X, y, n, val, seed, num_classes=self.K)
+        return gauss_clusters(seed, self.K, d, n, val)
 
     def run(self, monkeypatch, per_class):
         pool, val = self.problem()
@@ -452,18 +563,14 @@ def unit_ball_train():
     return TrainConfig(normalized=True, learning_rate=3.0)
 
 
-def k4_config(**kw):
-    return dict(epsilon_a=0.05, threshold=ThresholdConfig(epsilon_a=0.05),
-                train=TrainConfig(loss="logistic"), confidence=Softmax(), **kw)
-
-
 # name -> (problem, RunConfig keywords shared by the five methods)
 MERGE_CASES = {
     "xor": (lambda: xor_problem(seed=1), dict(n_s=40, n_b=20, N_q=200)),
     "unit_ball": (lambda: small_problem(seed=3, d=6),
                   dict(n_s=30, n_b=10, N_q=110, train=unit_ball_train())),
     "k4_softmax": (lambda: TestMulticlassOffline().problem(),
-                   k4_config(n_s=60, n_b=30, N_q=240)),
+                   softmax_config(n_s=60, n_b=30, N_q=240)),
+    "k10_chunks": (k10_problem, softmax_config(n_s=60, n_b=60, N_q=180)),
     "budget_is_seed_batch": (lambda: xor_problem(seed=2), dict(n_s=40, n_b=20, N_q=40)),
     "pool_spent_with_budget": (lambda: small_problem(seed=10, n=60, val=40),
                                dict(n_s=10, n_b=10, N_q=60)),

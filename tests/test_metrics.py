@@ -8,7 +8,6 @@ from tbal.data import gen_unit_ball, split_pool_val
 from tbal.engine import RoundRecord, RunConfig, RunResult, run
 from tbal.metrics import IntegrityError, MetricReport, evaluate, summarize_trials
 from tbal.model import TrainConfig
-from tbal.threshold import ThresholdDecision
 
 
 def build_result(truth, marks):
@@ -44,20 +43,10 @@ class TestEvaluate:
         assert rep.err_defined
         assert rep.err_hat == pytest.approx(2 / 5)
         assert rep.cov_hat == pytest.approx(5 / 6)
-        assert rep.per_round[0][:3] == (1, 2, 1)
-        assert rep.per_round[1][:3] == (2, 3, 1)
+        assert [r.m_a for r in res.rounds] == [1, 1]
         # identity: total mistakes equal err_hat * N_a
-        assert sum(m for _, _, m, _ in rep.per_round) == \
-            pytest.approx(rep.err_hat * res.N_a)
+        assert sum(r.m_a for r in res.rounds) == pytest.approx(rep.err_hat * res.N_a)
         assert (rep.n_auto, rep.n_human, rep.n_unlabeled) == (5, 0, 1)
-
-    def test_round_estimate_is_the_largest_class_error(self):
-        pool, res = build_result([0, 1, 0, 1], [[(0, 0)], [(1, 1)]])
-        res.rounds[0].decision = ThresholdDecision(
-            thresholds=np.array([0.5, 0.7]), support=np.array([30, 40]),
-            est_error=np.array([0.01, 0.03]), chosen_sigma=np.zeros(2))
-        rep = evaluate(res, pool)
-        assert [r[3] for r in rep.per_round] == [0.03, 0.0]  # no decision: 0
 
     def test_no_auto_labels_error_undefined_not_zero(self):
         pool, res = build_result([0, 1, 0], [])
