@@ -3,7 +3,6 @@
 Subcommands:
   run     execute a sweep from a YAML config, write per-run + summary CSVs
   bounds  evaluate the theory bounds with named flags
-  gen     generate a synthetic dataset and write it to CSV
   export  run a config's first grid point and export the labeled dataset
 
 Config files are strict: unknown keys, and values a run would fail on or
@@ -28,7 +27,7 @@ from . import engine
 from . import metrics
 from . import theory
 from .core import AUTO, KINDS, UNLABELED, ValidationSet, rng_from
-from .data import DatasetSpec, gen_unit_ball, gen_xor, make_dataset
+from .data import DatasetSpec, make_dataset
 from .model import TrainConfig
 from .query import QueryConfig
 from .threshold import SIGMA_KINDS, ThresholdConfig
@@ -36,7 +35,7 @@ from .threshold import SIGMA_KINDS, ThresholdConfig
 RUN_HEADER = ["method", "axis_value", "seed", "err_hat", "cov_hat",
               "human_labels", "val_labels", "rounds"]
 SUMMARY_HEADER = ["method", "axis_value", "err_hat_mean", "err_hat_std",
-                  "cov_hat_mean", "cov_hat_std"]
+                  "cov_hat_mean", "cov_hat_std", "err_over_eps_frac"]
 
 TRAIN_BUDGET = "train_budget"
 VALIDATION_SIZE = "validation_size"
@@ -322,7 +321,9 @@ def run_experiment(exp: ExperimentConfig) -> int:
                 covs = [r["cov_hat"] for r in sub]
                 em, es = metrics.summarize_trials(errs)
                 cm, cs = metrics.summarize_trials(covs)
-                w.writerow([m, g, _fmt(em), _fmt(es), _fmt(cm), _fmt(cs)])
+                # the share of trials over epsilon_a; a nan err_hat is not over
+                over = sum(e > exp.epsilon_a for e in errs) / len(errs)
+                w.writerow([m, g, _fmt(em), _fmt(es), _fmt(cm), _fmt(cs), _fmt(over)])
     print(f"wrote {runs_path} and {summary_path}")
     return 0 if failed == 0 else 1
 
@@ -408,23 +409,6 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_gen(args) -> int:
-    if args.kind == "unit_ball":
-        x, y = gen_unit_ball(args.d, args.n, args.seed)
-    elif args.kind == "xor":
-        x, y = gen_xor(args.n, args.radius, args.seed)
-    else:
-        print(f"unknown kind {args.kind!r}", file=sys.stderr)
-        return 2
-    with open(args.out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([f"x{j}" for j in range(x.shape[1])] + ["label"])
-        for row, lab in zip(x, y):
-            w.writerow([f"{v:.8g}" for v in row] + [int(lab)])
-    print(f"wrote {args.out}")
-    return 0
-
-
 def _cmd_export(args) -> int:
     exp = _load(args)
     if exp is None:
@@ -475,15 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     b5.add_argument("--epsilon", type=float, required=True)
     b5.add_argument("--c2", type=float, default=math.e / 4)
     pb.set_defaults(fn=_cmd_bounds)
-
-    pg = sub.add_parser("gen", help="generate a synthetic dataset CSV")
-    pg.add_argument("--kind", choices=["unit_ball", "xor"], required=True)
-    pg.add_argument("--n", type=int, required=True)
-    pg.add_argument("--d", type=int, default=30)
-    pg.add_argument("--radius", type=float, default=1.0)
-    pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--out", required=True)
-    pg.set_defaults(fn=_cmd_gen)
 
     pe = sub.add_parser("export", help="run a config's first grid point, export labels")
     pe.add_argument("--config", required=True)

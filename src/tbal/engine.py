@@ -26,7 +26,6 @@ one trajectory.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,6 +107,9 @@ def _round_seed(seed: int, *stream) -> int:
 # a scoring chunk's float64 rows take up to this many bytes (see ``_chunks``),
 # so a chunk stays in cache while it is scored
 CHUNK_BYTES = 2 * 1024 * 1024
+# a binary model's chunks of c rows take up to this many bytes, so its
+# longest chunk (2c - 1 rows) stays under 1 MiB
+BINARY_CHUNK_BYTES = 512 * 1024
 # on CPUs with AVX-512, OpenBLAS multiplies matrices of at most this many
 # multiply-adds with a small-matrix kernel, whose bits differ from those of
 # its blocked kernel
@@ -116,16 +118,23 @@ SMALL_GEMM = 100 ** 3
 
 def _chunk_rows(d: int, k: int) -> int:
     """The chunk length c for rows of dimension ``d`` scored by a product
-    with ``k`` columns (see ``_columns``): the largest power of two whose
-    rows fit in ``CHUNK_BYTES``, at least 256, and doubled until a chunk's
-    product is too large for OpenBLAS's small-matrix kernel.
+    with ``k`` columns (see ``_columns``).
 
-    A binary model (k = 1) scores its rows with a matrix-vector product,
-    which multithreaded OpenBLAS splits between threads at a row set by the
-    row count; a row's bits depend on where it falls, so a binary model
-    scores all its rows in one chunk."""
+    A binary model (k = 1) scores its rows with a matrix-vector product:
+    c is the largest power of two whose rows fit in ``BINARY_CHUNK_BYTES``,
+    at least 1. Multithreaded OpenBLAS splits a longer product between
+    threads at a row set by the row count, and a row's bits depend on which
+    side it falls; chunks this short keep the bits of one single-threaded
+    gather at any thread count.
+
+    Otherwise c is the largest power of two whose rows fit in
+    ``CHUNK_BYTES``, at least 256, doubled until a chunk's product is too
+    large for OpenBLAS's small-matrix kernel."""
     if k == 1:
-        return sys.maxsize
+        c = 1
+        while 2 * c * 8 * d <= BINARY_CHUNK_BYTES:
+            c *= 2
+        return c
     c = 256
     while 2 * c * 8 * d <= CHUNK_BYTES:
         c *= 2
@@ -141,10 +150,10 @@ def _columns(model) -> int:
 
 
 def _row_buffer(pool: Pool, val: ValidationSet, cfg: RunConfig) -> np.ndarray:
-    """Room for the longest chunk a run of ``cfg`` gathers: 2c - 1 rows, or
-    every row of the pool or of the validation set if that is fewer. Only
-    the hinge loss fits binary models; the logistic loss fits a weight row
-    per class."""
+    """Room for the longest chunk a run of ``cfg`` gathers: 2c - 1 rows
+    (``_chunk_rows``), or every row of the pool or of the validation set if
+    that is fewer. Only the hinge loss fits binary models, which take the
+    binary chunk length; the logistic loss fits a weight row per class."""
     d = pool.dimension
     k = 1 if cfg.train.loss == linmod.HINGE else pool.num_classes
     return np.empty((min(2 * _chunk_rows(d, k) - 1, max(len(pool), len(val))), d))
@@ -192,7 +201,7 @@ def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried, buffer):
     n_v = len(act)
     decision = None
     auto_ids = auto_labels = drop = np.empty(0, dtype=np.int64)
-    take, raw_u = np.zeros(0, dtype=bool), np.empty(0)
+    keep, raw_u = np.empty(0, dtype=np.int64), np.empty(0)
     if len(unlabeled):
         pred_u, raw_u = _score_rows(cfg.confidence, model, pool.features, unlabeled,
                                     buffer)
@@ -206,22 +215,23 @@ def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried, buffer):
                                       cfg.threshold, num_classes=pool.num_classes)
         t_class = decision.thresholds
         t_u = t_class[pred_u]
-        take = conf_u >= t_u
-        auto_ids = unlabeled[take]
-        auto_labels = pred_u[take]
+        met = conf_u >= t_u
+        take, keep = np.flatnonzero(met), np.flatnonzero(~met)
+        auto_ids = unlabeled.take(take)
+        auto_labels = pred_u.take(take)
         pool.mark_auto(auto_ids, auto_labels, rnd)
         if n_v:
             drop = act[conf_v >= t_class[pred_v]]
             val.deactivate(drop)
         # soundness: every auto-labeled score met its class threshold
-        assert np.all(conf_u[take] >= t_u[take])
+        assert np.all(conf_u.take(take) >= t_u.take(take))
         check_partition(pool)
     record = RoundRecord(
         index=rnd, queried_ids=queried,
         train_loss=model.loss_trace[-1] if model.loss_trace else float("nan"),
         decision=decision, auto_ids=auto_ids, auto_labels=auto_labels,
         val_deactivated=drop, n_a=len(auto_ids), n_v=n_v)
-    return record, unlabeled[~take], raw_u[~take]
+    return record, unlabeled.take(keep), raw_u.take(keep)
 
 
 def _query_human(pool, oracle, ids, human):

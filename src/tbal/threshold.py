@@ -3,9 +3,10 @@
 Candidates are the distinct confidence scores observed on the unlabeled pool,
 filtered to those with enough validation support; the chosen threshold is the
 smallest candidate whose estimated validation error plus an upper-confidence
-inflation stays under the target. When no candidate qualifies the threshold
-is +inf (abstain everywhere). Runs either as a single global threshold or
-independently per predicted class.
+inflation stays under the target. Candidates with the same validation support
+share one estimate, so the scan evaluates one candidate per support level.
+When no candidate qualifies the threshold is +inf (abstain everywhere). Runs
+either as a single global threshold or independently per predicted class.
 """
 
 from __future__ import annotations
@@ -81,23 +82,36 @@ def _estimate_single(unlabeled_scores: np.ndarray,
                      val_correct: np.ndarray,
                      cfg: ThresholdConfig) -> tuple[float, int, float, float]:
     """One candidate scan. Returns (t_hat, support, est_error, sigma_hat);
-    t_hat is inf when no candidate qualifies."""
-    candidates = np.unique(unlabeled_scores)  # ascending
-    order = np.argsort(-val_scores, kind="stable")
-    wrong_cum = np.cumsum(~val_correct[order].astype(bool))
-    # support: validation points with score >= each candidate
-    n_t = len(val_scores) - np.searchsorted(val_scores[order][::-1], candidates, "left")
-    ok = np.flatnonzero(n_t >= cfg.n0)
-    if len(ok) == 0:  # nothing to inflate: an unknown sigma kind stays unnoticed
+    t_hat is inf when no candidate qualifies.
+
+    With the validation scores sorted, ``vs``, bucket j holds the candidates
+    x with vs[j-1] < x <= vs[j]. Each of them sees the validation points
+    vs[j:], so all have support n_v - j and the same estimate: only the
+    smallest candidate of a non-empty bucket can be chosen, and the scan
+    evaluates one candidate per bucket instead of one per distinct pool
+    score. Tied validation scores leave the buckets between them empty."""
+    us = np.sort(unlabeled_scores)
+    order = np.argsort(val_scores)
+    vs = val_scores[order]
+    n_v = len(vs)
+    m = n_v - cfg.n0 + 1  # buckets 0..m-1 have support at least n0
+    if m <= 0:
         return _ABSTAIN
-    n_ok = n_t[ok]
-    e_hat = wrong_cum[n_ok - 1] / n_ok
+    # ends[j]: the number of candidates <= vs[j]; bucket j starts where j-1 ends
+    ends = np.searchsorted(us, vs[:m], "right")
+    starts = np.concatenate(([0], ends[:-1]))
+    j = np.flatnonzero(ends > starts)
+    if len(j) == 0:  # nothing to inflate: an unknown sigma kind stays unnoticed
+        return _ABSTAIN
+    wrong_below = np.concatenate(([0], np.cumsum(~val_correct[order])))
+    n_ok = n_v - j
+    e_hat = (wrong_below[-1] - wrong_below[j]) / n_ok
     s_hat = sigma(e_hat, n_ok, cfg.sigma_kind, cfg.delta)
     hit = np.flatnonzero(e_hat + s_hat <= cfg.epsilon_a)
     if len(hit) == 0:
         return _ABSTAIN
-    i = hit[0]  # candidates ascend: the first qualifying is the smallest t
-    return (float(candidates[ok[i]]), int(n_ok[i]), float(e_hat[i]), float(s_hat[i]))
+    i = hit[0]  # buckets ascend: the first qualifying holds the smallest t
+    return (float(us[starts[j[i]]]), int(n_ok[i]), float(e_hat[i]), float(s_hat[i]))
 
 
 def estimate_threshold(unlabeled_scores: np.ndarray,
@@ -125,15 +139,16 @@ def estimate_threshold(unlabeled_scores: np.ndarray,
     support = np.zeros(num_classes, dtype=np.int64)
     est_error = np.zeros(num_classes)
     chosen_sigma = np.zeros(num_classes)
-    empty_val = len(val_scores) == 0
     if cfg.per_class:
-        groups = [(c, unlabeled_preds == c, val_preds == c) for c in range(num_classes)]
+        scans = []
+        for c in range(num_classes):
+            u_ids, v_ids = np.flatnonzero(unlabeled_preds == c), np.flatnonzero(val_preds == c)
+            scans.append((c, unlabeled_scores.take(u_ids), val_scores.take(v_ids),
+                          val_correct.take(v_ids)))
     else:  # one global scan whose result every class takes
-        groups = [(slice(None), np.ones(len(unlabeled_scores), dtype=bool),
-                   np.ones(len(val_scores), dtype=bool))]
-    for c, u_mask, v_mask in groups:
-        if empty_val or not u_mask.any():
-            continue  # abstain: the arrays start at (inf, 0, 0.0, 0.0)
-        thresholds[c], support[c], est_error[c], chosen_sigma[c] = _estimate_single(
-            unlabeled_scores[u_mask], val_scores[v_mask], val_correct[v_mask], cfg)
+        scans = [(slice(None), unlabeled_scores, val_scores, val_correct)]
+    for c, u, v, correct in scans:
+        if len(u) and len(v):  # else abstain: the arrays start at (inf, 0, 0.0, 0.0)
+            thresholds[c], support[c], est_error[c], chosen_sigma[c] = _estimate_single(
+                u, v, correct, cfg)
     return ThresholdDecision(thresholds, support, est_error, chosen_sigma)

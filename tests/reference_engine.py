@@ -3,9 +3,16 @@
 unchanged apart from the margin-random query's arguments (the batch size
 and ``C``, once a copy of the ``QueryConfig``) and the branches of the
 removed ``use_gap`` option. ``tests/test_engine.py`` checks that the single loop reproduces them
-record for record."""
+record for record.
+
+``estimate_single`` is ``threshold._estimate_single`` as it stood before the
+scan evaluated one candidate per support level: every distinct pool score is
+a candidate. ``tests/test_threshold.py`` checks that the scan returns the same
+tuple on instances of a real round's size."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -14,7 +21,7 @@ from tbal import model as linmod
 from tbal import query as qry
 from tbal.core import Oracle, Pool, UNLABELED, ValidationSet, check_partition, rng_from
 from tbal.engine import AL, ALSC, PL, PLSC, TBAL, RoundRecord, RunConfig, RunResult
-from tbal.threshold import estimate_threshold
+from tbal.threshold import estimate_threshold, sigma
 
 
 def _round_seed(seed: int, *stream) -> int:
@@ -180,3 +187,27 @@ def run_baseline(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> R
     return RunResult(method=cfg.method, seed=seed, pool=pool, validation=val,
                      rounds=rounds, N_a=N_a, k=len(rounds),
                      human_labels_used=len(train_y), val_labels_used=len(val))
+
+
+_ABSTAIN = (math.inf, 0, 0.0, 0.0)
+
+
+def estimate_single(unlabeled_scores, val_scores, val_correct, cfg):
+    """One candidate scan. Returns (t_hat, support, est_error, sigma_hat);
+    t_hat is inf when no candidate qualifies."""
+    candidates = np.unique(unlabeled_scores)  # ascending
+    order = np.argsort(-val_scores, kind="stable")
+    wrong_cum = np.cumsum(~val_correct[order].astype(bool))
+    # support: validation points with score >= each candidate
+    n_t = len(val_scores) - np.searchsorted(val_scores[order][::-1], candidates, "left")
+    ok = np.flatnonzero(n_t >= cfg.n0)
+    if len(ok) == 0:  # nothing to inflate: an unknown sigma kind stays unnoticed
+        return _ABSTAIN
+    n_ok = n_t[ok]
+    e_hat = wrong_cum[n_ok - 1] / n_ok
+    s_hat = sigma(e_hat, n_ok, cfg.sigma_kind, cfg.delta)
+    hit = np.flatnonzero(e_hat + s_hat <= cfg.epsilon_a)
+    if len(hit) == 0:
+        return _ABSTAIN
+    i = hit[0]  # candidates ascend: the first qualifying is the smallest t
+    return (float(candidates[ok[i]]), int(n_ok[i]), float(e_hat[i]), float(s_hat[i]))

@@ -277,7 +277,8 @@ class TestRunExperiment:
         assert runs[0] == ["method", "axis_value", "seed", "err_hat", "cov_hat",
                            "human_labels", "val_labels", "rounds"]
         assert summary[0] == ["method", "axis_value", "err_hat_mean",
-                              "err_hat_std", "cov_hat_mean", "cov_hat_std"]
+                              "err_hat_std", "cov_hat_mean", "cov_hat_std",
+                              "err_over_eps_frac"]
         # 2 methods x 2 grid points x 2 trials
         assert len(runs) == 1 + 8
         assert len(summary) == 1 + 4
@@ -287,12 +288,32 @@ class TestRunExperiment:
         run_experiment(exp)
         runs = self.read(tmp_path / "res" / "runs.csv")[1:]
         summary = self.read(tmp_path / "res" / "summary.csv")[1:]
-        for m, g, em, es, cm, cs in summary:
+        for m, g, em, es, cm, cs, _ in summary:
             errs = [float(r[3]) for r in runs if r[0] == m and r[1] == g]
             covs = [float(r[4]) for r in runs if r[0] == m and r[1] == g]
             assert float(em) == pytest.approx(np.mean(errs), abs=1e-6)
             assert float(cm) == pytest.approx(np.mean(covs), abs=1e-6)
             assert float(cs) == pytest.approx(np.std(covs, ddof=1), abs=1e-6)
+
+    @pytest.mark.parametrize("overrides", [{}, {"threshold.n0": 201}],
+                             ids=["some_over", "tbal_labels_nothing"])
+    def test_over_epsilon_fraction_counts_the_runs(self, tmp_path, overrides):
+        # n0 above the 200 validation points: TBAL never labels and every
+        # err_hat of its runs is nan, which counts as not over
+        exp = load_config(write_config(tmp_path, overrides, out=str(tmp_path / "res"),
+                                       epsilon_a=0.01))
+        run_experiment(exp)
+        runs = self.read(tmp_path / "res" / "runs.csv")[1:]
+        summary = self.read(tmp_path / "res" / "summary.csv")[1:]
+        fracs = {}
+        for m, g, *_, over in summary:
+            errs = [float(r[3]) for r in runs if r[0] == m and r[1] == g]
+            assert over == f"{sum(e > 0.01 for e in errs) / len(errs):.6f}"
+            fracs[m, g] = float(over)
+        if overrides:
+            assert all(math.isnan(float(r[3])) for r in runs if r[0] == "tbal")
+            assert fracs["tbal", "40"] == fracs["tbal", "80"] == 0.0
+        assert len(set(fracs.values())) > 1
 
     def test_rerun_is_byte_identical(self, tmp_path):
         p1 = write_config(tmp_path, out=str(tmp_path / "a"))
@@ -530,14 +551,6 @@ class TestOtherCommands:
         assert rc == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(
             -1.6633595263495686, abs=1e-9)
-
-    def test_gen_writes_csv(self, tmp_path, capsys):
-        out = str(tmp_path / "data.csv")
-        assert main(["gen", "--kind", "xor", "--n", "50", "--out", out]) == 0
-        rows = list(csv.reader(open(out)))
-        assert rows[0] == ["x0", "x1", "label"]
-        assert len(rows) == 51
-        assert all(r[2] in ("0", "1") for r in rows[1:])
 
     def test_export_rows_cover_pool(self, tmp_path):
         cfg_path = write_config(tmp_path, methods=["tbal"],

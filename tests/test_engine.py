@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields, replace
@@ -118,7 +120,7 @@ class TestTbalLoop:
     @pytest.mark.parametrize("problem,kw,c", [
         (lambda: small_problem(seed=5),
          dict(n_s=20, n_b=10, N_q=60, train=TrainConfig(normalized=True, learning_rate=3.0)),
-         sys.maxsize),  # a binary model scores all its rows in one call
+         engine._chunk_rows(4, 1)),
         (k10_problem, softmax_config(n_s=60, n_b=60, N_q=180), 256),
     ], ids=["binary", "k10_chunks"])
     def test_rounds_gather_their_rows_into_one_buffer(self, monkeypatch, problem, kw, c):
@@ -223,24 +225,24 @@ class TestChunkedScoring:
     @pytest.mark.parametrize("d,k,c", [
         (2, 10, 131072), (2, 2, 262144), (5, 10, 32768), (8, 10, 32768), (8, 3, 65536),
         (30, 10, 8192), (30, 2, 32768), (50, 10, 4096), (784, 10, 256), (784, 4, 512),
-        (784, 2, 1024), (100_000, 10, 256), (30, 1, sys.maxsize)])
+        (784, 2, 1024), (100_000, 10, 256),
+        (2, 1, 32768), (30, 1, 2048), (784, 1, 64), (4096, 1, 16)])
     def test_chunk_length(self, d, k, c):
         assert engine._chunk_rows(d, k) == c
 
     @pytest.mark.parametrize("d", [2, 5, 8, 30, 50, 784])
     def test_scores_keep_the_bits_of_one_gather(self, d):
         rng = np.random.default_rng(d)
-        chunk = {K: engine._chunk_rows(d, K) for K in (2, 3, 4, 10)}
+        chunk = {K: engine._chunk_rows(d, K) for K in (1, 2, 3, 4, 10)}
         features = rng.standard_normal((3 * max(chunk.values()) + 57, d))
         assert features.nbytes < 24e6
-        # (K, binary model): a binary model scores all its rows in one call,
-        # here at the bounds of the 2 MiB chunks it does not take
+        # (K, binary model): a binary model scores one vector, the chunks of k = 1
         for K, binary in [(2, True), (2, False), (3, False), (4, False), (10, False)]:
-            c = chunk[10 if binary else K]
+            c = chunk[1 if binary else K]
             kinds = [Softmax(), Energy()] + ([AbsMargin()] if binary else [])
             sizes = [c - 1, c, c + 1, 2 * c - 1, 2 * c, 3 * c + 7,
                      rng.integers(1, 3 * c + 7)]
-            buffer = np.empty((len(features) if binary else 2 * c - 1, d))
+            buffer = np.empty((2 * c - 1, d))
             model = random_model(rng, K, d, binary)
             for n in sizes:
                 ids = rng.permutation(len(features))[:n]
@@ -252,6 +254,50 @@ class TestChunkedScoring:
                     assert pred.dtype == want_pred.dtype, case
                     assert pred.tobytes() == want_pred.tobytes(), case
                     assert score.tobytes() == want_score.tobytes(), case
+
+    def test_binary_scores_do_not_depend_on_the_blas_thread_count(self):
+        # a binary model's matrix-vector product is split between BLAS
+        # threads at a row set by the row count; scored in one pool-sized
+        # call, a row's bits depended on the machine's core count
+        code = """if True:
+            import hashlib, math
+            import numpy as np
+            from tbal import engine
+            from tbal.confidence import AbsMargin, Softmax, score
+            from tbal.model import LinearModel
+            chunked, whole = hashlib.sha256(), hashlib.sha256()
+            for d in (2, 30, 784, 2048, 4096):
+                c = engine._chunk_rows(d, 1)
+                # 19345 rows at d = 30: one call split between 2 threads
+                # gave other bits than 1 thread on OpenBLAS 0.3.31
+                sizes = [c - 1, c, c + 1, 2 * c - 1, 3 * c + 7] + [19345] * (d == 30)
+                rng = np.random.default_rng(d)
+                features = rng.standard_normal((max(sizes) + 57, d))
+                model = LinearModel(rng.standard_normal(d) / math.sqrt(d),
+                                    np.array(rng.standard_normal()), 2, normalized=True)
+                buffer = np.empty((2 * c - 1, d))
+                for n in sizes:
+                    ids = rng.permutation(len(features))[:n]
+                    for kind in (AbsMargin(), Softmax()):
+                        for h, scored in (
+                                (chunked, engine._score_rows(kind, model, features, ids, buffer)),
+                                (whole, score(kind, model, features[ids]))):
+                            for a in scored:
+                                h.update(a.tobytes())
+            print(chunked.hexdigest(), whole.hexdigest())
+        """
+        src = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
+        digests = {}
+        for threads in ("1", "2"):  # read by OpenBLAS when NumPy is imported
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert out.returncode == 0, out.stderr
+            digests[threads] = out.stdout.split()
+        assert digests["1"][0] == digests["2"][0]
+        # and the chunks keep the bits of one single-threaded gather
+        assert digests["1"][0] == digests["1"][1]
 
     @pytest.mark.parametrize("n,calls", [(1, 1), (255, 1), (256, 1), (511, 1),
                                          (512, 2), (767, 2), (768, 3), (1031, 4)])

@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbal.threshold import (HOEFFDING, STDERR, ZERO, ThresholdConfig,
+from tbal.threshold import (HOEFFDING, STDERR, ZERO, ThresholdConfig, _estimate_single,
                             estimate_threshold, sigma)
+
+import reference_engine as reference
 
 
 # ------------------------------------------------------------------ oracle
 
 def oracle_threshold(unlabeled_scores, val_scores, val_correct, cfg):
     """Exhaustive reference scan, written independently of the library's
-    pointer-walk implementation: test every distinct unlabeled score as a
-    candidate and return the smallest qualifying one."""
+    scan (which evaluates one candidate per support level): test every
+    distinct unlabeled score as a candidate and return the smallest
+    qualifying one."""
     best = (math.inf, 0, 0.0, 0.0)
     for t in sorted(set(float(v) for v in unlabeled_scores)):
         covered = [c for s, c in zip(val_scores, val_correct) if s >= t]
@@ -128,6 +131,54 @@ class TestWidePoolOracleEquivalence:
         with pytest.raises(ValueError, match="unknown sigma kind"):
             estimate_threshold(u, up, np.append(v, 0.5), np.append(vp, 0),
                                np.append(c, True), cfg, num_classes=1)
+
+
+class TestScanMatchesTheFrozenScan:
+    """The scan against ``reference.estimate_single``, the scan that made
+    every distinct pool score a candidate: the same (t, support, e_hat,
+    sigma) to the bit."""
+
+    EPSILON = {STDERR: 0.02, HOEFFDING: 0.2, ZERO: 0.01}
+
+    def test_random_tie_heavy_instances(self):
+        rng = np.random.default_rng(2211)
+        for _ in range(2000):
+            u, v, c, cfg = random_instance(rng)
+            want = reference.estimate_single(u, v, c, cfg)
+            assert _estimate_single(u, v, c, cfg) == want, (u, v, c, cfg)
+
+    @pytest.mark.parametrize("grid", [None, 40], ids=["continuous", "grid"])
+    @pytest.mark.parametrize("K", [1, 2, 10])
+    @pytest.mark.parametrize("per_class", [True, False])
+    @pytest.mark.parametrize("kind", [STDERR, HOEFFDING, ZERO])
+    def test_a_wide_pool_round(self, kind, per_class, K, grid):
+        # a round of the wide-pool benchmark: 80k pool and 20k validation
+        # scores, continuous or on a grid where most of them tie
+        rng = np.random.default_rng([K, grid or 0])
+        n_u, n_v = 80_000, 20_000
+        u, v = rng.random(n_u), rng.random(n_v)
+        if grid:
+            u, v = np.round(u * grid) / grid, np.round(v * grid) / grid
+        up, vp = rng.integers(0, K, n_u), rng.integers(0, K, n_v)
+        # mistakes thin out towards the top scores, so thresholds land inside
+        c = rng.random(n_v) >= 0.3 * (1.0 - v) ** 4
+        n_first = int(np.sum(vp == 0)) if per_class else n_v
+        finite = 0
+        for n0 in (1, 25, n_first, n_first + 1):
+            cfg = ThresholdConfig(epsilon_a=self.EPSILON[kind], n0=n0, sigma_kind=kind,
+                                  per_class=per_class)
+            dec = estimate_threshold(u, up, v, vp, c, cfg, num_classes=K)
+            for cls in range(K):
+                um = up == cls if per_class else np.ones(n_u, dtype=bool)
+                vm = vp == cls if per_class else np.ones(n_v, dtype=bool)
+                want = reference.estimate_single(u[um], v[vm], c[vm], cfg)
+                got = (dec.thresholds[cls], dec.support[cls], dec.est_error[cls],
+                       dec.chosen_sigma[cls])
+                assert got == want, (n0, cls)
+                finite += math.isfinite(want[0])
+            if n0 == n_first + 1:  # class 0 (or the one scan) lacks the support
+                assert dec.infinite[0]
+        assert finite > 0
 
 
 class TestSigma:
