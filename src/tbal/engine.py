@@ -124,29 +124,28 @@ def _chunk_rows(d: int, k: int) -> int:
     c is the largest power of two whose rows fit in ``BINARY_CHUNK_BYTES``,
     at least 1. Multithreaded OpenBLAS splits a longer product between
     threads at a row set by the row count, and a row's bits depend on which
-    side it falls; chunks this short keep the bits of one single-threaded
-    gather at any thread count.
+    side it falls. A product of at most 2c - 1 such rows ran on one thread
+    at 1 and 2 BLAS threads on OpenBLAS 0.3.31, so these chunks keep the
+    bits of one single-threaded gather there; a later OpenBLAS that threads
+    smaller products breaks that, which
+    ``test_binary_scores_do_not_depend_on_the_blas_thread_count`` checks.
 
     Otherwise c is the largest power of two whose rows fit in
     ``CHUNK_BYTES``, at least 256, doubled until a chunk's product is too
     large for OpenBLAS's small-matrix kernel."""
-    if k == 1:
-        c = 1
-        while 2 * c * 8 * d <= BINARY_CHUNK_BYTES:
-            c *= 2
-        return c
-    c = 256
-    while 2 * c * 8 * d <= CHUNK_BYTES:
+    budget, c = (BINARY_CHUNK_BYTES, 1) if k == 1 else (CHUNK_BYTES, 256)
+    while 2 * c * 8 * d <= budget:
         c *= 2
-    while c * k * d <= SMALL_GEMM:
+    while k > 1 and c * k * d <= SMALL_GEMM:
         c *= 2
     return c
 
 
 def _columns(model) -> int:
     """The columns of the product that scores a row of ``model``: 1 for a
-    binary model, else one per class (a constant model needs no product)."""
-    return 1 if model.binary and model.constant_class is None else model.num_classes
+    model with binary weights, constant ones too (they do no product, so
+    their chunk length changes no bits), else one per class."""
+    return 1 if model.binary else model.num_classes
 
 
 def _row_buffer(pool: Pool, val: ValidationSet, cfg: RunConfig) -> np.ndarray:

@@ -147,6 +147,18 @@ class TestTbalLoop:
         assert len(buffer) <= 2 * c
         assert all(x.base is buffer for x in scored)
 
+    @pytest.mark.parametrize("method", ["tbal", "al"])
+    def test_constant_hinge_model_scores_a_long_pool(self, method):
+        # a seed batch of one id has one class, so the first round fits a
+        # constant model with binary weights; its rows must be cut to the
+        # binary chunk length of the run's buffer
+        d = 30
+        n = 2 * engine._chunk_rows(d, 1) + 500
+        pool, val = small_problem(seed=6, n=n, val=300, d=d)
+        res = run(pool, val, RunConfig(method=method, n_s=1, n_b=10, N_q=21), seed=0)
+        assert res.human_labels_used == 21
+        check_invariants(res, pool, val)
+
     def test_auto_rounds_recorded_in_order(self):
         pool, val = small_problem(seed=4)
         cfg = RunConfig(method="tbal", n_s=20, n_b=10, N_q=60,
