@@ -17,7 +17,7 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
 import yaml
@@ -27,8 +27,8 @@ from . import engine
 from . import metrics
 from . import theory
 from .core import AUTO, KINDS, UNLABELED, ValidationSet, rng_from
-from .data import DatasetSpec, make_dataset
-from .model import TrainConfig
+from .data import MNIST_LINEAR, XOR, DatasetSpec, make_dataset
+from .model import LOGISTIC, TrainConfig
 from .query import QueryConfig
 from .threshold import SIGMA_KINDS, ThresholdConfig
 
@@ -71,13 +71,7 @@ class ExperimentConfig:
 _TOP_KEYS = {"dataset", "methods", "epsilon_a", "sweep", "trials", "seed_base",
              "out", "workers", "confidence", "energy_temperature", "n_s", "n_b",
              "train", "threshold", "query"}
-_DATASET_KEYS = {"kind", "d", "n_total", "pool_size", "val_size", "xor_radius",
-                 "images_path", "labels_path"}
 _SWEEP_KEYS = {"axis", "grid", "N_q"}
-_TRAIN_KEYS = {"loss", "epochs", "learning_rate", "l2", "batch_size",
-               "tolerance", "init_scale", "normalized"}
-_THRESHOLD_KEYS = {"n0", "sigma_kind", "delta", "per_class"}
-_QUERY_KEYS = {"strategy", "C"}
 
 
 def _check_keys(block: dict, allowed: set, where: str):
@@ -112,11 +106,12 @@ def _at_least_one(name: str, value) -> int:
     return value
 
 
-def _block(raw: dict, where: str, allowed: set, cls) -> dict:
-    """The ``where`` block of ``raw``, its keys checked and each value of an
-    ``int`` or ``float`` field of ``cls`` read as that type."""
+def _block(raw: dict, where: str, cls) -> dict:
+    """The ``where`` block of ``raw``, its keys checked against the fields of
+    ``cls`` (bar ``epsilon_a``, a top-level key) and each value of an ``int``
+    or ``float`` field read as that type."""
     block = dict(raw.get(where, {}))
-    _check_keys(block, allowed, where)
+    _check_keys(block, {f.name for f in fields(cls)} - {"epsilon_a"}, where)
     types = get_type_hints(cls)
     for key, value in block.items():
         if types[key] in (int, float):
@@ -133,7 +128,17 @@ def load_config(path: str) -> ExperimentConfig:
     for key in ("dataset", "methods", "sweep"):
         if key not in raw:
             raise ConfigFileError(f"{path}: missing required key {key!r}")
-    ds = _block(raw, "dataset", _DATASET_KEYS, DatasetSpec)
+    ds = _block(raw, "dataset", DatasetSpec)
+    dataset = DatasetSpec(**ds)
+    if dataset.kind == XOR and ds.get("d", 2) != 2:
+        raise ConfigFileError(f"dataset.d must be 2 on kind xor, not {ds['d']}")
+    if dataset.kind == MNIST_LINEAR and "d" in ds:
+        raise ConfigFileError("dataset.d is not read by kind mnist_linear: "
+                              "its images set the dimension")
+    for key, kind in (("xor_radius", XOR), ("images_path", MNIST_LINEAR),
+                      ("labels_path", MNIST_LINEAR)):
+        if key in ds and dataset.kind != kind:
+            raise ConfigFileError(f"dataset.{key} is read by kind {kind} only")
     sweep = dict(raw["sweep"])
     _check_keys(sweep, _SWEEP_KEYS, "sweep")
     axis = sweep.get("axis", TRAIN_BUDGET)
@@ -161,19 +166,20 @@ def load_config(path: str) -> ExperimentConfig:
                 for k in ("n_s", "n_b"))
     if n_s is not None and n_s > budget:
         raise ConfigFileError(f"n_s must not exceed the smallest budget {budget}, not {n_s}")
-    train_block = _block(raw, "train", _TRAIN_KEYS, TrainConfig)
-    thr = _block(raw, "threshold", _THRESHOLD_KEYS, ThresholdConfig)
+    train = TrainConfig(**_block(raw, "train", TrainConfig))
+    thr = _block(raw, "threshold", ThresholdConfig)
     if thr.get("sigma_kind", SIGMA_KINDS[0]) not in SIGMA_KINDS:
         raise ConfigFileError(f"threshold.sigma_kind must be one of {list(SIGMA_KINDS)}, "
                               f"not {thr['sigma_kind']!r}")
-    q = _block(raw, "query", _QUERY_KEYS, QueryConfig)
+    q = _block(raw, "query", QueryConfig)
     methods = list(raw["methods"])
     for m in methods:
         if m not in engine.METHODS:
             raise ConfigFileError(f"unknown method {m!r}")
     confidence = str(raw.get("confidence", "abs_margin"))
-    if confidence not in conf.KINDS:
-        raise ConfigFileError(f"unknown confidence kind {confidence!r}")
+    if confidence == "abs_margin" and train.loss == LOGISTIC:
+        raise ConfigFileError("confidence: abs_margin is defined for binary models only, "
+                              "and train.loss: logistic fits a weight row per class")
     params = {}
     if "energy_temperature" in raw:
         if confidence != "energy":
@@ -181,7 +187,7 @@ def load_config(path: str) -> ExperimentConfig:
         params["temperature"] = _number("energy_temperature",
                                         raw["energy_temperature"], float)
     return ExperimentConfig(
-        dataset=DatasetSpec(**ds),
+        dataset=dataset,
         methods=methods,
         axis=axis,
         grid=grid,
@@ -192,7 +198,7 @@ def load_config(path: str) -> ExperimentConfig:
         workers=_at_least_one("workers", raw.get("workers", 1)),
         n_s=n_s,
         n_b=n_b,
-        train=TrainConfig(**train_block),
+        train=train,
         threshold=ThresholdConfig(
             epsilon_a=_number("epsilon_a", raw.get("epsilon_a", 0.01), float), **thr),
         query=QueryConfig(**q),

@@ -19,12 +19,11 @@ from . import model as linmod
 class AbsMargin:
     """|w.x| for binary models; clipped to [0,1] when the model is
     unit-norm and the data lives in the unit ball."""
-    name: str = "abs_margin"
 
 
 @dataclass(frozen=True)
 class Softmax:
-    name: str = "softmax"
+    """The largest softmax probability over the class scores."""
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,6 @@ class Energy:
     """Negated energy score: T * logsumexp(z / T). Monotone in confidence;
     the engine shifts scores into R+ per round (see shift_nonnegative)."""
     temperature: float = 1.0
-    name: str = "energy"
 
     def __post_init__(self):
         if not (math.isfinite(self.temperature) and self.temperature > 0):
@@ -76,11 +74,9 @@ def _score_logits(kind, model, X):
     return pred, conf
 
 
-def score(kind, model, x) -> tuple[np.ndarray, np.ndarray]:
-    """(predicted class, confidence) for each row of x."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
+def score(kind, model, X) -> tuple[np.ndarray, np.ndarray]:
+    """(predicted class, confidence) for each row of 2-D X."""
+    X = np.asarray(X, dtype=np.float64)
     if isinstance(kind, AbsMargin) and model.binary and model.constant_class is None:
         # one product serves both: the argmax of the logit pair (-s, s) is
         # s > 0, with a tie (s == 0) going to class 0
@@ -88,8 +84,6 @@ def score(kind, model, x) -> tuple[np.ndarray, np.ndarray]:
         pred, conf = (s > 0).astype(np.int64), _abs_margin(model, s)
     else:
         pred, conf = _score_logits(kind, model, X)
-    if single:
-        return int(pred[0]), float(conf[0])
     return pred, conf
 
 

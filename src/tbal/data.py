@@ -15,6 +15,11 @@ from .core import Pool, ValidationSet, rng_from
 MNIST_IMAGE_MAGIC = 2051
 MNIST_LABEL_MAGIC = 2049
 
+UNIT_BALL = "unit_ball"
+XOR = "xor"
+MNIST_LINEAR = "mnist_linear"
+KINDS = (UNIT_BALL, XOR, MNIST_LINEAR)
+
 
 class ConfigError(ValueError):
     pass
@@ -26,7 +31,7 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class DatasetSpec:
-    kind: str  # "unit_ball" | "xor" | "mnist_linear"
+    kind: str  # one of KINDS
     d: int = 30
     n_total: int = 20000
     pool_size: int = 16000
@@ -36,8 +41,16 @@ class DatasetSpec:
     labels_path: str | None = None
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ConfigError(f"unknown dataset kind {self.kind!r}; choose from {list(KINDS)}")
         if self.pool_size + self.val_size > self.n_total:
             raise ConfigError("pool_size + val_size exceeds n_total")
+        if self.kind == UNIT_BALL and self.d < 2:
+            raise ConfigError(f"unit ball dimension d must be >= 2, got {self.d}")
+        if self.kind == XOR and not 0 < self.xor_radius <= 2:
+            raise ConfigError(f"xor_radius must be in (0, 2], got {self.xor_radius}")
+        if self.kind == MNIST_LINEAR and not (self.images_path and self.labels_path):
+            raise ConfigError("mnist_linear needs images_path and labels_path")
 
 
 def gen_unit_ball(d: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,19 +161,15 @@ def split_pool_val(features: np.ndarray, labels: np.ndarray,
 
 
 def make_dataset(spec: DatasetSpec, seed: int) -> tuple[Pool, ValidationSet]:
-    if spec.kind == "unit_ball":
+    if spec.kind == UNIT_BALL:
         x, y = gen_unit_ball(spec.d, spec.n_total, seed)
         k = 2
-    elif spec.kind == "xor":
+    elif spec.kind == XOR:
         x, y = gen_xor(spec.n_total, spec.xor_radius, seed)
         k = 2
-    elif spec.kind == "mnist_linear":
-        if not spec.images_path or not spec.labels_path:
-            raise ConfigError("mnist_linear needs images_path and labels_path")
+    else:
         x, y = load_mnist_idx(spec.images_path, spec.labels_path)
         k = 10
-    else:
-        raise ConfigError(f"unknown dataset kind {spec.kind!r}")
     return split_pool_val(x, y, spec.pool_size, spec.val_size, seed, num_classes=k)
 
 

@@ -118,7 +118,7 @@ SMALL_GEMM = 100 ** 3
 
 def _chunk_rows(d: int, k: int) -> int:
     """The chunk length c for rows of dimension ``d`` scored by a product
-    with ``k`` columns (see ``_columns``).
+    with ``k`` columns (see ``_chunks``).
 
     A binary model (k = 1) scores its rows with a matrix-vector product:
     c is the largest power of two whose rows fit in ``BINARY_CHUNK_BYTES``,
@@ -141,38 +141,23 @@ def _chunk_rows(d: int, k: int) -> int:
     return c
 
 
-def _columns(model) -> int:
-    """The columns of the product that scores a row of ``model``: 1 for a
-    model with binary weights, constant ones too (they do no product, so
-    their chunk length changes no bits), else one per class."""
-    return 1 if model.binary else model.num_classes
-
-
-def _row_buffer(pool: Pool, val: ValidationSet, cfg: RunConfig) -> np.ndarray:
-    """Room for the longest chunk a run of ``cfg`` gathers: 2c - 1 rows
-    (``_chunk_rows``), or every row of the pool or of the validation set if
-    that is fewer. Only the hinge loss fits binary models, which take the
-    binary chunk length; the logistic loss fits a weight row per class."""
-    d = pool.dimension
-    k = 1 if cfg.train.loss == linmod.HINGE else pool.num_classes
-    return np.empty((min(2 * _chunk_rows(d, k) - 1, max(len(pool), len(val))), d))
-
-
-def _chunks(model, features, ids, buffer):
+def _chunks(model, features, ids):
     """``features[ids]`` in chunks for scoring by ``model``, each written
-    into the first rows of ``buffer``; a chunk holds until the next one is
-    gathered.
+    into the first rows of one buffer of at most 2c - 1 rows; a chunk holds
+    until the next one is gathered.
 
     Chunks start at multiples of c (``_chunk_rows``), and the last one takes
     the remainder, so it holds c to 2c - 1 rows (fewer than c ids are one
     chunk). BLAS results for a row depend on how the rows around it are laid
     out, and with this rule every row's scores keep the bits of one gather
     of all ``ids``, on the kinds, K and d the tests cover: scoring the whole
-    matrix and indexing it does not, nor do shorter chunks. A run gathers
-    into one buffer, so its peak memory does not hinge on where the
-    allocator puts a fresh pool-sized copy."""
-    c = _chunk_rows(features.shape[1], _columns(model))
+    matrix and indexing it does not, nor do shorter chunks. Gathering into
+    one short buffer leaves peak memory independent of the pool size."""
+    # a product column per class, or one for binary weights: constant
+    # binary models too, which do no product, so their c changes no bits
+    c = _chunk_rows(features.shape[1], 1 if model.binary else model.num_classes)
     n = len(ids)
+    buffer = np.empty((min(2 * c - 1, n), features.shape[1]))
     bounds = [i * c for i in range(max(1, n // c))] + [n]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         # mode "raise" gathers into a temporary first and copies it over;
@@ -180,32 +165,30 @@ def _chunks(model, features, ids, buffer):
         yield np.take(features, ids[lo:hi], axis=0, out=buffer[:hi - lo], mode="clip")
 
 
-def _score_rows(kind, model, features, ids, buffer) -> tuple[np.ndarray, np.ndarray]:
+def _score_rows(kind, model, features, ids) -> tuple[np.ndarray, np.ndarray]:
     """``conf.score(kind, model, features[ids])``, gathered and scored a
     chunk at a time (see ``_chunks``)."""
-    scored = [conf.score(kind, model, X) for X in _chunks(model, features, ids, buffer)]
+    scored = [conf.score(kind, model, X) for X in _chunks(model, features, ids)]
     if len(scored) == 1:
         return scored[0]
     preds, confs = zip(*scored)
     return np.concatenate(preds), np.concatenate(confs)
 
 
-def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried, buffer):
+def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried):
     """One threshold estimate + auto-label + validation filter over the
-    ``unlabeled`` ids, recorded as round ``rnd``, gathering the rows it
-    scores into ``buffer``. Also returns the ids the pass leaves unlabeled
-    and their unshifted confidence, in id order: the margin-random query
-    reads them."""
+    ``unlabeled`` ids, recorded as round ``rnd``. Also returns the ids the
+    pass leaves unlabeled and their unshifted confidence, in id order: the
+    margin-random query reads them."""
     act = val.active_indices()
     n_v = len(act)
     decision = None
     auto_ids = auto_labels = drop = np.empty(0, dtype=np.int64)
     keep, raw_u = np.empty(0, dtype=np.int64), np.empty(0)
     if len(unlabeled):
-        pred_u, raw_u = _score_rows(cfg.confidence, model, pool.features, unlabeled,
-                                    buffer)
+        pred_u, raw_u = _score_rows(cfg.confidence, model, pool.features, unlabeled)
         if n_v:
-            pred_v, conf_v = _score_rows(cfg.confidence, model, val.features, act, buffer)
+            pred_v, conf_v = _score_rows(cfg.confidence, model, val.features, act)
         else:
             pred_v, conf_v = np.empty(0, dtype=np.int64), np.empty(0)
         conf_u, conf_v = conf.shift_nonnegative(raw_u, conf_v)
@@ -284,7 +267,6 @@ def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> Tra
     source = (pool, val, cfg)
     pool = pool.copy()
     val = val.copy()
-    buffer = _row_buffer(pool, val, cfg)
     oracle = Oracle(pool)
 
     # one seed stream for every method, so comparative sweeps share a start
@@ -306,7 +288,7 @@ def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> Tra
         left_scores = None
         if every_round:
             record, remaining, left_scores = _auto_label_pass(
-                cfg, model, pool, val, remaining, rnd, queried, buffer)
+                cfg, model, pool, val, remaining, rnd, queried)
             rounds.append(record)
         if spent or not len(remaining):
             break
@@ -316,8 +298,7 @@ def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> Tra
             # TBAL's pass has just scored exactly these points with this model
             scores = left_scores
             if scores is None:
-                scores = _score_rows(cfg.confidence, model, pool.features, remaining,
-                                     buffer)[1]
+                scores = _score_rows(cfg.confidence, model, pool.features, remaining)[1]
             queried, _ = qry.query_margin_random(remaining, scores, n_next,
                                                  cfg.query.C, rng)
         else:
@@ -338,14 +319,12 @@ def finish(traj: Trajectory, cfg: RunConfig) -> RunResult:
     if not every_round:
         if selective:
             pool, val = pool.copy(), val.copy()
-            record, _, _ = _auto_label_pass(cfg, model, pool, val, remaining, 1, no_ids,
-                                            _row_buffer(pool, val, cfg))
+            record, _, _ = _auto_label_pass(cfg, model, pool, val, remaining, 1, no_ids)
             rounds.append(record)
         elif len(remaining):
             pool = pool.copy()
-            preds = np.concatenate([
-                linmod.predict(model, X)
-                for X in _chunks(model, pool.features, remaining, _row_buffer(pool, val, cfg))])
+            preds = np.concatenate([linmod.predict(model, X)
+                                    for X in _chunks(model, pool.features, remaining)])
             pool.mark_auto(remaining, preds, 1)
             rounds.append(RoundRecord(
                 index=1, queried_ids=no_ids,

@@ -64,6 +64,8 @@ class LinearModel:
 
 
 def _check_dimension(model: LinearModel, X: np.ndarray) -> None:
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-D array of rows, got shape {X.shape}")
     if X.shape[1] != model.dimension:
         raise ValueError(f"dimension mismatch: {X.shape[1]} != {model.dimension}")
 
@@ -75,12 +77,11 @@ def margin(model: LinearModel, X: np.ndarray) -> np.ndarray:
     return X @ model.weights + float(model.bias)
 
 
-def logits(model: LinearModel, x: np.ndarray) -> np.ndarray:
-    """Raw per-class scores w_c . x + b_c. Binary models expose the
-    symmetric pair (-s, +s) so argmax agrees with the sign rule."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
+def logits(model: LinearModel, X: np.ndarray) -> np.ndarray:
+    """Raw per-class scores w_c . x + b_c for each row x of 2-D X. Binary
+    models expose the symmetric pair (-s, +s) so argmax agrees with the sign
+    rule."""
+    X = np.asarray(X, dtype=np.float64)
     _check_dimension(model, X)
     if model.constant_class is not None:
         z = np.full((len(X), model.num_classes), -1.0)
@@ -90,7 +91,7 @@ def logits(model: LinearModel, x: np.ndarray) -> np.ndarray:
         z = np.column_stack([-s, s])
     else:
         z = X @ model.weights.T + model.bias
-    return z[0] if single else z
+    return z
 
 
 def check_finite(z: np.ndarray) -> np.ndarray:
@@ -100,9 +101,10 @@ def check_finite(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
-    """Argmax of the class scores; ties go to the smallest class index."""
-    return np.argmax(check_finite(logits(model, x)), axis=-1)
+def predict(model: LinearModel, X: np.ndarray) -> np.ndarray:
+    """Argmax of the class scores of each row of 2-D X; ties go to the
+    smallest class index."""
+    return np.argmax(check_finite(logits(model, X)), axis=1)
 
 
 def _hinge_loss(w: np.ndarray, b: float, X: np.ndarray, ypm: np.ndarray,

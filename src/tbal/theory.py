@@ -38,22 +38,16 @@ def rademacher_vc(n: int, d: int) -> float:
     return math.sqrt((2.0 * d / n) * math.log(math.e * n / d))
 
 
-def error_bound_vc(inputs: BoundInputs,
-                   complexity=None) -> float:
+def error_bound_vc(inputs: BoundInputs) -> float:
     """Auto-labeling error bound for VC classes.
 
     sum_i (n_a_i/N_a) [e_val_i + (4/p0) sqrt((2/n_v_i)(2d log(e n_v_i/d) + log(8k/delta)))]
       + (4/p0) sqrt((2k/N_a)(2d log(e N_a/d) + log(8k/delta)))
-
-    `complexity(n)` may replace the VC term 2d log(en/d) for classes whose
-    complexity is supplied externally.
     """
     d, k, delta, p0 = inputs.d, inputs.k, inputs.delta, inputs.p0
     log_term = math.log(8.0 * k / delta)
 
     def cap(n):
-        if complexity is not None:
-            return complexity(n)
         if n < d:
             raise DomainError(f"need n >= d, got n={n}, d={d}")
         return 2.0 * d * math.log(math.e * n / d)

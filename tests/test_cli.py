@@ -31,6 +31,10 @@ BASE_CONFIG = {
     "train": {"epochs": 20},
 }
 
+UNIT_BALL = dict(BASE_CONFIG["dataset"], kind="unit_ball", d=4)
+MNIST = {"kind": "mnist_linear", "n_total": 700, "pool_size": 500, "val_size": 200,
+         "images_path": "images.idx", "labels_path": "labels.idx"}
+
 
 def write_config(tmp_path, overrides=None, **top):
     cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
@@ -149,6 +153,23 @@ class TestLoadConfig:
         ({"confidence": "energy", "energy_temperature": True},
          "energy_temperature must be a number, not True"),
         ({"epsilon_a": "abc"}, "epsilon_a must be a number, not 'abc'"),
+        ({"dataset": dict(BASE_CONFIG["dataset"], kind="bogus")},
+         "unknown dataset kind 'bogus'"),
+        ({"dataset": dict(UNIT_BALL, d=1)}, "dimension d must be >= 2, got 1"),
+        ({"dataset": dict(BASE_CONFIG["dataset"], xor_radius=3.0)},
+         "xor_radius must be in (0, 2], got 3.0"),
+        ({"dataset": dict(MNIST, images_path=None)}, "needs images_path and labels_path"),
+        ({"train": {"loss": "logistic"}}, "confidence: abs_margin is defined for binary "
+         "models only, and train.loss: logistic"),
+        ({"dataset": dict(BASE_CONFIG["dataset"], d=30)},
+         "dataset.d must be 2 on kind xor, not 30"),
+        ({"dataset": dict(MNIST, d=784)}, "dataset.d is not read by kind mnist_linear"),
+        ({"dataset": dict(UNIT_BALL, xor_radius=1.0)},
+         "dataset.xor_radius is read by kind xor only"),
+        ({"dataset": dict(BASE_CONFIG["dataset"], images_path="i.idx")},
+         "dataset.images_path is read by kind mnist_linear only"),
+        ({"dataset": dict(UNIT_BALL, labels_path="l.idx")},
+         "dataset.labels_path is read by kind mnist_linear only"),
     ], ids=["unknown_sigma_kind", "zero_sigma_kind", "unknown_strategy",
             "N_q_on_budget_sweep", "temperature_without_energy", "delta_above_one",
             "delta_zero", "temperature_zero", "temperature_negative", "trials_zero",
@@ -159,7 +180,10 @@ class TestLoadConfig:
             "grid_not_a_list", "N_q_not_a_number", "n_s_zero", "n_b_zero",
             "budget_zero", "N_q_zero", "n_s_above_budget", "n_s_above_smallest_budget",
             "n_s_above_N_q", "validation_size_negative", "temperature_not_a_number",
-            "temperature_boolean", "epsilon_a_not_a_number"])
+            "temperature_boolean", "epsilon_a_not_a_number", "unknown_dataset_kind",
+            "unit_ball_d_one", "xor_radius_above_two", "mnist_without_paths",
+            "logistic_abs_margin", "xor_d_not_two", "d_on_mnist", "xor_radius_on_unit_ball",
+            "images_path_on_xor", "labels_path_on_unit_ball"])
     def test_value_a_run_would_fail_on_or_ignore_exits_2(self, tmp_path, capsys,
                                                            command, top, message):
         assert_config_error(tmp_path, capsys, command, message, **top)

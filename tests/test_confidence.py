@@ -58,12 +58,9 @@ class TestAbsMargin:
             score(AbsMargin(), m, np.zeros((1, 3)))
 
 
-def logits_abs_margin(model, x):
+def logits_abs_margin(model, X):
     """abs_margin scored through the logit pair, as before the single
     product: argmax of (-s, s) for the class, then s computed again."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
     z = logits(model, X)
     if not np.all(np.isfinite(z)):
         raise FloatingPointError("non-finite logits")
@@ -71,19 +68,13 @@ def logits_abs_margin(model, x):
     conf = np.abs(X @ model.weights + float(model.bias))
     if model.normalized:
         conf = np.minimum(conf, 1.0)
-    if single:
-        return int(pred[0]), float(conf[0])
     return pred, conf
 
 
 def assert_same_bits(got, want):
     for g, w in zip(got, want):
-        if isinstance(w, np.ndarray):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert g.tobytes() == w.tobytes()
-        else:
-            assert type(g) is type(w)
-            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
 
 
 class TestAbsMarginSingleProduct:
@@ -128,19 +119,13 @@ class TestAbsMarginSingleProduct:
             assert pred.tolist() == [cls] * 7
             assert_same_bits((pred, conf), logits_abs_margin(m, X))
 
-    def test_single_row_scalars(self):
-        m = binary_model([1.5, -2.0], 0.25)
-        for x in (np.array([1.0, 0.5]), np.array([-1.0, 3.0]), np.array([0.5, 0.5])):
-            got = score(AbsMargin(), m, x)
-            assert isinstance(got[0], int) and isinstance(got[1], float)
-            assert_same_bits(got, logits_abs_margin(m, x))
-
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("kind", [AbsMargin(), Softmax(), Energy()])
+    def test_dimension_mismatch(self, kind):
         m = binary_model([1.0, 0.0], 0.0)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            score(AbsMargin(), m, np.zeros((4, 3)))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            score(AbsMargin(), m, np.zeros(3))
+            score(kind, m, np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="2-D"):
+            score(kind, m, np.zeros(2))
 
     def test_nonfinite_input_rejected(self):
         m = binary_model([1.0, 0.0], 0.0)
@@ -224,9 +209,9 @@ class TestSameBitsAsScipy:
             _, conf = score(Softmax(), m, X)
             assert np.array_equal(bits(conf), bits(scipy.special.softmax(z, axis=1).max(1)))
             ones += int(np.sum(conf == 1.0))
-            for x in X[:5]:  # a single row scores through the same steps
-                want = scipy.special.softmax(logits(m, x[None, :]), axis=1).max(1)
-                assert bits(score(Softmax(), m, x)[1]) == bits(want)[0]
+            for x in X[:5, None]:  # one row alone scores through the same steps
+                want = scipy.special.softmax(logits(m, x), axis=1).max(1)
+                assert np.array_equal(bits(score(Softmax(), m, x)[1]), bits(want))
         assert ones > 0
 
     def test_energy(self):
@@ -250,7 +235,7 @@ def test_import_loads_no_scipy():
         "from tbal.confidence import Energy, score\n"
         "from tbal.model import LinearModel\n"
         "m = LinearModel(np.eye(3), np.zeros(3), num_classes=3)\n"
-        "print(score(Energy(), m, np.array([0.0, 0.0, 0.0]))[1])\n")
+        "print(score(Energy(), m, np.zeros((1, 3)))[1][0])\n")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
@@ -258,14 +243,7 @@ def test_import_loads_no_scipy():
     assert float(out.stdout) == pytest.approx(math.log(3.0), rel=1e-12)
 
 
-class TestScoreShapes:
-    def test_single_row_returns_scalars(self):
-        m = binary_model([1.0, 1.0], 0.0)
-        pred, conf = score(AbsMargin(), m, np.array([0.5, 0.5]))
-        assert isinstance(pred, int) and isinstance(conf, float)
-        preds, confs = score(AbsMargin(), m, np.array([[0.5, 0.5]]))
-        assert preds[0] == pred and confs[0] == conf
-
+class TestMakeKind:
     def test_make_kind(self):
         assert isinstance(make_kind("abs_margin"), AbsMargin)
         assert make_kind("energy", temperature=2.0).temperature == 2.0

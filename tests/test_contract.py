@@ -13,9 +13,8 @@ import textwrap
 import pytest
 
 import tbal
-from tbal import cli, confidence, engine, model, query, threshold
+from tbal import cli, confidence, data, engine, model, query, threshold
 from tbal.cli import load_config
-from tbal.data import DatasetSpec
 
 from test_cli import write_config
 
@@ -76,7 +75,8 @@ def test_readme_lists_the_losses_a_config_accepts(tmp_path):
     losses = alternatives("train.loss")
     assert losses == list(model.LOSSES)
     for loss in losses:
-        exp = load_config(write_config(tmp_path, train={"loss": loss}))
+        # softmax scores the models of both losses; abs_margin binary ones only
+        exp = load_config(write_config(tmp_path, train={"loss": loss}, confidence="softmax"))
         assert exp.train.loss == loss
 
 
@@ -88,18 +88,35 @@ def test_readme_lists_the_query_strategies(tmp_path):
         assert exp.query.strategy == strategy
 
 
-@pytest.mark.parametrize("block, accepted, cls, top_level", [
-    ("dataset", cli._DATASET_KEYS, DatasetSpec, set()),
-    ("train", cli._TRAIN_KEYS, model.TrainConfig, set()),
-    ("threshold", cli._THRESHOLD_KEYS, threshold.ThresholdConfig, {"epsilon_a"}),
-    ("query", cli._QUERY_KEYS, query.QueryConfig, set()),
+@pytest.mark.parametrize("block, cls, top_level", [
+    ("dataset", data.DatasetSpec, set()),
+    ("train", model.TrainConfig, set()),
+    ("threshold", threshold.ThresholdConfig, {"epsilon_a"}),
+    ("query", query.QueryConfig, set()),
 ])
-def test_block_keys_are_the_dataclass_fields(block, accepted, cls, top_level):
+def test_block_keys_are_the_dataclass_fields(block, cls, top_level):
     """A field no config can set is unreachable: each block's keys in the
-    README and in ``cli`` are its dataclass's fields, bar top-level keys."""
+    README are its dataclass's fields, bar top-level keys (``cli`` reads the
+    keys a block accepts from the same fields)."""
     fields = {f.name for f in dataclasses.fields(cls)} - top_level
     assert set(re.findall(r"^(\w+):", schema_block(block), flags=re.M)) == fields
-    assert accepted == fields
+
+
+def test_readme_lists_the_dataset_kinds():
+    assert alternatives("dataset.kind") == list(data.KINDS)
+
+
+def test_readme_cli_usage_lines_parse():
+    """Each ``tbal ...`` line of the README's CLI block, optional flags
+    included, is a command line the parser accepts."""
+    text = open(README).read()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("tbal ")]
+    assert len(lines) == 7
+    parser = cli.build_parser()
+    for line in lines:
+        argv = line.replace("[", "").replace("]", "").split()[1:]
+        assert parser.parse_args(argv).command == argv[0], line
 
 
 def test_nested_keys_read_from_their_own_block():

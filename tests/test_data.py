@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -200,18 +201,19 @@ class TestSplit:
         spec = DatasetSpec(kind="xor", n_total=200, pool_size=150, val_size=50)
         pool, val = make_dataset(spec, seed=0)
         assert len(pool) == 150 and len(val) == 50
-        with pytest.raises(ConfigError):
-            make_dataset(DatasetSpec(kind="nope", n_total=10, pool_size=5,
-                                     val_size=5), seed=0)
 
-    def test_dataset_spec_validates(self):
-        with pytest.raises(ConfigError):
-            DatasetSpec(kind="xor", n_total=10, pool_size=8, val_size=5)
-
-    def test_mnist_spec_needs_paths(self):
-        spec = DatasetSpec(kind="mnist_linear", n_total=10, pool_size=5, val_size=5)
-        with pytest.raises(ConfigError):
-            make_dataset(spec, seed=0)
+    @pytest.mark.parametrize("kw, message", [
+        (dict(kind="xor", pool_size=8, val_size=5), "exceeds n_total"),
+        (dict(kind="nope"), "unknown dataset kind 'nope'"),
+        (dict(kind="unit_ball", d=1), "dimension d must be >= 2"),
+        (dict(kind="xor", xor_radius=3.0), "xor_radius must be in (0, 2]"),
+        (dict(kind="xor", xor_radius=0.0), "xor_radius must be in (0, 2]"),
+        (dict(kind="mnist_linear"), "needs images_path and labels_path"),
+        (dict(kind="mnist_linear", images_path="i.idx"), "needs images_path and labels_path"),
+    ])
+    def test_dataset_spec_validates(self, kw, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            DatasetSpec(**{"n_total": 10, "pool_size": 5, "val_size": 5, **kw})
 
 
 class TestMnistPaths:

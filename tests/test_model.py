@@ -139,6 +139,9 @@ class TestLogitsPredict:
         m = LinearModel(np.zeros(3), np.asarray(0.0), num_classes=2)
         with pytest.raises(ValueError, match="dimension mismatch"):
             logits(m, np.zeros((2, 4)))
+        for f in (logits, predict):  # a single row is a matrix of one row
+            with pytest.raises(ValueError, match="2-D"):
+                f(m, np.zeros(3))
 
     def test_multiclass_logits(self):
         W = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
@@ -155,7 +158,7 @@ class TestLogitsPredict:
         m = LinearModel(np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]]), np.zeros(3),
                         num_classes=3)
         with pytest.raises(FloatingPointError, match="non-finite logits"):
-            predict(m, np.ones(2))
+            predict(m, np.ones((1, 2)))
 
 
 class TestHingeTrainerMatchesReference:

@@ -133,14 +133,6 @@ class TestFrozenValues:
                              n_a=[400], e_val=[0.01], N_a=400)
         assert error_bound_vc(inputs) == pytest.approx(7.302779973319478, abs=1e-10)
 
-    def test_custom_complexity_hook(self):
-        inputs = BoundInputs(d=5, k=1, delta=0.05, p0=0.5, n_v=[100],
-                             n_a=[50], e_val=[0.0], N_a=50)
-        got = error_bound_vc(inputs, complexity=lambda n: 0.0)
-        lt = math.log(8.0 / 0.05)
-        want = 8.0 * math.sqrt(2.0 / 100 * lt) + 8.0 * math.sqrt(2.0 / 50 * lt)
-        assert got == pytest.approx(want, abs=1e-12)
-
 
 class TestDomains:
     def test_rademacher_domain(self):
