@@ -166,7 +166,13 @@ def load_config(path: str) -> ExperimentConfig:
                 for k in ("n_s", "n_b"))
     if n_s is not None and n_s > budget:
         raise ConfigFileError(f"n_s must not exceed the smallest budget {budget}, not {n_s}")
-    train = TrainConfig(**_block(raw, "train", TrainConfig))
+    tr = _block(raw, "train", TrainConfig)
+    train = TrainConfig(**tr)
+    if "normalized" in tr and train.loss == LOGISTIC:
+        raise ConfigFileError("train.normalized is read by train.loss: hinge only")
+    if "init_scale" in tr and (train.loss == LOGISTIC or train.normalized):
+        raise ConfigFileError("train.init_scale is read by train.loss: hinge "
+                              "with normalized: false only")
     thr = _block(raw, "threshold", ThresholdConfig)
     if thr.get("sigma_kind", SIGMA_KINDS[0]) not in SIGMA_KINDS:
         raise ConfigFileError(f"threshold.sigma_kind must be one of {list(SIGMA_KINDS)}, "
@@ -210,7 +216,7 @@ def build_run_config(exp: ExperimentConfig, method: str, N_q: int) -> engine.Run
     n_s = exp.n_s if exp.n_s is not None else max(1, round(0.2 * N_q))
     n_b = exp.n_b if exp.n_b is not None else max(1, round(0.05 * N_q))
     return engine.RunConfig(
-        method=method, epsilon_a=exp.epsilon_a, n_s=n_s, n_b=n_b, N_q=N_q,
+        method=method, n_s=n_s, n_b=n_b, N_q=N_q,
         threshold=exp.threshold, query=exp.query, train=exp.train,
         confidence=exp.confidence)
 
@@ -254,8 +260,8 @@ def run_single(exp: ExperimentConfig, method: str, axis_value: int, trial: int,
     return {
         "method": method, "axis_value": axis_value, "seed": result.seed,
         "err_hat": report.err_hat, "cov_hat": report.cov_hat,
-        "human_labels": report.human_labels_used,
-        "val_labels": report.val_labels_used, "rounds": result.k,
+        "human_labels": result.human_labels_used,
+        "val_labels": result.val_labels_used, "rounds": result.k,
     }
 
 

@@ -47,19 +47,21 @@ def make_kind(name: str, **params):
         raise ValueError(f"unknown confidence kind {name!r}") from None
 
 
-def _abs_margin(model, s):
-    conf = np.abs(s)
-    return np.minimum(conf, 1.0) if model.normalized else conf
-
-
-def _score_logits(kind, model, X):
-    z = linmod.check_finite(linmod.logits(model, X))
-    pred = np.argmax(z, axis=1)
+def score(kind, model, X) -> tuple[np.ndarray, np.ndarray]:
+    """(predicted class, confidence) for each row of 2-D X."""
+    X = np.asarray(X, dtype=np.float64)
     if isinstance(kind, AbsMargin):
         if not model.binary:
             raise ValueError("abs_margin is defined for binary models only")
-        conf = _abs_margin(model, linmod.margin(model, X))
-    elif isinstance(kind, Softmax):
+        # one product serves both: the argmax of the logit pair (-s, s) is
+        # s > 0, with a tie (s == 0) going to class 0
+        s = linmod.check_finite(linmod.margin(model, X))
+        conf = np.abs(s)
+        if model.normalized:
+            conf = np.minimum(conf, 1.0)
+        return (s > 0).astype(np.int64), conf
+    z = linmod.check_finite(linmod.logits(model, X))
+    if isinstance(kind, Softmax):
         # scipy.special.softmax's own steps, so the scores keep its bits
         e = np.exp(z - z.max(axis=1, keepdims=True))
         conf = (e / e.sum(axis=1, keepdims=True)).max(axis=1)
@@ -71,20 +73,7 @@ def _score_logits(kind, model, X):
         conf = t * logsumexp(z / t, axis=1)
     else:
         raise ValueError(f"unknown confidence kind {kind!r}")
-    return pred, conf
-
-
-def score(kind, model, X) -> tuple[np.ndarray, np.ndarray]:
-    """(predicted class, confidence) for each row of 2-D X."""
-    X = np.asarray(X, dtype=np.float64)
-    if isinstance(kind, AbsMargin) and model.binary and model.constant_class is None:
-        # one product serves both: the argmax of the logit pair (-s, s) is
-        # s > 0, with a tie (s == 0) going to class 0
-        s = linmod.check_finite(linmod.margin(model, X))
-        pred, conf = (s > 0).astype(np.int64), _abs_margin(model, s)
-    else:
-        pred, conf = _score_logits(kind, model, X)
-    return pred, conf
+    return np.argmax(z, axis=1), conf
 
 
 def shift_nonnegative(*score_arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -4,7 +4,6 @@ pool/validation splitting."""
 from __future__ import annotations
 
 import gzip
-import os
 import struct
 from dataclasses import dataclass
 
@@ -43,10 +42,16 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown dataset kind {self.kind!r}; choose from {list(KINDS)}")
+        if self.pool_size < 1:
+            raise ConfigError(f"pool_size must be >= 1, got {self.pool_size}")
+        if self.val_size < 0:
+            raise ConfigError(f"val_size must be >= 0, got {self.val_size}")
         if self.pool_size + self.val_size > self.n_total:
             raise ConfigError("pool_size + val_size exceeds n_total")
         if self.kind == UNIT_BALL and self.d < 2:
             raise ConfigError(f"unit ball dimension d must be >= 2, got {self.d}")
+        if self.kind == XOR and self.n_total < 4:
+            raise ConfigError(f"n_total must be >= 4 on kind xor, got {self.n_total}")
         if self.kind == XOR and not 0 < self.xor_radius <= 2:
             raise ConfigError(f"xor_radius must be in (0, 2], got {self.xor_radius}")
         if self.kind == MNIST_LINEAR and not (self.images_path and self.labels_path):
@@ -172,18 +177,3 @@ def make_dataset(spec: DatasetSpec, seed: int) -> tuple[Pool, ValidationSet]:
         k = 10
     return split_pool_val(x, y, spec.pool_size, spec.val_size, seed, num_classes=k)
 
-
-def mnist_paths(data_dir: str | None = None) -> tuple[str, str] | None:
-    """Locate the MNIST training IDX pair under TBAL_DATA_DIR (or an explicit
-    directory); returns None when absent."""
-    root = data_dir or os.environ.get("TBAL_DATA_DIR", "")
-    if not root:
-        return None
-    for img, lbl in [
-        ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
-        ("train-images-idx3-ubyte.gz", "train-labels-idx1-ubyte.gz"),
-    ]:
-        ip, lp = os.path.join(root, img), os.path.join(root, lbl)
-        if os.path.exists(ip) and os.path.exists(lp):
-            return ip, lp
-    return None

@@ -47,7 +47,8 @@ METHODS = (TBAL, PL, AL, PLSC, ALSC)
 @dataclass
 class RunConfig:
     method: str = TBAL
-    epsilon_a: float = 0.01
+    # mirrors threshold.epsilon_a once built; None takes the threshold's
+    epsilon_a: float | None = None
     n_s: int = 100  # seed query size
     n_b: int = 25  # active batch size
     N_q: int = 500  # max human-labeled training points
@@ -66,7 +67,12 @@ class RunConfig:
         if self.n_b < 1:
             raise ValueError("n_b must be >= 1")
         if self.threshold is None:
-            self.threshold = ThresholdConfig(epsilon_a=self.epsilon_a)
+            self.threshold = (ThresholdConfig() if self.epsilon_a is None
+                              else ThresholdConfig(epsilon_a=self.epsilon_a))
+        elif self.epsilon_a not in (None, self.threshold.epsilon_a):
+            raise ValueError(f"epsilon_a {self.epsilon_a} differs from "
+                             f"threshold.epsilon_a {self.threshold.epsilon_a}")
+        self.epsilon_a = self.threshold.epsilon_a
         if self.query is None:
             self.query = qry.QueryConfig()
         if self.train is None:
@@ -153,8 +159,7 @@ def _chunks(model, features, ids):
     of all ``ids``, on the kinds, K and d the tests cover: scoring the whole
     matrix and indexing it does not, nor do shorter chunks. Gathering into
     one short buffer leaves peak memory independent of the pool size."""
-    # a product column per class, or one for binary weights: constant
-    # binary models too, which do no product, so their c changes no bits
+    # a product column per class, or one for binary weights
     c = _chunk_rows(features.shape[1], 1 if model.binary else model.num_classes)
     n = len(ids)
     buffer = np.empty((min(2 * c - 1, n), features.shape[1]))

@@ -20,11 +20,6 @@ class MetricReport:
     err_hat: float  # nan when undefined (no auto-labels)
     err_defined: bool
     cov_hat: float
-    human_labels_used: int
-    val_labels_used: int
-    n_auto: int
-    n_human: int
-    n_unlabeled: int
 
 
 def evaluate(result, pool: Pool) -> MetricReport:
@@ -46,16 +41,12 @@ def evaluate(result, pool: Pool) -> MetricReport:
         n_a_total += rec.n_a
     if n_a_total != result.N_a:
         raise IntegrityError("per-round auto counts disagree with the total")
-    n_auto, n_human, n_unl = partition_counts(rpool)
-    if n_auto != n_a_total:
+    if partition_counts(rpool)[0] != n_a_total:
         raise IntegrityError("pool auto count disagrees with round records")
     defined = n_a_total > 0
     err = mistakes / n_a_total if defined else math.nan
     cov = n_a_total / len(pool)
-    return MetricReport(err_hat=err, err_defined=defined, cov_hat=cov,
-                        human_labels_used=result.human_labels_used,
-                        val_labels_used=result.val_labels_used,
-                        n_auto=n_auto, n_human=n_human, n_unlabeled=n_unl)
+    return MetricReport(err_hat=err, err_defined=defined, cov_hat=cov)
 
 
 def summarize_trials(values: list[float]) -> tuple[float, float]:

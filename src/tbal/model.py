@@ -51,7 +51,6 @@ class LinearModel:
     bias: np.ndarray  # scalar array binary, (K,) multiclass
     num_classes: int
     normalized: bool = False
-    constant_class: int | None = None
     loss_trace: list = field(default_factory=list, repr=False)
 
     @property
@@ -83,10 +82,7 @@ def logits(model: LinearModel, X: np.ndarray) -> np.ndarray:
     rule."""
     X = np.asarray(X, dtype=np.float64)
     _check_dimension(model, X)
-    if model.constant_class is not None:
-        z = np.full((len(X), model.num_classes), -1.0)
-        z[:, model.constant_class] = 1.0
-    elif model.binary:
+    if model.binary:
         s = margin(model, X)
         z = np.column_stack([-s, s])
     else:
@@ -257,8 +253,9 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig, seed: int,
     """ERM on the gathered human labels.
 
     A single-class training set yields a model that predicts that class
-    (``constant_class``) rather than an error: early TBAL rounds can
-    legitimately see one class only.
+    rather than an error, since early TBAL rounds can legitimately see one
+    class only: zero weights and a bias of 1 for that class and -1 for the
+    others (binary: ``2c - 1``), so every row's logits are exactly those.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -268,9 +265,11 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig, seed: int,
     classes = np.unique(y)
     if len(classes) == 1:
         d = X.shape[1]
-        shape = (d,) if K == 2 else (K, d)
-        return LinearModel(np.zeros(shape), np.zeros(() if K == 2 else K),
-                           num_classes=K, constant_class=int(classes[0]))
+        bias = np.full(K, -1.0)
+        bias[classes[0]] = 1.0
+        if K == 2:  # the margin's bias is the class-1 logit, 2c - 1
+            return LinearModel(np.zeros(d), np.asarray(bias[1]), num_classes=2)
+        return LinearModel(np.zeros((K, d)), bias, num_classes=K)
     rng = rng_from(seed, "fit")
     if cfg.loss == HINGE:
         if K != 2:

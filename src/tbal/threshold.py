@@ -48,10 +48,6 @@ class ThresholdDecision:
     est_error: np.ndarray  # empirical validation error at the threshold
     chosen_sigma: np.ndarray  # inflation applied at the threshold
 
-    @property
-    def infinite(self) -> np.ndarray:
-        return ~np.isfinite(self.thresholds)
-
     def threshold_for(self, c: int) -> float:
         return float(self.thresholds[c]) if 0 <= c < len(self.thresholds) else math.inf
 

@@ -6,6 +6,7 @@ Each test prints the measured numbers so a failing band is diagnosable from
 the log alone.
 """
 
+import os
 import time
 
 import numpy as np
@@ -14,8 +15,8 @@ from scipy.stats import spearmanr
 
 from tbal.cli import _subsample_validation
 from tbal.confidence import AbsMargin, Softmax
-from tbal.core import AUTO, HUMAN, KINDS, UNLABELED
-from tbal.data import DatasetSpec, make_dataset, mnist_paths
+from tbal.core import AUTO, HUMAN, KINDS, UNLABELED, partition_counts
+from tbal.data import DatasetSpec, make_dataset
 from tbal.engine import RunConfig, run
 from tbal.metrics import evaluate
 from tbal.model import TrainConfig
@@ -29,6 +30,21 @@ XOR_SPEC = DatasetSpec(kind="xor", d=2, n_total=10000, pool_size=8000,
 BALL_SPEC = DatasetSpec(kind="unit_ball", d=30, n_total=20000,
                         pool_size=16000, val_size=4000)
 BALL_TRAIN = TrainConfig(loss="hinge", learning_rate=3.0, normalized=True)
+
+
+def mnist_paths() -> tuple[str, str] | None:
+    """The MNIST training IDX pair under TBAL_DATA_DIR; None when absent."""
+    root = os.environ.get("TBAL_DATA_DIR", "")
+    if not root:
+        return None
+    for img, lbl in [
+        ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
+        ("train-images-idx3-ubyte.gz", "train-labels-idx1-ubyte.gz"),
+    ]:
+        ip, lp = os.path.join(root, img), os.path.join(root, lbl)
+        if os.path.exists(ip) and os.path.exists(lp):
+            return ip, lp
+    return None
 
 
 def sweep(spec, method, seeds, N_q, *, train=None, confidence=None,
@@ -50,7 +66,8 @@ def sweep(spec, method, seeds, N_q, *, train=None, confidence=None,
         rep = evaluate(res, res.pool)
         errs.append(rep.err_hat)
         covs.append(rep.cov_hat)
-        covs_rem.append(rep.n_auto / max(len(res.pool) - rep.n_human, 1))
+        n_auto, n_human, _ = partition_counts(res.pool)
+        covs_rem.append(n_auto / max(len(res.pool) - n_human, 1))
         results.append(res)
     return (float(np.nanmean(errs)), float(np.mean(covs)),
             float(np.mean(covs_rem)), results)

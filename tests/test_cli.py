@@ -170,6 +170,17 @@ class TestLoadConfig:
          "dataset.images_path is read by kind mnist_linear only"),
         ({"dataset": dict(UNIT_BALL, labels_path="l.idx")},
          "dataset.labels_path is read by kind mnist_linear only"),
+        ({"dataset": dict(BASE_CONFIG["dataset"], n_total=3, pool_size=2, val_size=1)},
+         "n_total must be >= 4 on kind xor, got 3"),
+        ({"dataset": dict(BASE_CONFIG["dataset"], pool_size=0)},
+         "pool_size must be >= 1, got 0"),
+        ({"dataset": dict(UNIT_BALL, val_size=-5)}, "val_size must be >= 0, got -5"),
+        ({"train": {"loss": "logistic", "normalized": False}, "confidence": "softmax"},
+         "train.normalized is read by train.loss: hinge only"),
+        ({"train": {"loss": "logistic", "init_scale": 1.0}, "confidence": "softmax"},
+         "train.init_scale is read by train.loss: hinge with normalized: false only"),
+        ({"train": {"normalized": True, "init_scale": 1.0}},
+         "train.init_scale is read by train.loss: hinge with normalized: false only"),
     ], ids=["unknown_sigma_kind", "zero_sigma_kind", "unknown_strategy",
             "N_q_on_budget_sweep", "temperature_without_energy", "delta_above_one",
             "delta_zero", "temperature_zero", "temperature_negative", "trials_zero",
@@ -183,7 +194,9 @@ class TestLoadConfig:
             "temperature_boolean", "epsilon_a_not_a_number", "unknown_dataset_kind",
             "unit_ball_d_one", "xor_radius_above_two", "mnist_without_paths",
             "logistic_abs_margin", "xor_d_not_two", "d_on_mnist", "xor_radius_on_unit_ball",
-            "images_path_on_xor", "labels_path_on_unit_ball"])
+            "images_path_on_xor", "labels_path_on_unit_ball", "xor_n_total_three",
+            "pool_size_zero", "val_size_negative", "normalized_on_logistic",
+            "init_scale_on_logistic", "init_scale_on_normalized"])
     def test_value_a_run_would_fail_on_or_ignore_exits_2(self, tmp_path, capsys,
                                                            command, top, message):
         assert_config_error(tmp_path, capsys, command, message, **top)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tbal.confidence import (AbsMargin, Energy, Softmax, make_kind, score,
                              shift_nonnegative)
-from tbal.model import LinearModel, logits
+from tbal.model import LinearModel, TrainConfig, fit, logits
 
 
 def binary_model(w, b, normalized=False):
@@ -110,13 +110,13 @@ class TestAbsMarginSingleProduct:
         assert conf.tolist() == [1.0, 1.0, 0.3, 0.3]
         assert_same_bits((pred, conf), logits_abs_margin(m, X))
 
-    def test_constant_class_model(self):
+    def test_one_class_fit_predicts_its_class(self):
         for cls in (0, 1):
-            m = LinearModel(np.zeros(3), np.asarray(0.0), num_classes=2,
-                            constant_class=cls)
             X = np.random.default_rng(cls).standard_normal((7, 3))
+            m = fit(X, np.full(7, cls), TrainConfig(), seed=0, num_classes=2)
             pred, conf = score(AbsMargin(), m, X)
             assert pred.tolist() == [cls] * 7
+            assert conf.tolist() == [1.0] * 7  # every score ties
             assert_same_bits((pred, conf), logits_abs_margin(m, X))
 
     @pytest.mark.parametrize("kind", [AbsMargin(), Softmax(), Energy()])
@@ -222,6 +222,22 @@ class TestSameBitsAsScipy:
                 _, conf = score(Energy(temperature=t), m, X)
                 want = t * scipy.special.logsumexp(z / t, axis=1)
                 assert np.array_equal(bits(conf), bits(want))
+
+
+@pytest.mark.parametrize("K, cls", [(2, 0), (2, 1), (10, 4)])
+@pytest.mark.parametrize("kind", [Softmax(), Energy(), Energy(temperature=0.5)])
+def test_one_class_fit_scores_as_the_constant_logits(K, cls, kind):
+    # the scores of a one-class fit keep the bits of the constant logits
+    # (1 for the class seen, -1 for the others) that such a fit once returned
+    X = 100.0 * np.random.default_rng(K + cls).standard_normal((40, 5))
+    m = fit(X, np.full(40, cls), TrainConfig(loss="logistic"), seed=0, num_classes=K)
+    z = np.full((40, K), -1.0)
+    z[:, cls] = 1.0
+    if isinstance(kind, Softmax):
+        want = scipy.special.softmax(z, axis=1).max(1)
+    else:
+        want = kind.temperature * scipy.special.logsumexp(z / kind.temperature, axis=1)
+    assert_same_bits(score(kind, m, X), (np.full(40, cls), want))
 
 
 def test_import_loads_no_scipy():

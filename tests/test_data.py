@@ -7,7 +7,7 @@ import pytest
 
 from tbal.data import (ConfigError, DatasetSpec, IdxFormatError, XOR_CENTERS,
                        XOR_LABELS, gen_unit_ball, gen_xor, load_mnist_idx,
-                       make_dataset, mnist_paths, split_pool_val)
+                       make_dataset, split_pool_val)
 
 
 # ---------------------------------------------------------------- unit ball
@@ -210,21 +210,12 @@ class TestSplit:
         (dict(kind="xor", xor_radius=0.0), "xor_radius must be in (0, 2]"),
         (dict(kind="mnist_linear"), "needs images_path and labels_path"),
         (dict(kind="mnist_linear", images_path="i.idx"), "needs images_path and labels_path"),
+        (dict(kind="xor", pool_size=0), "pool_size must be >= 1, got 0"),
+        (dict(kind="unit_ball", val_size=-5), "val_size must be >= 0, got -5"),
+        (dict(kind="xor", n_total=3, pool_size=2, val_size=1),
+         "n_total must be >= 4 on kind xor, got 3"),
     ])
     def test_dataset_spec_validates(self, kw, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             DatasetSpec(**{"n_total": 10, "pool_size": 5, "val_size": 5, **kw})
 
-
-class TestMnistPaths:
-    def test_absent_dir_returns_none(self, monkeypatch):
-        monkeypatch.delenv("TBAL_DATA_DIR", raising=False)
-        assert mnist_paths() is None
-        assert mnist_paths("/nonexistent/dir") is None
-
-    def test_finds_pair(self, tmp_path, monkeypatch):
-        for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"):
-            (tmp_path / name).write_bytes(b"")
-        monkeypatch.setenv("TBAL_DATA_DIR", str(tmp_path))
-        got = mnist_paths()
-        assert got is not None and got[0].endswith("train-images-idx3-ubyte")

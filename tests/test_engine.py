@@ -11,7 +11,8 @@ import pytest
 import tbal.confidence as conf
 from tbal.confidence import AbsMargin, Energy, Softmax
 from tbal.confidence import score as score_kind
-from tbal.core import AUTO, HUMAN, KINDS, UNLABELED, Pool, ValidationSet, rng_from
+from tbal.core import (AUTO, HUMAN, KINDS, UNLABELED, Pool, ValidationSet, partition_counts,
+                       rng_from)
 from tbal.data import gen_unit_ball, gen_xor, split_pool_val
 import tbal.engine as engine
 from tbal.engine import METHODS, RoundRecord, RunConfig, _round_seed, run
@@ -81,6 +82,14 @@ class TestRunConfig:
         assert cfg.threshold.epsilon_a == 0.07
         assert cfg.query == QueryConfig()
         assert isinstance(cfg.train, TrainConfig)
+
+    def test_epsilon_a_mirrors_the_threshold(self):
+        assert RunConfig().epsilon_a == ThresholdConfig().epsilon_a
+        cfg = RunConfig(threshold=ThresholdConfig(epsilon_a=0.05))
+        assert cfg.epsilon_a == cfg.threshold.epsilon_a == 0.05
+        assert RunConfig(epsilon_a=0.05, threshold=ThresholdConfig(epsilon_a=0.05)) == cfg
+        with pytest.raises(ValueError, match="epsilon_a 0.02 differs"):
+            RunConfig(epsilon_a=0.02, threshold=ThresholdConfig(epsilon_a=0.05))
 
 
 class TestTbalLoop:
@@ -183,7 +192,7 @@ class TestTbalLoop:
         res = run(pool, val, cfg, seed=0)
         assert res.N_a == 0
         assert all(r.n_a == 0 for r in res.rounds)
-        assert all(r.decision is None or r.decision.infinite.all()
+        assert all(r.decision is None or np.isinf(r.decision.thresholds).all()
                    for r in res.rounds)
         # full budget went to humans, everything else stays unlabeled
         assert res.human_labels_used == 100
@@ -516,9 +525,10 @@ class TestMulticlassOffline:
     def test_run_passes_the_invariant_audit(self, monkeypatch):
         pool, val, res, _ = self.run(monkeypatch, per_class=True)
         check_invariants(res, pool, val)
-        report = evaluate(res, pool)
-        assert report.n_auto == res.N_a
-        assert report.n_human == res.human_labels_used
+        evaluate(res, pool)
+        n_auto, n_human, _ = partition_counts(res.pool)
+        assert n_auto == res.N_a
+        assert n_human == res.human_labels_used
 
 
 class TestQueryReadsThePassScores:

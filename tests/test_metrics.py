@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tbal.core import Pool, ValidationSet
+from tbal.core import Pool, ValidationSet, partition_counts
 from tbal.data import gen_unit_ball, split_pool_val
 from tbal.engine import RoundRecord, RunConfig, RunResult, run
 from tbal.metrics import IntegrityError, MetricReport, evaluate, summarize_trials
@@ -46,7 +46,7 @@ class TestEvaluate:
         assert [r.m_a for r in res.rounds] == [1, 1]
         # identity: total mistakes equal err_hat * N_a
         assert sum(r.m_a for r in res.rounds) == pytest.approx(rep.err_hat * res.N_a)
-        assert (rep.n_auto, rep.n_human, rep.n_unlabeled) == (5, 0, 1)
+        assert partition_counts(res.pool) == (5, 0, 1)
 
     def test_no_auto_labels_error_undefined_not_zero(self):
         pool, res = build_result([0, 1, 0], [])
@@ -81,13 +81,15 @@ class TestEvaluate:
         res = run(pool, val, cfg, seed=0)
         rep = evaluate(res, pool)
         assert isinstance(rep, MetricReport)
-        assert rep.n_auto + rep.n_human + rep.n_unlabeled == len(pool)
-        assert rep.cov_hat == rep.n_auto / len(pool)
+        n_auto, n_human, n_unlabeled = partition_counts(res.pool)
+        assert n_auto + n_human + n_unlabeled == len(pool)
+        assert (n_auto, n_human) == (res.N_a, res.human_labels_used)
+        assert rep.cov_hat == n_auto / len(pool)
         if rep.err_defined:
             # recount mistakes independently from the pool state arrays
             auto = res.pool.ids_with("auto")
             wrong = int(np.sum(res.pool.label[auto] != pool._truth[auto]))
-            assert rep.err_hat == pytest.approx(wrong / rep.n_auto)
+            assert rep.err_hat == pytest.approx(wrong / n_auto)
 
 
 class TestSummarize:

@@ -318,12 +318,18 @@ class TestFit:
         with pytest.raises(TrainingError, match="empty"):
             fit(np.empty((0, 2)), np.empty(0, dtype=np.int64), TrainConfig(), seed=0)
 
-    def test_single_class_constant_model(self):
-        X = np.random.default_rng(0).standard_normal((10, 2))
-        y = np.ones(10, dtype=np.int64)
-        m = fit(X, y, TrainConfig(), seed=0, num_classes=2)
-        assert m.constant_class == 1
-        assert np.all(predict(m, X) == 1)
+    @pytest.mark.parametrize("K, cls", [(2, 0), (2, 1), (10, 0), (10, 7)])
+    def test_one_class_fit_is_a_linear_model_of_constant_logits(self, K, cls):
+        # zero weights: the bias alone sets every row's logits, exactly 1 for
+        # the class seen and -1 for the others
+        X = 100.0 * np.random.default_rng(cls).standard_normal((50, 3))
+        want = np.full((50, K), -1.0)
+        want[:, cls] = 1.0
+        for loss in ("hinge", "logistic") if K == 2 else ("logistic",):
+            m = fit(X, np.full(50, cls), TrainConfig(loss=loss), seed=0, num_classes=K)
+            assert m.binary == (K == 2) and not np.any(m.weights)
+            assert np.array_equal(logits(m, X), want)
+            assert np.all(predict(m, X) == cls)
 
     def test_hinge_rejects_multiclass(self):
         X = np.zeros((6, 2))

@@ -177,7 +177,7 @@ class TestScanMatchesTheFrozenScan:
                 assert got == want, (n0, cls)
                 finite += math.isfinite(want[0])
             if n0 == n_first + 1:  # class 0 (or the one scan) lacks the support
-                assert dec.infinite[0]
+                assert np.isinf(dec.thresholds[0])
         assert finite > 0
 
 
@@ -253,7 +253,7 @@ class TestDecisionProperties:
                                  np.array([0.6, 0.7]), np.array([0, 0]),
                                  np.array([True, True]), cfg, num_classes=1)
         assert dec.thresholds[0] == math.inf  # support 2 < n0
-        assert dec.infinite[0]
+        assert np.isinf(dec.thresholds[0])
 
     def test_empty_validation_flag(self):
         cfg = ThresholdConfig()
@@ -261,7 +261,7 @@ class TestDecisionProperties:
                                  np.empty(0), np.empty(0, dtype=np.int64),
                                  np.empty(0, dtype=bool), cfg, num_classes=2)
         # without validation data every class abstains
-        assert dec.infinite.all()
+        assert np.isinf(dec.thresholds).all()
         assert list(dec.support) == [0, 0]
 
     def test_nonfinite_pool_scores_rejected(self):
