@@ -225,7 +225,7 @@ def _subsample_validation(val: ValidationSet, n: int, seed: int) -> ValidationSe
     if n >= len(val):
         return val
     idx = rng_from(seed, "val_subsample").choice(len(val), size=n, replace=False)
-    return ValidationSet(val.features[idx], val.labels[idx])
+    return ValidationSet(val.matrix, val.labels[idx], rows=val.rows[idx])
 
 
 def _point_inputs(exp: ExperimentConfig, axis_value: int, trial: int):
@@ -366,7 +366,7 @@ def export_dataset(result, path: str, include_features: bool = False) -> None:
             kind = KINDS[code]  # the provenance column is the kind's name
             row = [i, "" if kind == UNLABELED else label, kind, rnd if kind == AUTO else ""]
             if include_features:
-                row += [f"{v:.8g}" for v in pool.features[i]]
+                row += [f"{v:.8g}" for v in pool.gather(i)]
             w.writerow(row)
 
 

@@ -22,8 +22,47 @@ KINDS = (UNLABELED, HUMAN, AUTO)  # a point's kind code is its index here
 _CODE = {k: c for c, k in enumerate(KINDS)}
 
 
-class Pool:
-    """Indexed collection of feature vectors with hidden ground-truth labels.
+class _MatrixRows:
+    """Features held as rows of a matrix: point ``i``'s features are row
+    ``rows[i]`` of ``matrix``, a float64 (rows, d) array that the pool and
+    validation set split from one dataset share, so a split copies no
+    features. Read them with :meth:`gather`."""
+
+    def _hold(self, matrix, n: int, rows) -> None:
+        """Check and keep ``matrix`` and ``rows`` for ``n`` points; ``rows``
+        None means one matrix row per point, in order."""
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise ValueError(f"the matrix must be 2-D (rows, d), got shape {matrix.shape}")
+        if rows is None:
+            if len(matrix) != n:
+                raise ValueError(f"{len(matrix)} matrix rows for {n} points; pass rows")
+            rows = np.arange(n)
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or len(rows) != n:
+            raise ValueError(f"rows must be 1-D with one entry per point ({n}), "
+                             f"got shape {rows.shape}")
+        # ``gather`` clips, so a row outside the matrix must fail here
+        if n and (rows.dtype.kind not in "iu" or rows.min() < 0
+                  or rows.max() >= len(matrix)):
+            raise ValueError(f"rows must be integers in [0, {len(matrix)})")
+        self.matrix, self.rows = matrix, rows.astype(np.int64, copy=False)
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
+
+    def gather(self, ids, out=None) -> np.ndarray:
+        """The features of points ``ids`` (an id or an array of them), as
+        ``np.take`` gives them: into ``out`` when it is given."""
+        # mode "raise" gathers into a temporary first and copies it over;
+        # ``rows`` index the matrix, so "clip" changes none of them
+        return np.take(self.matrix, self.rows.take(ids), axis=0, out=out, mode="clip")
+
+
+class Pool(_MatrixRows):
+    """Indexed collection of points with hidden ground-truth labels; their
+    features are rows of a matrix (see :class:`_MatrixRows`).
 
     Ground truth is stored here but learners must never touch it directly;
     they go through :class:`Oracle` (to pay for a label) or the metrics
@@ -34,12 +73,10 @@ class Pool:
     is set for auto-labeled points only).
     """
 
-    def __init__(self, features: np.ndarray, truth: np.ndarray, num_classes: int):
-        features = np.asarray(features, dtype=np.float64)
+    def __init__(self, matrix: np.ndarray, truth: np.ndarray, num_classes: int,
+                 rows: np.ndarray | None = None):
         truth = np.asarray(truth, dtype=np.int64)
-        if features.ndim != 2 or len(features) != len(truth):
-            raise ValueError("features must be (N, d) aligned with truth (N,)")
-        self.features = features
+        self._hold(matrix, len(truth), rows)
         self._truth = truth
         self.num_classes = int(num_classes)
         self.kind = np.zeros(len(truth), dtype=np.int8)
@@ -48,10 +85,6 @@ class Pool:
 
     def __len__(self) -> int:
         return len(self.kind)
-
-    @property
-    def dimension(self) -> int:
-        return self.features.shape[1]
 
     def ids_with(self, kind: str) -> np.ndarray:
         return np.flatnonzero(self.kind == _CODE[kind])
@@ -66,7 +99,9 @@ class Pool:
         if len(taken):
             i = int(taken[0])
             raise StateTransitionError(f"point {i} is already {KINDS[self.kind[i]]}")
-        if len(np.unique(flat)) != len(flat):
+        seen = np.zeros(len(self), dtype=bool)
+        seen[flat] = True
+        if np.count_nonzero(seen) != len(flat):
             raise StateTransitionError("a batch names the same point twice")
         self.kind[flat] = _CODE[kind]
         self.label[flat] = labels
@@ -79,7 +114,7 @@ class Pool:
         self._mark(ids, AUTO, label, rnd)
 
     def copy(self) -> "Pool":
-        p = Pool(self.features, self._truth, self.num_classes)
+        p = Pool(self.matrix, self._truth, self.num_classes, self.rows)
         p.kind, p.label, p.round = self.kind.copy(), self.label.copy(), self.round.copy()
         return p
 
@@ -96,20 +131,22 @@ class Oracle:
 
 
 @dataclass
-class ValidationSet:
-    """Human-labeled holdout used only for threshold estimation.
+class ValidationSet(_MatrixRows):
+    """Human-labeled holdout used only for threshold estimation; its
+    features are rows of a matrix (see :class:`_MatrixRows`).
 
     Entries are deactivated (never deleted) when they fall into an
     auto-labeled region, so post-hoc audits can still see them.
     """
 
-    features: np.ndarray
+    matrix: np.ndarray
     labels: np.ndarray
     active: np.ndarray = field(default=None)  # bool mask
+    rows: np.ndarray = field(default=None)  # None: one matrix row per entry
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        self._hold(self.matrix, len(self.labels), self.rows)
         if self.active is None:
             self.active = np.ones(len(self.labels), dtype=bool)
 
@@ -128,12 +165,13 @@ class ValidationSet:
         self.active[np.asarray(indices, dtype=np.int64)] = False
 
     def copy(self) -> "ValidationSet":
-        return ValidationSet(self.features, self.labels, self.active.copy())
+        return ValidationSet(self.matrix, self.labels, self.active.copy(), self.rows)
 
 
 def partition_counts(pool: Pool) -> tuple[int, int, int]:
     """(n_auto, n_human, n_unlabeled); always sums to len(pool)."""
-    n_unl, n_human, n_auto = np.bincount(pool.kind, minlength=len(KINDS))[:len(KINDS)]
+    # a code outside KINDS is counted nowhere, so check_partition fails
+    n_unl, n_human, n_auto = (np.count_nonzero(pool.kind == c) for c in range(len(KINDS)))
     return int(n_auto), int(n_human), int(n_unl)
 
 

@@ -58,6 +58,10 @@ class DatasetSpec:
             raise ConfigError("mnist_linear needs images_path and labels_path")
 
 
+# rows per block in which ``gen_unit_ball`` scales its samples
+UNIT_BALL_BLOCK = 4096
+
+
 def gen_unit_ball(d: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform samples from the d-dimensional unit ball, labeled by the
     homogeneous separator w* = (1/sqrt(d), ..., 1/sqrt(d)).
@@ -70,9 +74,12 @@ def gen_unit_ball(d: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(f"sample count must be >= 1, got {n}")
     rng = rng_from(seed, "unit_ball")
     g = rng.standard_normal((n, d))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
     r = rng.random(n) ** (1.0 / d)
-    g *= r[:, None]
+    # a block at a time, so the norm's temporaries take one block, not n x d
+    for lo in range(0, n, UNIT_BALL_BLOCK):
+        blk = g[lo:lo + UNIT_BALL_BLOCK]
+        blk /= np.linalg.norm(blk, axis=1, keepdims=True)
+        blk *= r[lo:lo + UNIT_BALL_BLOCK, None]
     w_star = np.full(d, 1.0 / np.sqrt(d))
     y = (g @ w_star >= 0).astype(np.int64)
     return g, y
@@ -144,14 +151,17 @@ def load_mnist_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.n
     if count != lcount:
         raise IdxFormatError(
             f"count mismatch: {count} images vs {lcount} labels")
-    return images.astype(np.float64) / 255.0, labels
+    x = images.astype(np.float64)
+    x /= 255.0  # in place: the loader holds one float copy of the images
+    return x, labels
 
 
 def split_pool_val(features: np.ndarray, labels: np.ndarray,
                    pool_size: int, val_size: int, seed: int,
                    num_classes: int | None = None) -> tuple[Pool, ValidationSet]:
     """Disjoint uniform random split. Validation keeps labels visible; the
-    pool hides them behind the oracle."""
+    pool hides them behind the oracle. Both read their features from
+    ``features`` by row index, so the split copies none of them."""
     n = len(labels)
     if pool_size + val_size > n:
         raise ConfigError(f"pool_size + val_size = {pool_size + val_size} > {n}")
@@ -160,8 +170,9 @@ def split_pool_val(features: np.ndarray, labels: np.ndarray,
     pool_idx = perm[:pool_size]
     val_idx = perm[pool_size:pool_size + val_size]
     k = num_classes if num_classes is not None else int(labels.max()) + 1
-    pool = Pool(features[pool_idx], labels[pool_idx], num_classes=k)
-    val = ValidationSet(features[val_idx], labels[val_idx])
+    features = np.asarray(features, dtype=np.float64)  # one matrix for both
+    pool = Pool(features, labels[pool_idx], num_classes=k, rows=pool_idx)
+    val = ValidationSet(features, labels[val_idx], rows=val_idx)
     return pool, val
 
 

@@ -147,10 +147,11 @@ def _chunk_rows(d: int, k: int) -> int:
     return c
 
 
-def _chunks(model, features, ids):
-    """``features[ids]`` in chunks for scoring by ``model``, each written
-    into the first rows of one buffer of at most 2c - 1 rows; a chunk holds
-    until the next one is gathered.
+def _chunks(model, points, ids):
+    """``points.gather(ids)`` (``points`` a pool or validation set) in
+    chunks for scoring by ``model``, each written into the first rows of one
+    buffer of at most 2c - 1 rows; a chunk holds until the next one is
+    gathered.
 
     Chunks start at multiples of c (``_chunk_rows``), and the last one takes
     the remainder, so it holds c to 2c - 1 rows (fewer than c ids are one
@@ -160,20 +161,18 @@ def _chunks(model, features, ids):
     matrix and indexing it does not, nor do shorter chunks. Gathering into
     one short buffer leaves peak memory independent of the pool size."""
     # a product column per class, or one for binary weights
-    c = _chunk_rows(features.shape[1], 1 if model.binary else model.num_classes)
+    c = _chunk_rows(points.dimension, 1 if model.binary else model.num_classes)
     n = len(ids)
-    buffer = np.empty((min(2 * c - 1, n), features.shape[1]))
+    buffer = np.empty((min(2 * c - 1, n), points.dimension))
     bounds = [i * c for i in range(max(1, n // c))] + [n]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        # mode "raise" gathers into a temporary first and copies it over;
-        # the ids index these features, so "clip" changes none of them
-        yield np.take(features, ids[lo:hi], axis=0, out=buffer[:hi - lo], mode="clip")
+        yield points.gather(ids[lo:hi], out=buffer[:hi - lo])
 
 
-def _score_rows(kind, model, features, ids) -> tuple[np.ndarray, np.ndarray]:
-    """``conf.score(kind, model, features[ids])``, gathered and scored a
-    chunk at a time (see ``_chunks``)."""
-    scored = [conf.score(kind, model, X) for X in _chunks(model, features, ids)]
+def _score_rows(kind, model, points, ids) -> tuple[np.ndarray, np.ndarray]:
+    """``conf.score(kind, model, points.gather(ids))``, gathered and scored
+    a chunk at a time (see ``_chunks``)."""
+    scored = [conf.score(kind, model, X) for X in _chunks(model, points, ids)]
     if len(scored) == 1:
         return scored[0]
     preds, confs = zip(*scored)
@@ -191,9 +190,9 @@ def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried):
     auto_ids = auto_labels = drop = np.empty(0, dtype=np.int64)
     keep, raw_u = np.empty(0, dtype=np.int64), np.empty(0)
     if len(unlabeled):
-        pred_u, raw_u = _score_rows(cfg.confidence, model, pool.features, unlabeled)
+        pred_u, raw_u = _score_rows(cfg.confidence, model, pool, unlabeled)
         if n_v:
-            pred_v, conf_v = _score_rows(cfg.confidence, model, val.features, act)
+            pred_v, conf_v = _score_rows(cfg.confidence, model, val, act)
         else:
             pred_v, conf_v = np.empty(0, dtype=np.int64), np.empty(0)
         conf_u, conf_v = conf.shift_nonnegative(raw_u, conf_v)
@@ -287,7 +286,7 @@ def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> Tra
         remaining = pool.ids_with(UNLABELED)
         spent = len(human) >= cfg.N_q
         if every_round or strategy == qry.MARGIN_RANDOM or spent or not len(remaining):
-            model = linmod.fit(pool.features[human], pool.label[human], cfg.train,
+            model = linmod.fit(pool.gather(human), pool.label[human], cfg.train,
                                _round_seed(seed, "train", rnd),
                                num_classes=pool.num_classes)
         left_scores = None
@@ -303,7 +302,7 @@ def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> Tra
             # TBAL's pass has just scored exactly these points with this model
             scores = left_scores
             if scores is None:
-                scores = _score_rows(cfg.confidence, model, pool.features, remaining)[1]
+                scores = _score_rows(cfg.confidence, model, pool, remaining)[1]
             queried, _ = qry.query_margin_random(remaining, scores, n_next,
                                                  cfg.query.C, rng)
         else:
@@ -329,7 +328,7 @@ def finish(traj: Trajectory, cfg: RunConfig) -> RunResult:
         elif len(remaining):
             pool = pool.copy()
             preds = np.concatenate([linmod.predict(model, X)
-                                    for X in _chunks(model, pool.features, remaining)])
+                                    for X in _chunks(model, pool, remaining)])
             pool.mark_auto(remaining, preds, 1)
             rounds.append(RoundRecord(
                 index=1, queried_ids=no_ids,

@@ -43,6 +43,11 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        # a negative l2 leaves the objective unbounded below, a negative
+        # tolerance never stops training, and init_scale is a stddev
+        for name in ("l2", "tolerance", "init_scale"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass

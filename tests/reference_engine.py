@@ -39,9 +39,9 @@ def _auto_label_pass(cfg, model, pool, val, rnd, queried):
     auto_ids = auto_labels = drop = np.empty(0, dtype=np.int64)
     left = np.empty(0)
     if len(unlabeled):
-        pred_u, raw_u = conf.score(cfg.confidence, model, pool.features[unlabeled])
+        pred_u, raw_u = conf.score(cfg.confidence, model, pool.gather(unlabeled))
         if n_v:
-            pred_v, conf_v = conf.score(cfg.confidence, model, val.features[act])
+            pred_v, conf_v = conf.score(cfg.confidence, model, val.gather(act))
         else:
             pred_v, conf_v = np.empty(0, dtype=np.int64), np.empty(0)
         conf_u, conf_v = conf.shift_nonnegative(raw_u, conf_v)
@@ -83,7 +83,7 @@ def _query_human(pool, oracle, ids, train_X, train_y):
     labels = [oracle.label(int(i)) for i in ids]
     pool.mark_human(ids, labels)
     train_y.extend(labels)
-    train_X.extend(pool.features[ids])
+    train_X.extend(pool.gather(ids))
 
 
 def run_tbal(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> RunResult:
@@ -155,7 +155,7 @@ def run_baseline(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> R
             break
         n_next = min(cfg.n_b, cfg.N_q - len(train_y), len(remaining))
         if active:
-            scores = _margin_scores(cfg, model, pool.features[remaining])
+            scores = _margin_scores(cfg, model, pool.gather(remaining))
             ids, _ = qry.query_margin_random(remaining, scores, n_next, cfg.query.C,
                                              rng_from(seed, "query", rnd))
         else:
@@ -174,7 +174,7 @@ def run_baseline(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> R
                                      np.array([], dtype=np.int64))
         rounds.append(record)
     elif len(remaining):
-        preds = linmod.predict(model, pool.features[remaining])
+        preds = linmod.predict(model, pool.gather(remaining))
         pool.mark_auto(remaining, preds, 1)
         rounds.append(RoundRecord(
             index=1, queried_ids=np.array([], dtype=np.int64),

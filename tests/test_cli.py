@@ -181,6 +181,9 @@ class TestLoadConfig:
          "train.init_scale is read by train.loss: hinge with normalized: false only"),
         ({"train": {"normalized": True, "init_scale": 1.0}},
          "train.init_scale is read by train.loss: hinge with normalized: false only"),
+        ({"train": {"l2": -1.0}}, "l2 must be >= 0, got -1.0"),
+        ({"train": {"tolerance": -1.0}}, "tolerance must be >= 0, got -1.0"),
+        ({"train": {"init_scale": -5.0}}, "init_scale must be >= 0, got -5.0"),
     ], ids=["unknown_sigma_kind", "zero_sigma_kind", "unknown_strategy",
             "N_q_on_budget_sweep", "temperature_without_energy", "delta_above_one",
             "delta_zero", "temperature_zero", "temperature_negative", "trials_zero",
@@ -196,7 +199,8 @@ class TestLoadConfig:
             "logistic_abs_margin", "xor_d_not_two", "d_on_mnist", "xor_radius_on_unit_ball",
             "images_path_on_xor", "labels_path_on_unit_ball", "xor_n_total_three",
             "pool_size_zero", "val_size_negative", "normalized_on_logistic",
-            "init_scale_on_logistic", "init_scale_on_normalized"])
+            "init_scale_on_logistic", "init_scale_on_normalized", "l2_negative",
+            "tolerance_negative", "init_scale_negative"])
     def test_value_a_run_would_fail_on_or_ignore_exits_2(self, tmp_path, capsys,
                                                            command, top, message):
         assert_config_error(tmp_path, capsys, command, message, **top)
@@ -458,12 +462,14 @@ class TestSharedGroups:
         pool, val, N_q, seed = shared["inputs"]
         fresh_pool, fresh_val = make_dataset(exp.dataset, seed)
         assert (N_q, seed) == (80, 1)
-        assert np.array_equal(pool.features, fresh_pool.features)
+        assert pool.matrix is val.matrix  # the split copied no features
+        assert np.array_equal(pool.matrix, fresh_pool.matrix)
+        assert np.array_equal(pool.rows, fresh_pool.rows)
         assert np.array_equal(pool._truth, fresh_pool._truth)
         for name in ("kind", "label", "round"):
             assert np.array_equal(getattr(pool, name), getattr(fresh_pool, name))
         assert np.all(pool.kind == KINDS.index(UNLABELED))
-        assert np.array_equal(val.features, fresh_val.features)
+        assert np.array_equal(val.rows, fresh_val.rows)
         assert np.array_equal(val.labels, fresh_val.labels)
         assert val.active.all()
 

@@ -76,6 +76,62 @@ class TestPool:
             Pool(np.zeros(3), np.zeros(3, dtype=np.int64), num_classes=2)
 
 
+def make_points(cls, rows, n_points=None):
+    """A pool or validation set of ``n_points`` (default ``len(rows)``) on
+    ``rows`` of a 6 x 3 matrix."""
+    matrix = np.arange(18, dtype=np.float64).reshape(6, 3)
+    labels = np.zeros(len(rows) if n_points is None else n_points, dtype=np.int64)
+    if cls is Pool:
+        return Pool(matrix, labels, num_classes=2, rows=rows)
+    return ValidationSet(matrix, labels, rows=rows)
+
+
+@pytest.mark.parametrize("cls", [Pool, ValidationSet])
+class TestMatrixRows:
+    def test_gather_reads_the_matrix_rows(self, cls):
+        points = make_points(cls, np.array([4, 0, 5, 2]))
+        assert points.dimension == 3
+        assert np.array_equal(points.gather(np.array([2, 0])), points.matrix[[5, 4]])
+        assert np.array_equal(points.gather(3), points.matrix[2])
+        out = np.empty((2, 3))
+        assert points.gather(np.array([1, 3]), out=out) is out
+        assert np.array_equal(out, points.matrix[[0, 2]])
+        with pytest.raises(IndexError):
+            points.gather(np.array([4]))
+
+    def test_copy_shares_the_matrix_and_rows(self, cls):
+        points = make_points(cls, np.array([4, 0, 5, 2]))
+        clone = points.copy()
+        assert clone.matrix is points.matrix
+        assert np.array_equal(clone.rows, points.rows)
+
+    def test_rows_default_to_the_matrix_order(self, cls):
+        matrix = np.ones((4, 2))
+        labels = np.zeros(4, dtype=np.int64)
+        points = Pool(matrix, labels, 2) if cls is Pool else ValidationSet(matrix, labels)
+        assert np.array_equal(points.rows, np.arange(4))
+
+    @pytest.mark.parametrize("rows", [
+        np.array([0, 6, 1]), np.array([-1, 0, 1]),  # outside the matrix
+        np.array([0.0, 1.0, 2.0]),  # not integers
+    ], ids=["past_the_end", "negative", "floats"])
+    def test_rows_outside_the_matrix_rejected(self, cls, rows):
+        with pytest.raises(ValueError, match="rows must be integers in"):
+            make_points(cls, rows)
+
+    @pytest.mark.parametrize("rows", [[0, 1], [[0, 1, 2]], [0, 1, 2, 3]],
+                             ids=["short", "2-D", "long"])
+    def test_rows_of_the_wrong_shape_rejected(self, cls, rows):
+        with pytest.raises(ValueError, match="rows must be 1-D"):
+            make_points(cls, np.array(rows), n_points=3)
+
+    def test_features_attribute_is_gone(self, cls):
+        # the name once held the split's own rows; reading it must fail
+        points = make_points(cls, np.array([4, 0]))
+        with pytest.raises(AttributeError):
+            points.features
+
+
 def state_arrays(pool):
     return pool.kind.copy(), pool.label.copy(), pool.round.copy()
 

@@ -1,6 +1,7 @@
 import gzip
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from tbal.data import (ConfigError, DatasetSpec, IdxFormatError, XOR_CENTERS,
                        XOR_LABELS, gen_unit_ball, gen_xor, load_mnist_idx,
                        make_dataset, split_pool_val)
+from tbal.core import rng_from
 
 
 # ---------------------------------------------------------------- unit ball
@@ -27,6 +29,19 @@ class TestUnitBall:
         a, ya = gen_unit_ball(4, 50, seed=9)
         b, yb = gen_unit_ball(4, 50, seed=9)
         assert np.array_equal(a, b) and np.array_equal(ya, yb)
+
+    @pytest.mark.parametrize("d", [2, 30, 784])
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 10000])
+    def test_blocks_keep_the_bits_of_one_pass(self, n, d):
+        # the samples normalized and scaled in one pass over all n rows
+        rng = rng_from(5, "unit_ball")
+        g = rng.standard_normal((n, d))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        g *= (rng.random(n) ** (1.0 / d))[:, None]
+        y = (g @ np.full(d, 1.0 / np.sqrt(d)) >= 0).astype(np.int64)
+        x, got_y = gen_unit_ball(d, n, seed=5)
+        assert x.tobytes() == g.tobytes()
+        assert got_y.tobytes() == y.tobytes()
 
     def test_radius_distribution(self):
         # P(r <= c) = c^d for the uniform ball; check the median radius
@@ -179,9 +194,34 @@ class TestSplit:
         y = np.arange(20) % 2
         pool, val = split_pool_val(X, y, pool_size=12, val_size=5, seed=0)
         assert len(pool) == 12 and len(val) == 5
-        pool_rows = {tuple(r) for r in pool.features}
-        val_rows = {tuple(r) for r in val.features}
+        pool_rows = {tuple(r) for r in pool.gather(np.arange(len(pool)))}
+        val_rows = {tuple(r) for r in val.gather(np.arange(len(val)))}
         assert not pool_rows & val_rows
+
+    def test_rows_read_the_split_points(self):
+        X = np.arange(40, dtype=np.float64).reshape(20, 2)
+        y = np.arange(20) % 2
+        pool, val = split_pool_val(X, y, pool_size=12, val_size=5, seed=0)
+        assert pool.matrix is X and val.matrix is X
+        perm = rng_from(0, "split").permutation(20)
+        assert np.array_equal(pool.rows, perm[:12])
+        assert np.array_equal(val.rows, perm[12:17])
+        assert np.array_equal(pool.gather(np.arange(12)), X[perm[:12]])
+        assert np.array_equal(pool._truth, y[perm[:12]])
+        assert np.array_equal(val.labels, y[perm[12:17]])
+
+    def test_split_copies_no_features(self):
+        X = np.random.default_rng(0).standard_normal((100_000, 30))
+        y = (X[:, 0] > 0).astype(np.int64)
+        tracemalloc.start()
+        try:
+            split_pool_val(X, y, 80_000, 20_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a copy of the split's rows took the matrix's size; what is left is
+        # the permutation, the labels and the pool's state arrays (12% at d = 30)
+        assert peak < X.nbytes / 4
 
     def test_oversized_split_rejected(self):
         X = np.zeros((10, 2))
@@ -194,7 +234,7 @@ class TestSplit:
         y = (X[:, 0] > 0).astype(np.int64)
         p1, v1 = split_pool_val(X, y, 20, 10, seed=4)
         p2, v2 = split_pool_val(X, y, 20, 10, seed=4)
-        assert np.array_equal(p1.features, p2.features)
+        assert np.array_equal(p1.rows, p2.rows)
         assert np.array_equal(v1.labels, v2.labels)
 
     def test_make_dataset_dispatch(self):

@@ -235,6 +235,12 @@ def random_model(rng, K, d, binary=False):
                               rng.standard_normal(K), K)
 
 
+def as_points(features):
+    """``features`` as the rows of a validation set, in order: what
+    ``engine._score_rows`` reads."""
+    return ValidationSet(features, np.zeros(len(features), dtype=np.int64))
+
+
 class TestChunkedScoring:
     """``_score_rows`` against one gather of every row: the chunk rule keeps
     each score's bits, which neither scoring the whole matrix and indexing it
@@ -254,6 +260,7 @@ class TestChunkedScoring:
         chunk = {K: engine._chunk_rows(d, K) for K in (1, 2, 3, 4, 10)}
         features = rng.standard_normal((3 * max(chunk.values()) + 57, d))
         assert features.nbytes < 24e6
+        points = as_points(features)
         # (K, binary model): a binary model scores one vector, the chunks of k = 1
         for K, binary in [(2, True), (2, False), (3, False), (4, False), (10, False)]:
             c = chunk[1 if binary else K]
@@ -265,7 +272,7 @@ class TestChunkedScoring:
                 ids = rng.permutation(len(features))[:n]
                 X = features[ids]
                 for kind in kinds:
-                    pred, score = engine._score_rows(kind, model, features, ids)
+                    pred, score = engine._score_rows(kind, model, points, ids)
                     want_pred, want_score = score_kind(kind, model, X)
                     case = (K, binary, kind, n)
                     assert pred.dtype == want_pred.dtype, case
@@ -281,6 +288,7 @@ class TestChunkedScoring:
             import numpy as np
             from tbal import engine
             from tbal.confidence import AbsMargin, Softmax, score
+            from tbal.core import ValidationSet
             from tbal.model import LinearModel
             chunked, whole = hashlib.sha256(), hashlib.sha256()
             for d in (2, 30, 784, 2048, 4096):
@@ -290,13 +298,14 @@ class TestChunkedScoring:
                 sizes = [c - 1, c, c + 1, 2 * c - 1, 3 * c + 7] + [19345] * (d == 30)
                 rng = np.random.default_rng(d)
                 features = rng.standard_normal((max(sizes) + 57, d))
+                points = ValidationSet(features, np.zeros(len(features), dtype=np.int64))
                 model = LinearModel(rng.standard_normal(d) / math.sqrt(d),
                                     np.array(rng.standard_normal()), 2, normalized=True)
                 for n in sizes:
                     ids = rng.permutation(len(features))[:n]
                     for kind in (AbsMargin(), Softmax()):
                         for h, scored in (
-                                (chunked, engine._score_rows(kind, model, features, ids)),
+                                (chunked, engine._score_rows(kind, model, points, ids)),
                                 (whole, score(kind, model, features[ids]))):
                             for a in scored:
                                 h.update(a.tobytes())
@@ -327,7 +336,8 @@ class TestChunkedScoring:
             return real_score(kind, model, x)
 
         monkeypatch.setattr(conf, "score", score)
-        engine._score_rows(Softmax(), random_model(rng, 10, 784), features, np.arange(n))
+        engine._score_rows(Softmax(), random_model(rng, 10, 784), as_points(features),
+                           np.arange(n))
         assert len(sizes) == calls and sum(sizes) == n
         assert all(s == 256 for s in sizes[:-1]) and sizes[-1] < 512
 
@@ -342,7 +352,7 @@ class TestChunkedScoring:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < pool.features.nbytes / 2
+        assert peak < len(pool) * pool.dimension * 8 / 2
 
 
 class TestAbstainEquivalence:
@@ -468,9 +478,9 @@ class TestFitOnlyWhatIsRead:
         assert len(X) == len(human) == self.N_Q
         seed_ids, _ = qry.query_random(np.arange(len(pool)), self.N_S,
                                        rng_from(3, "seed_query"))
-        assert np.array_equal(X[:self.N_S], pool.features[seed_ids])
+        assert np.array_equal(X[:self.N_S], pool.gather(seed_ids))
         assert sorted(zip(map(tuple, X), y.tolist())) == \
-            sorted(zip(map(tuple, pool.features[human]), pool._truth[human].tolist()))
+            sorted(zip(map(tuple, pool.gather(human)), pool._truth[human].tolist()))
         assert fit_seed == _round_seed(3, "train", 1 + self.BATCHES)
         ref = linmod.fit(X, y, cfg.train, fit_seed, num_classes=2)
         assert np.array_equal(model.weights, ref.weights)
@@ -478,7 +488,7 @@ class TestFitOnlyWhatIsRead:
         if method == "pl":
             auto = res.rounds[0].auto_ids
             assert np.array_equal(res.rounds[0].auto_labels,
-                                  linmod.predict(ref, pool.features[auto]))
+                                  linmod.predict(ref, pool.gather(auto)))
 
 
 
@@ -508,7 +518,7 @@ class TestMulticlassOffline:
         for r, model in zip(res.rounds, models):
             if r.decision is None or r.n_a == 0:
                 continue
-            pred, score = score_kind(Softmax(), model, pool.features[r.auto_ids])
+            pred, score = score_kind(Softmax(), model, pool.gather(r.auto_ids))
             assert np.array_equal(pred, r.auto_labels)
             t = r.decision.thresholds
             assert t.shape == (self.K,)
@@ -569,7 +579,7 @@ class TestQueryReadsThePassScores:
             prev = res.rounds[r - 1]
             done = np.concatenate([done, prev.queried_ids, prev.auto_ids])
             remaining = np.setdiff1d(np.arange(len(pool)), done)
-            X, model = pool.features[remaining], models[r - 1]
+            X, model = pool.gather(remaining), models[r - 1]
             _, want_scores = score_kind(cfg.confidence, model, X)
             assert passed[r - 1].tobytes() == want_scores.tobytes()
             batch = res.rounds[r].queried_ids

@@ -368,4 +368,8 @@ class TestFit:
             TrainConfig(learning_rate=-1)
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
             TrainConfig(batch_size=0)
+        for name in ("l2", "tolerance", "init_scale"):
+            with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+                TrainConfig(**{name: -1.0})
+            TrainConfig(**{name: 0.0})  # zero is allowed
 
