@@ -160,19 +160,24 @@ def split_pool_val(features: np.ndarray, labels: np.ndarray,
                    pool_size: int, val_size: int, seed: int,
                    num_classes: int | None = None) -> tuple[Pool, ValidationSet]:
     """Disjoint uniform random split. Validation keeps labels visible; the
-    pool hides them behind the oracle. Both read their features from
-    ``features`` by row index, so the split copies none of them."""
+    pool hides them behind the oracle. Both read their features by row index
+    from one matrix: ``features`` itself when the split uses every row, so
+    it copies none of them; otherwise a copy of just the used rows, pool
+    rows first, so the unused ones are not kept alive."""
     n = len(labels)
-    if pool_size + val_size > n:
-        raise ConfigError(f"pool_size + val_size = {pool_size + val_size} > {n}")
+    used = pool_size + val_size
+    if used > n:
+        raise ConfigError(f"pool_size + val_size = {used} > {n}")
     rng = rng_from(seed, "split")
     perm = rng.permutation(n)
-    pool_idx = perm[:pool_size]
-    val_idx = perm[pool_size:pool_size + val_size]
     k = num_classes if num_classes is not None else int(labels.max()) + 1
     features = np.asarray(features, dtype=np.float64)  # one matrix for both
-    pool = Pool(features, labels[pool_idx], num_classes=k, rows=pool_idx)
-    val = ValidationSet(features, labels[val_idx], rows=val_idx)
+    rows = perm[:used]
+    if used < n:
+        features = features.take(rows, axis=0)
+        rows = np.arange(used)
+    pool = Pool(features, labels[perm[:pool_size]], num_classes=k, rows=rows[:pool_size])
+    val = ValidationSet(features, labels[perm[pool_size:used]], rows=rows[pool_size:])
     return pool, val
 
 

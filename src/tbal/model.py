@@ -56,7 +56,10 @@ class LinearModel:
     bias: np.ndarray  # scalar array binary, (K,) multiclass
     num_classes: int
     normalized: bool = False
+    # the losses the trainer's stop test read (hinge adds the averaged
+    # model's); ``epochs`` counts the epochs run, 0 for a one-class fit
     loss_trace: list = field(default_factory=list, repr=False)
+    epochs: int = 0
 
     @property
     def binary(self) -> bool:
@@ -108,11 +111,14 @@ def predict(model: LinearModel, X: np.ndarray) -> np.ndarray:
     return np.argmax(check_finite(logits(model, X)), axis=1)
 
 
-def _hinge_loss(w: np.ndarray, b: float, X: np.ndarray, ypm: np.ndarray,
+def _hinge_loss(w: np.ndarray, b: float, X: np.ndarray, ypm: np.ndarray | None,
                 l2: float) -> float:
+    """Mean hinge loss plus 0.5 * l2 * ||w||^2. ``ypm`` None reads ``X`` as
+    label-signed rows of a fit whose bias is 0 (see _fit_hinge)."""
     margins = X.dot(w)
-    margins += b
-    margins *= ypm
+    if ypm is not None:
+        margins += b
+        margins *= ypm
     np.subtract(1.0, margins, out=margins)
     np.maximum(0.0, margins, out=margins)
     # np.mean's own sum and divide, without its Python wrapper
@@ -147,10 +153,20 @@ def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
     # each row's batch length in shuffled order; the last batch may be short
     batch_len = np.full(n, float(bs))
     batch_len[n - n % bs:] = n % bs
+    neg_inv = -1.0 / batch_len
+    # a unit-norm fit trains on label-signed rows y * x. With y = +-1 and the
+    # bias at +0.0 that keeps every bit: negation is exact and rounding is
+    # symmetric, so (y x) . w == y (x . w + 0) in any summation order, and
+    # each gradient term (y x)(-1/bl) == x (-y/bl). Only an exact-zero
+    # gradient entry can change sign, and l2 * w absorbs it unless that is 0
+    signed = cfg.normalized
+    if signed:
+        X = X * ypm[:, None]
+        ypm = None
     w_sum = np.zeros(d)
     b_sum = 0.0
     n_avg = 0
-    trace = []
+    trace = []  # the losses the stop test reads, then the averaged model's
     prev = np.inf
     t = 0
     for epoch in range(cfg.epochs):
@@ -160,44 +176,50 @@ def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
         # tests/reference_trainer.py, so the fitted bits do not change
         order = rng.permutation(n)
         Xo = X[order]
-        yo = ypm[order]
-        co = -yo / batch_len
+        if not signed:
+            yo = ypm[order]
+            co = yo * neg_inv  # -y / bl, exact since y = +-1
         for start in range(0, n, bs):
             sl = slice(start, start + bs)
             Xb = Xo[sl]
             t += 1
             eta = lr / (1.0 + t / t0)
             mg = Xb.dot(w)
-            mg += b
-            mg *= yo[sl]
-            coef = np.where(mg < 1.0, co[sl], 0.0)
+            if signed:
+                coef = np.where(mg < 1.0, neg_inv[sl], 0.0)
+            else:
+                mg += b
+                mg *= yo[sl]
+                coef = np.where(mg < 1.0, co[sl], 0.0)
             gw = Xb.T.dot(coef)
             gw += l2 * w
             gw *= eta
             w -= gw
-            if not cfg.normalized:
+            if not signed:
                 b -= eta * float(np.add.reduce(coef))
             if epoch >= avg_start:
                 w_sum += w
                 b_sum += b
                 n_avg += 1
-        loss = _hinge_loss(w, b, X, ypm, l2)
-        trace.append(loss)
-        if abs(prev - loss) < cfg.tolerance and epoch >= avg_start:
-            break
-        prev = loss
-    if n_avg:
-        w = w_sum / n_avg
-        b = b_sum / n_avg
-        if cfg.normalized:
-            nrm = np.linalg.norm(w)
-            if nrm > 0:
-                w /= nrm
-            b = 0.0
-        loss = _hinge_loss(w, b, X, ypm, l2)
-        trace.append(loss)
+        # the stop test compares consecutive losses from epoch avg_start on,
+        # so no earlier loss is read
+        if epoch >= avg_start - 1:
+            loss = _hinge_loss(w, b, X, ypm, l2)
+            trace.append(loss)
+            if abs(prev - loss) < cfg.tolerance and epoch >= avg_start:
+                break
+            prev = loss
+    # epoch avg_start is always reached, so the average is never empty
+    w = w_sum / n_avg
+    b = b_sum / n_avg
+    if cfg.normalized:
+        nrm = np.linalg.norm(w)
+        if nrm > 0:
+            w /= nrm
+        b = 0.0
+    trace.append(_hinge_loss(w, b, X, ypm, l2))
     return LinearModel(w, np.asarray(b), num_classes=2, normalized=cfg.normalized,
-                       loss_trace=trace)
+                       loss_trace=trace, epochs=epoch + 1)
 
 
 def _fit_logistic(X, y, K, cfg: TrainConfig, rng) -> LinearModel:
@@ -250,7 +272,7 @@ def _fit_logistic(X, y, K, cfg: TrainConfig, rng) -> LinearModel:
         if abs(prev - loss) < cfg.tolerance:
             break
         prev = loss
-    return LinearModel(W, b, num_classes=K, loss_trace=trace)
+    return LinearModel(W, b, num_classes=K, loss_trace=trace, epochs=epoch + 1)
 
 
 def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig, seed: int,
@@ -266,12 +288,13 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig, seed: int,
     y = np.asarray(y, dtype=np.int64)
     if len(X) == 0:
         raise TrainingError("empty training set")
-    K = num_classes if num_classes is not None else int(y.max()) + 1
-    classes = np.unique(y)
-    if len(classes) == 1:
+    top = int(y.max())
+    K = num_classes if num_classes is not None else top + 1
+    # not np.unique: on NumPy 2.4 it imports numpy.ma on first use
+    if y.min() == top:
         d = X.shape[1]
         bias = np.full(K, -1.0)
-        bias[classes[0]] = 1.0
+        bias[top] = 1.0
         if K == 2:  # the margin's bias is the class-1 logit, 2c - 1
             return LinearModel(np.zeros(d), np.asarray(bias[1]), num_classes=2)
         return LinearModel(np.zeros((K, d)), bias, num_classes=K)

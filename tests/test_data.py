@@ -199,16 +199,43 @@ class TestSplit:
         assert not pool_rows & val_rows
 
     def test_rows_read_the_split_points(self):
+        # a split that uses every row reads them from the matrix it was given
         X = np.arange(40, dtype=np.float64).reshape(20, 2)
         y = np.arange(20) % 2
-        pool, val = split_pool_val(X, y, pool_size=12, val_size=5, seed=0)
+        pool, val = split_pool_val(X, y, pool_size=12, val_size=8, seed=0)
         assert pool.matrix is X and val.matrix is X
         perm = rng_from(0, "split").permutation(20)
         assert np.array_equal(pool.rows, perm[:12])
-        assert np.array_equal(val.rows, perm[12:17])
+        assert np.array_equal(val.rows, perm[12:])
         assert np.array_equal(pool.gather(np.arange(12)), X[perm[:12]])
         assert np.array_equal(pool._truth, y[perm[:12]])
+        assert np.array_equal(val.labels, y[perm[12:]])
+
+    def test_unused_rows_are_not_kept(self):
+        # a split that leaves rows unused copies the used ones, pool first,
+        # and reads the same points as the shared layout would
+        X = np.arange(40, dtype=np.float64).reshape(20, 2)
+        y = np.arange(20) % 2
+        pool, val = split_pool_val(X, y, pool_size=12, val_size=5, seed=0)
+        assert pool.matrix is val.matrix
+        assert pool.matrix.nbytes == 17 * 2 * 8
+        assert np.array_equal(pool.rows, np.arange(12))
+        assert np.array_equal(val.rows, np.arange(12, 17))
+        perm = rng_from(0, "split").permutation(20)
+        assert np.array_equal(pool.gather(np.arange(12)), X[perm[:12]])
+        assert np.array_equal(val.gather(np.arange(5)), X[perm[12:17]])
+        assert np.array_equal(pool._truth, y[perm[:12]])
         assert np.array_equal(val.labels, y[perm[12:17]])
+
+    def test_a_dataset_holds_only_its_pool_and_validation_rows(self):
+        spec = DatasetSpec(kind="unit_ball", d=30, n_total=100_000, pool_size=1000,
+                           val_size=1000)
+        pool, val = make_dataset(spec, seed=3)
+        assert pool.matrix.nbytes == 2000 * 30 * 8
+        X, _ = gen_unit_ball(30, 100_000, seed=3)
+        perm = rng_from(3, "split").permutation(100_000)
+        assert pool.gather(np.arange(1000)).tobytes() == X[perm[:1000]].tobytes()
+        assert val.gather(np.arange(1000)).tobytes() == X[perm[1000:2000]].tobytes()
 
     def test_split_copies_no_features(self):
         X = np.random.default_rng(0).standard_normal((100_000, 30))

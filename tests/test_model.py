@@ -1,5 +1,12 @@
+import itertools
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import tbal
 
 from tbal.core import rng_from
 from tbal.model import (LinearModel, TrainConfig, TrainingError, _hinge_loss, fit,
@@ -164,7 +171,10 @@ class TestLogitsPredict:
 class TestHingeTrainerMatchesReference:
     """``fit`` reproduces the hinge trainer frozen in
     ``tests/reference_trainer.py`` byte for byte: its in-place step loop
-    keeps every float operation of the original in the same order."""
+    keeps every float operation of the original in the same order, and a
+    unit-norm fit's label-signed rows change none of them. It records the
+    losses its stop test reads, from epoch ``avg_start - 1`` on, and the
+    averaged model's."""
 
     @pytest.mark.parametrize("d", [2, 30])
     @pytest.mark.parametrize("n", [2, 31, 32, 33, 137, 500])
@@ -173,18 +183,33 @@ class TestHingeTrainerMatchesReference:
         X = rng.standard_normal((n, d))
         y = (X[:, 0] * X[:, 1] > 0).astype(np.int64)
         y[:2] = (0, 1)
-        for normalized in (False, True):
-            for tolerance in (1e-5, 1.0):  # 1.0 stops before the last epoch
-                cfg = TrainConfig(normalized=normalized, tolerance=tolerance,
-                                  learning_rate=3.0 if normalized else 0.1)
-                got = fit(X, y, cfg, seed=n)
-                want = reference_trainer._fit_hinge(X, y, cfg, rng_from(n, "fit"))
-                assert got.weights.tobytes() == want.weights.tobytes()
-                assert got.bias.tobytes() == want.bias.tobytes()
-                assert np.array(got.loss_trace).tobytes() \
-                    == np.array(want.loss_trace).tobytes()
-                if tolerance == 1.0:
-                    assert len(got.loss_trace) < cfg.epochs + 1
+        # l2 = 0 leaves an exact-zero gradient entry's sign to the rows
+        for normalized, tolerance, l2 in itertools.product(
+                (False, True), (1e-5, 1.0), (1e-4, 0.0)):  # tolerance 1.0 stops early
+            cfg = TrainConfig(normalized=normalized, tolerance=tolerance, l2=l2,
+                              learning_rate=3.0 if normalized else 0.1)
+            got = fit(X, y, cfg, seed=n)
+            want = reference_trainer._fit_hinge(X, y, cfg, rng_from(n, "fit"))
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.bias.tobytes() == want.bias.tobytes()
+            read_from = int(cfg.epochs * 0.75) - 1
+            assert np.array(got.loss_trace).tobytes() \
+                == np.array(want.loss_trace[read_from:]).tobytes()
+            # the reference records every epoch's loss, then the average's
+            assert got.epochs == len(want.loss_trace) - 1
+            if tolerance == 1.0:
+                assert got.epochs < cfg.epochs
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_short_fits_read_the_loss_from_the_first_epoch(self, epochs):
+        # avg_start - 1 is -1 or 0 here, so every epoch's loss is recorded
+        X, y = TestFit().separable(n=70, d=2, seed=4)
+        cfg = TrainConfig(epochs=epochs)
+        got = fit(X, y, cfg, seed=1)
+        want = reference_trainer._fit_hinge(X, y, cfg, rng_from(1, "fit"))
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert np.array(got.loss_trace).tobytes() == np.array(want.loss_trace).tobytes()
+        assert got.epochs == epochs
 
 
 def batch_seen_replay(X, y, K, cfg, rng):
@@ -236,7 +261,7 @@ class TestLogisticTrainerMatchesReference:
         want = reference_trainer._fit_logistic(X, y, K, cfg, rng_from(n, "fit"))
         assert got.weights.tobytes() == want.weights.tobytes()
         assert got.bias.tobytes() == want.bias.tobytes()
-        assert len(got.loss_trace) == cfg.epochs
+        assert len(got.loss_trace) == got.epochs == cfg.epochs
 
     @pytest.mark.parametrize("tolerance", [0.0, 1e-3, 1.0])
     @pytest.mark.parametrize("n, K, d", [(33, 3, 2), (137, 10, 784), (300, 4, 5)])
@@ -246,6 +271,7 @@ class TestLogisticTrainerMatchesReference:
         got = fit(X, y, cfg, seed=3, num_classes=K)
         W, b, trace = batch_seen_replay(X, y, K, cfg, rng_from(3, "fit"))
         assert np.allclose(got.loss_trace, trace, rtol=1e-12, atol=0.0)
+        assert got.epochs == len(trace)
         assert got.weights.tobytes() == W.tobytes()
         assert got.bias.tobytes() == b.tobytes()
         if tolerance > 0:
@@ -255,7 +281,7 @@ class TestLogisticTrainerMatchesReference:
                                      rng_from(3, "fit"))[2]
             moved = np.abs(np.diff(full))
             assert len(got.loss_trace) == int(np.argmax(moved < tolerance)) + 2
-            assert len(got.loss_trace) < cfg.epochs // 2
+            assert got.epochs < cfg.epochs // 2
 
 
 class TestFit:
@@ -328,8 +354,25 @@ class TestFit:
         for loss in ("hinge", "logistic") if K == 2 else ("logistic",):
             m = fit(X, np.full(50, cls), TrainConfig(loss=loss), seed=0, num_classes=K)
             assert m.binary == (K == 2) and not np.any(m.weights)
+            assert m.epochs == 0
             assert np.array_equal(logits(m, X), want)
             assert np.all(predict(m, X) == cls)
+
+    def test_a_fit_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on NumPy 2.4, which costs every process
+        # its import time and memory at its first fit
+        code = ("import sys, numpy as np, tbal\n"
+                "from tbal.model import TrainConfig, fit\n"
+                "X = np.random.default_rng(0).standard_normal((40, 2))\n"
+                "fit(X, (X[:, 0] > 0).astype(np.int64), TrainConfig(epochs=2), seed=0)\n"
+                "fit(X, np.zeros(40, dtype=np.int64), TrainConfig(), seed=0)\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(tbal.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120, env=env)
+        assert out.stdout.strip() == "False"
 
     def test_hinge_rejects_multiclass(self):
         X = np.zeros((6, 2))
