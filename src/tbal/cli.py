@@ -106,6 +106,14 @@ def _at_least_one(name: str, value) -> int:
     return value
 
 
+def _check_distinct(name: str, values: list) -> None:
+    """Reject a repeat in ``values``, the list of the config key ``name``: its
+    runs would be written twice and averaged as separate trials."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigFileError(f"{name}[{i}] repeats {v!r}")
+
+
 def _block(raw: dict, where: str, cls) -> dict:
     """The ``where`` block of ``raw``, its keys checked against the fields of
     ``cls`` (bar ``epsilon_a``, a top-level key) and each value of an ``int``
@@ -162,6 +170,7 @@ def load_config(path: str) -> ExperimentConfig:
         for i, v in enumerate(grid):  # 0 is a point without validation data
             if v < 0:
                 raise ConfigFileError(f"sweep.grid[{i}] must be >= 0, not {v}")
+    _check_distinct("sweep.grid", grid)
     n_s, n_b = (_at_least_one(k, raw[k]) if raw.get(k) is not None else None
                 for k in ("n_s", "n_b"))
     if n_s is not None and n_s > budget:
@@ -178,10 +187,13 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigFileError(f"threshold.sigma_kind must be one of {list(SIGMA_KINDS)}, "
                               f"not {thr['sigma_kind']!r}")
     q = _block(raw, "query", QueryConfig)
-    methods = list(raw["methods"])
+    methods = raw["methods"]
+    if not isinstance(methods, list) or not methods:
+        raise ConfigFileError(f"methods must be a nonempty list, not {methods!r}")
     for m in methods:
         if m not in engine.METHODS:
             raise ConfigFileError(f"unknown method {m!r}")
+    _check_distinct("methods", methods)
     confidence = str(raw.get("confidence", "abs_margin"))
     if confidence == "abs_margin" and train.loss == LOGISTIC:
         raise ConfigFileError("confidence: abs_margin is defined for binary models only, "
@@ -243,7 +255,7 @@ def _run_point(exp: ExperimentConfig, method: str, axis_value: int, trial: int,
 
     ``shared``, a dict kept across the methods of one grid value and trial,
     holds the point's dataset, built by the first run that needs it, and the
-    engine's memo of trajectories (see ``engine.run``)."""
+    engine's memo of trajectories (see ``engine.run``), which dies with it."""
     if shared is None:
         shared = {}
     if "inputs" not in shared:
@@ -268,18 +280,14 @@ def run_single(exp: ExperimentConfig, method: str, axis_value: int, trial: int,
 def _group_runs(exp: ExperimentConfig, axis_value: int, trial: int):
     """Yield ((method, grid value, trial), row, error) for each method at one
     grid value and trial, one ``run_single`` call each. The calls share the
-    dataset and the trajectories (al/alsc, pl/plsc); a trajectory is dropped
-    after the last run that reads it. A failure comes back as its message,
-    so a sweep keeps the other runs' results."""
-    keys = [engine.trajectory_key(m, exp.query.strategy) for m in exp.methods]
+    dataset and the trajectories (al/alsc, pl/plsc). A failure comes back as
+    its message, so a sweep keeps the other runs' results."""
     shared: dict = {}
-    for i, method in enumerate(exp.methods):
+    for method in exp.methods:
         try:
             outcome = run_single(exp, method, axis_value, trial, shared), None
         except Exception as e:
             outcome = None, str(e)
-        if keys[i] not in keys[i + 1:]:
-            shared.get("trajectories", {}).pop(keys[i], None)
         yield (method, axis_value, trial), *outcome
 
 

@@ -21,7 +21,7 @@ A run is its trajectory (the seed query and the round loop) followed by
 ``finish`` (the labeling at the end). The first two choices shape the
 trajectory, so al/alsc, and pl/plsc, make the same queries and fits and
 differ only in ``finish``: ``run`` takes a memo in which such a pair shares
-one trajectory.
+one trajectory. Both steps return a ``RunResult``, the one record of a run.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import numpy as np
 from . import confidence as conf
 from . import model as linmod
 from . import query as qry
-from .core import Oracle, Pool, UNLABELED, ValidationSet, check_partition, rng_from
+from .core import (Oracle, Pool, UNLABELED, ValidationSet, check_partition,
+                   partition_counts, rng_from)
 from .threshold import ThresholdConfig, ThresholdDecision, estimate_threshold
 
 TBAL = "tbal"
@@ -88,29 +89,46 @@ class RoundRecord:
     auto_ids: np.ndarray
     auto_labels: np.ndarray
     val_deactivated: np.ndarray
-    n_a: int
     n_v: int  # active validation size when thresholds were estimated
     m_a: int = -1  # auto-label mistakes; filled by metrics.evaluate
+
+    @property
+    def n_a(self) -> int:
+        return len(self.auto_ids)
 
 
 @dataclass
 class RunResult:
+    """A run's state and records; its counts are read from them."""
     method: str
     seed: int
     pool: Pool
     validation: ValidationSet
     rounds: list
-    N_a: int
-    k: int
-    human_labels_used: int
-    val_labels_used: int
+    model: linmod.LinearModel  # the last model fitted; it labeled the last round
+
+    @property
+    def N_a(self) -> int:
+        return sum(r.n_a for r in self.rounds)
+
+    @property
+    def k(self) -> int:
+        return len(self.rounds)
+
+    @property
+    def human_labels_used(self) -> int:
+        return partition_counts(self.pool)[1]
+
+    @property
+    def val_labels_used(self) -> int:
+        return len(self.validation)
 
 
 def _round_seed(seed: int, *stream) -> int:
     return int(rng_from(seed, *stream).integers(0, 2**63 - 1))
 
 
-# a scoring chunk's float64 rows take up to this many bytes (see ``_chunks``),
+# a scoring chunk's float64 rows take up to this many bytes (see ``_score_rows``),
 # so a chunk stays in cache while it is scored
 CHUNK_BYTES = 2 * 1024 * 1024
 # a binary model's chunks of c rows take up to this many bytes, so its
@@ -124,7 +142,7 @@ SMALL_GEMM = 100 ** 3
 
 def _chunk_rows(d: int, k: int) -> int:
     """The chunk length c for rows of dimension ``d`` scored by a product
-    with ``k`` columns (see ``_chunks``).
+    with ``k`` columns (see ``_score_rows``).
 
     A binary model (k = 1) scores its rows with a matrix-vector product:
     c is the largest power of two whose rows fit in ``BINARY_CHUNK_BYTES``,
@@ -147,11 +165,10 @@ def _chunk_rows(d: int, k: int) -> int:
     return c
 
 
-def _chunks(model, points, ids):
-    """``points.gather(ids)`` (``points`` a pool or validation set) in
-    chunks for scoring by ``model``, each written into the first rows of one
-    buffer of at most 2c - 1 rows; a chunk holds until the next one is
-    gathered.
+def _score_rows(kind, model, points, ids) -> tuple[np.ndarray, np.ndarray]:
+    """``conf.score(kind, model, points.gather(ids))`` (``points`` a pool or
+    validation set), gathered and scored a chunk at a time, each chunk
+    written into the first rows of one buffer of at most 2c - 1 rows.
 
     Chunks start at multiples of c (``_chunk_rows``), and the last one takes
     the remainder, so it holds c to 2c - 1 rows (fewer than c ids are one
@@ -165,14 +182,8 @@ def _chunks(model, points, ids):
     n = len(ids)
     buffer = np.empty((min(2 * c - 1, n), points.dimension))
     bounds = [i * c for i in range(max(1, n // c))] + [n]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        yield points.gather(ids[lo:hi], out=buffer[:hi - lo])
-
-
-def _score_rows(kind, model, points, ids) -> tuple[np.ndarray, np.ndarray]:
-    """``conf.score(kind, model, points.gather(ids))``, gathered and scored
-    a chunk at a time (see ``_chunks``)."""
-    scored = [conf.score(kind, model, X) for X in _chunks(model, points, ids)]
+    scored = [conf.score(kind, model, points.gather(ids[lo:hi], out=buffer[:hi - lo]))
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
     if len(scored) == 1:
         return scored[0]
     preds, confs = zip(*scored)
@@ -216,7 +227,7 @@ def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried):
         index=rnd, queried_ids=queried,
         train_loss=model.loss_trace[-1] if model.loss_trace else float("nan"),
         decision=decision, auto_ids=auto_ids, auto_labels=auto_labels,
-        val_deactivated=drop, n_a=len(auto_ids), n_v=n_v)
+        val_deactivated=drop, n_v=n_v)
     return record, unlabeled.take(keep), raw_u.take(keep)
 
 
@@ -237,38 +248,11 @@ def _choices(method: str, strategy: str) -> tuple[str, bool, bool]:
     return strategy, False, method in (PLSC, ALSC)
 
 
-def trajectory_key(method: str, strategy: str) -> tuple[str, bool]:
-    """The choices that shape the trajectory: runs with equal keys on the same
-    inputs, seed and config (apart from the method) make the same queries and
-    fits. ``run`` keys its memo by it."""
-    return _choices(method, strategy)[:2]
-
-
-@dataclass
-class Trajectory:
-    """A run's state after its round loop, and what it was run from.
-    ``finish`` writes none of it, so every run of a pair finishes from the
-    same state."""
-    pool: Pool
-    validation: ValidationSet
-    model: linmod.LinearModel
-    remaining: np.ndarray  # the ids left unlabeled, ascending
-    rounds: list
-    human_labels_used: int
-    seed: int
-    source: tuple  # (pool, validation set, RunConfig) passed to ``trajectory``
-
-    def ran_from(self, pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> bool:
-        src_pool, src_val, src_cfg = self.source
-        return (src_pool is pool and src_val is val and self.seed == seed
-                and replace(src_cfg, method=cfg.method) == cfg)
-
-
-def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> Trajectory:
+def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> RunResult:
     """The seed query and the round loop of ``cfg.method``, on copies of the
-    inputs."""
+    inputs. ``finish`` writes none of the result, so every run of a pair
+    finishes from the same state."""
     strategy, every_round, _ = _choices(cfg.method, cfg.query.strategy)
-    source = (pool, val, cfg)
     pool = pool.copy()
     val = val.copy()
     oracle = Oracle(pool)
@@ -308,37 +292,34 @@ def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> Tra
         else:
             queried, _ = qry.query_random(remaining, n_next, rng)
         human = _query_human(pool, oracle, queried, human)
-    return Trajectory(pool=pool, validation=val, model=model, remaining=remaining,
-                      rounds=rounds, human_labels_used=len(human), seed=seed,
-                      source=source)
+    return RunResult(method=cfg.method, seed=seed, pool=pool, validation=val,
+                     rounds=rounds, model=model)
 
 
-def finish(traj: Trajectory, cfg: RunConfig) -> RunResult:
+def finish(traj: RunResult, cfg: RunConfig) -> RunResult:
     """``cfg.method``'s labeling after the loop of ``traj``, on a copy of its
     state; a method that labels nothing more (TBAL) copies nothing."""
     _, every_round, selective = _choices(cfg.method, cfg.query.strategy)
     pool, val, rounds, model = traj.pool, traj.validation, list(traj.rounds), traj.model
-    remaining = traj.remaining
     no_ids = np.empty(0, dtype=np.int64)
     if not every_round:
+        remaining = pool.ids_with(UNLABELED)
         if selective:
             pool, val = pool.copy(), val.copy()
             record, _, _ = _auto_label_pass(cfg, model, pool, val, remaining, 1, no_ids)
             rounds.append(record)
         elif len(remaining):
             pool = pool.copy()
-            preds = np.concatenate([linmod.predict(model, X)
-                                    for X in _chunks(model, pool, remaining)])
+            preds = _score_rows(cfg.confidence, model, pool, remaining)[0]
             pool.mark_auto(remaining, preds, 1)
             rounds.append(RoundRecord(
                 index=1, queried_ids=no_ids,
                 train_loss=model.loss_trace[-1] if model.loss_trace else float("nan"),
-                decision=None, auto_ids=remaining, auto_labels=np.asarray(preds),
-                val_deactivated=no_ids, n_a=len(remaining), n_v=val.n_active))
+                decision=None, auto_ids=remaining, auto_labels=preds,
+                val_deactivated=no_ids, n_v=val.n_active))
     check_partition(pool)
     return RunResult(method=cfg.method, seed=traj.seed, pool=pool, validation=val,
-                     rounds=rounds, N_a=sum(r.n_a for r in rounds), k=len(rounds),
-                     human_labels_used=traj.human_labels_used, val_labels_used=len(val))
+                     rounds=rounds, model=model)
 
 
 def run(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int,
@@ -346,15 +327,17 @@ def run(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int,
     """Run ``cfg.method`` on copies of the inputs.
 
     ``memo``, a dict the caller keeps for one (pool, validation set, seed),
-    holds finished trajectories by ``trajectory_key``: a run whose trajectory
-    is in it runs only ``finish``, and a run that computes one stores it.
+    holds finished trajectories, each beside the inputs it ran from, keyed
+    by the choices that shape it: a run whose trajectory is in it runs only
+    ``finish``, and a run that computes one stores it.
     """
     if memo is None:
         return finish(trajectory(pool, val, cfg, seed), cfg)
-    key = trajectory_key(cfg.method, cfg.query.strategy)
-    traj = memo.get(key)
-    if traj is None:
-        traj = memo[key] = trajectory(pool, val, cfg, seed)
-    elif not traj.ran_from(pool, val, cfg, seed):
+    key = _choices(cfg.method, cfg.query.strategy)[:2]
+    if key not in memo:
+        memo[key] = (pool, val, cfg, seed), trajectory(pool, val, cfg, seed)
+    (src_pool, src_val, src_cfg, src_seed), traj = memo[key]
+    if not (src_pool is pool and src_val is val and src_seed == seed
+            and replace(src_cfg, method=cfg.method) == cfg):
         raise ValueError("the memo's trajectory was run from other inputs, seed or config")
     return finish(traj, cfg)

@@ -26,26 +26,24 @@ def evaluate(result, pool: Pool) -> MetricReport:
     """Exact counts of auto-label mistakes and coverage.
 
     `pool` must be the original pool the run was built from (the result's
-    own pool carries the same truth); a size mismatch is an integrity error.
+    own pool carries the same truth); a size mismatch is an integrity error,
+    and so is a pool whose auto-labeled count differs from the rounds'.
     """
     rpool = result.pool
     if len(rpool) != len(pool) or rpool.num_classes != pool.num_classes:
         raise IntegrityError("result does not match the given pool")
     truth = pool._truth
     mistakes = 0
-    n_a_total = 0
     for rec in result.rounds:
         m = int(np.sum(truth[rec.auto_ids] != rec.auto_labels)) if rec.n_a else 0
         rec.m_a = m
         mistakes += m
-        n_a_total += rec.n_a
-    if n_a_total != result.N_a:
-        raise IntegrityError("per-round auto counts disagree with the total")
-    if partition_counts(rpool)[0] != n_a_total:
+    n_a = result.N_a
+    if partition_counts(rpool)[0] != n_a:
         raise IntegrityError("pool auto count disagrees with round records")
-    defined = n_a_total > 0
-    err = mistakes / n_a_total if defined else math.nan
-    cov = n_a_total / len(pool)
+    defined = n_a > 0
+    err = mistakes / n_a if defined else math.nan
+    cov = n_a / len(pool)
     return MetricReport(err_hat=err, err_defined=defined, cov_hat=cov)
 
 

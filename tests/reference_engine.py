@@ -2,8 +2,10 @@
 ``run_tbal`` and ``run_baseline`` with the helpers they read, copied
 unchanged apart from the margin-random query's arguments (the batch size
 and ``C``, once a copy of the ``QueryConfig``) and the branches of the
-removed ``use_gap`` option. ``tests/test_engine.py`` checks that the single loop reproduces them
-record for record.
+removed ``use_gap`` option, and the way they pack their ``RunResult``,
+which now holds the last model fitted and reads its counts from its state.
+``tests/test_engine.py`` checks that the single loop reproduces them record
+for record.
 
 ``estimate_single`` is ``threshold._estimate_single`` as it stood before the
 scan evaluated one candidate per support level: every distinct pool score is
@@ -65,7 +67,7 @@ def _auto_label_pass(cfg, model, pool, val, rnd, queried):
         index=rnd, queried_ids=queried,
         train_loss=model.loss_trace[-1] if model.loss_trace else float("nan"),
         decision=decision, auto_ids=auto_ids, auto_labels=auto_labels,
-        val_deactivated=drop, n_a=len(auto_ids), n_v=n_v)
+        val_deactivated=drop, n_v=n_v)
     return record, left
 
 
@@ -120,10 +122,8 @@ def run_tbal(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> RunRe
                                           rng_from(seed, "query", rnd))
         _query_human(pool, oracle, queried, train_X, train_y)
 
-    N_a = sum(r.n_a for r in rounds)
     return RunResult(method=TBAL, seed=seed, pool=pool, validation=val,
-                     rounds=rounds, N_a=N_a, k=len(rounds),
-                     human_labels_used=len(train_y), val_labels_used=len(val))
+                     rounds=rounds, model=model)
 
 
 def run_baseline(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> RunResult:
@@ -180,13 +180,10 @@ def run_baseline(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> R
             index=1, queried_ids=np.array([], dtype=np.int64),
             train_loss=model.loss_trace[-1] if model.loss_trace else float("nan"),
             decision=None, auto_ids=remaining, auto_labels=np.asarray(preds),
-            val_deactivated=np.empty(0, dtype=np.int64),
-            n_a=len(remaining), n_v=val.n_active))
+            val_deactivated=np.empty(0, dtype=np.int64), n_v=val.n_active))
     check_partition(pool)
-    N_a = sum(r.n_a for r in rounds)
     return RunResult(method=cfg.method, seed=seed, pool=pool, validation=val,
-                     rounds=rounds, N_a=N_a, k=len(rounds),
-                     human_labels_used=len(train_y), val_labels_used=len(val))
+                     rounds=rounds, model=model)
 
 
 _ABSTAIN = (math.inf, 0, 0.0, 0.0)

@@ -184,6 +184,16 @@ class TestLoadConfig:
         ({"train": {"l2": -1.0}}, "l2 must be >= 0, got -1.0"),
         ({"train": {"tolerance": -1.0}}, "tolerance must be >= 0, got -1.0"),
         ({"train": {"init_scale": -5.0}}, "init_scale must be >= 0, got -5.0"),
+        ({"methods": ["tbal", "tbal"]}, "methods[1] repeats 'tbal'"),
+        ({"methods": ["pl", "tbal", "pl"]}, "methods[2] repeats 'pl'"),
+        ({"methods": []}, "methods must be a nonempty list, not []"),
+        ({"methods": "tbal"}, "methods must be a nonempty list, not 'tbal'"),
+        ({"sweep": {"axis": "train_budget", "grid": [100, 100]}},
+         "sweep.grid[1] repeats 100"),
+        ({"sweep": {"axis": "train_budget", "grid": [40, 80, 40.0]}},
+         "sweep.grid[2] repeats 40"),
+        ({"sweep": {"axis": "validation_size", "grid": [50, 50], "N_q": 80}},
+         "sweep.grid[1] repeats 50"),
     ], ids=["unknown_sigma_kind", "zero_sigma_kind", "unknown_strategy",
             "N_q_on_budget_sweep", "temperature_without_energy", "delta_above_one",
             "delta_zero", "temperature_zero", "temperature_negative", "trials_zero",
@@ -200,7 +210,9 @@ class TestLoadConfig:
             "images_path_on_xor", "labels_path_on_unit_ball", "xor_n_total_three",
             "pool_size_zero", "val_size_negative", "normalized_on_logistic",
             "init_scale_on_logistic", "init_scale_on_normalized", "l2_negative",
-            "tolerance_negative", "init_scale_negative"])
+            "tolerance_negative", "init_scale_negative", "method_repeated",
+            "method_repeated_apart", "methods_empty", "methods_not_a_list",
+            "budget_repeated", "budget_repeated_as_float", "validation_size_repeated"])
     def test_value_a_run_would_fail_on_or_ignore_exits_2(self, tmp_path, capsys,
                                                            command, top, message):
         assert_config_error(tmp_path, capsys, command, message, **top)
@@ -472,21 +484,6 @@ class TestSharedGroups:
         assert np.array_equal(val.rows, fresh_val.rows)
         assert np.array_equal(val.labels, fresh_val.labels)
         assert val.active.all()
-
-    def test_trajectory_dropped_after_its_last_run(self, tmp_path, monkeypatch):
-        held = []
-        real = cli.run_single
-
-        def spy(exp, method, axis_value, trial, shared):
-            held.append((method, sorted(shared.get("trajectories", {}))))
-            return real(exp, method, axis_value, trial, shared)
-
-        monkeypatch.setattr(cli, "run_single", spy)
-        assert self.sweep(tmp_path, "s", trials=1, sweep={"axis": "train_budget",
-                                                          "grid": [80]})[0] == 0
-        rand, margin = (engine.trajectory_key(m, "margin_random") for m in ("pl", "al"))
-        assert held == [("tbal", []), ("pl", []), ("al", [rand]),
-                        ("plsc", sorted([rand, margin])), ("alsc", [margin])]
 
     def test_lone_method_writes_the_rows_of_the_full_sweep(self, tmp_path):
         _, full = self.sweep(tmp_path, "full")

@@ -609,11 +609,15 @@ class TestQueryReadsThePassScores:
 
 
 def assert_same_run(got, want):
-    """Every RoundRecord field, the pool's state arrays, the validation mask
-    and the RunResult counters agree exactly."""
+    """Every RoundRecord field, the pool's state arrays, the validation mask,
+    the RunResult counts and the last model's parameters agree exactly."""
     assert (got.method, got.seed, got.N_a, got.k, got.human_labels_used,
             got.val_labels_used) == (want.method, want.seed, want.N_a, want.k,
                                      want.human_labels_used, want.val_labels_used)
+    for name in ("weights", "bias"):  # byte for byte, shape and dtype too
+        x, y = (np.asarray(getattr(r.model, name)) for r in (got, want))
+        assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes()), name
+    assert got.model.epochs == want.model.epochs
     for name in ("kind", "label", "round"):
         assert np.array_equal(getattr(got.pool, name), getattr(want.pool, name))
     assert np.array_equal(got.validation.active, want.validation.active)
@@ -697,6 +701,18 @@ class TestOneLoopMatchesTheTwoLoops:
         assert (r.index, len(r.queried_ids), r.n_v) == (1, 0, len(val))
         assert r.n_a == len(pool) - kw["N_q"]
 
+    @pytest.mark.parametrize("method", ["pl", "al"])
+    @pytest.mark.parametrize("case", ["xor", "k4_softmax", "k10_chunks"])
+    def test_blanket_labels_are_the_recorded_models_predictions(self, case, method):
+        problem, kw = MERGE_CASES[case]
+        pool, val = problem()
+        res = run(pool, val, RunConfig(method=method, **kw), seed=0)
+        (r,) = res.rounds
+        assert r.n_a > 0
+        want = linmod.predict(res.model, res.pool.gather(r.auto_ids))
+        assert r.auto_labels.dtype == want.dtype
+        assert np.array_equal(r.auto_labels, want)
+
     @pytest.mark.parametrize("method", METHODS)
     def test_partition_is_checked(self, monkeypatch, method):
         def broken(pool):
@@ -723,8 +739,7 @@ class TestSharedTrajectories:
         for seed in (0, 5):
             memo = {}
             shared = [run(pool, val, RunConfig(method=m, **kw), seed, memo) for m in pair]
-            (key,) = memo
-            assert key == engine.trajectory_key(pair[0], qry.MARGIN_RANDOM)
+            assert [traj.method for _, traj in memo.values()] == [pair[0]]
             for method, got in zip(pair, shared):
                 assert_same_run(got, run(pool, val, RunConfig(method=method, **kw), seed))
 
@@ -744,12 +759,10 @@ class TestSharedTrajectories:
         memo = {}
         for method in METHODS:
             run(pool, val, RunConfig(method=method, **cfg), 0, memo)
-        assert sorted(memo) == sorted({engine.trajectory_key(m, qry.MARGIN_RANDOM)
-                                       for m in METHODS})
-        assert len(memo) == 3
+        assert len(memo) == 3  # tbal, al/alsc and pl/plsc
         # TBAL's result is its trajectory's state, uncopied
         res = run(pool, val, RunConfig(method="tbal", **cfg), 0, memo)
-        traj = memo[engine.trajectory_key("tbal", qry.MARGIN_RANDOM)]
+        (traj,) = [t for _, t in memo.values() if t.method == "tbal"]
         assert res.pool is traj.pool and res.validation is traj.validation
 
     @pytest.mark.parametrize("change", [

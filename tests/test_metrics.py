@@ -7,7 +7,7 @@ from tbal.core import Pool, ValidationSet, partition_counts
 from tbal.data import gen_unit_ball, split_pool_val
 from tbal.engine import RoundRecord, RunConfig, RunResult, run
 from tbal.metrics import IntegrityError, MetricReport, evaluate, summarize_trials
-from tbal.model import TrainConfig
+from tbal.model import LinearModel, TrainConfig
 
 
 def build_result(truth, marks):
@@ -25,12 +25,11 @@ def build_result(truth, marks):
         rounds.append(RoundRecord(
             index=rnd, queried_ids=np.empty(0, dtype=np.int64), train_loss=0.0,
             decision=None, auto_ids=ids, auto_labels=labels,
-            val_deactivated=np.empty(0, dtype=np.int64), n_a=len(ids), n_v=0))
-    N_a = sum(len(b) for b in marks)
+            val_deactivated=np.empty(0, dtype=np.int64), n_v=0))
     val = ValidationSet(np.zeros((3, 2)), np.zeros(3, dtype=np.int64))
+    model = LinearModel(weights=np.zeros(2), bias=np.float64(0.0), num_classes=2)
     return pool, RunResult(method="tbal", seed=0, pool=pool, validation=val,
-                           rounds=rounds, N_a=N_a, k=len(rounds),
-                           human_labels_used=0, val_labels_used=3)
+                           rounds=rounds, model=model)
 
 
 class TestEvaluate:
@@ -69,8 +68,8 @@ class TestEvaluate:
 
     def test_tampered_totals_rejected(self):
         pool, res = build_result([0, 1], [[(0, 0)]])
-        res.N_a = 2
-        with pytest.raises(IntegrityError):
+        res.pool.mark_auto(1, 1, 1)  # an auto label no round records
+        with pytest.raises(IntegrityError, match="pool auto count"):
             evaluate(res, pool)
 
     def test_on_real_run(self):

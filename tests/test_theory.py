@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tbal
 from tbal.data import gen_unit_ball, split_pool_val
 from tbal.engine import RunConfig, run
 from tbal.model import TrainConfig
@@ -193,6 +197,18 @@ class TestRunPlumbing:
             r.decision.est_error = np.array([0.001 * i, 0.002 * i + 0.01])
         inputs = inputs_from_run(res, d=5)
         assert inputs.e_val == [0.002 * i + 0.01 for i in range(len(rounds))]
+
+    def test_bounds_table_script_runs(self):
+        """``scripts/bounds_table.py`` reads a run's counts and prints them."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tbal.__file__)))
+        out = subprocess.run(
+            [sys.executable, os.path.join(root, "scripts", "bounds_table.py"),
+             "--n-total", "2000", "--budget", "100"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert any(line.startswith("run: ") for line in out.stdout.splitlines())
 
     def test_mc_report_shape(self):
         report = verify_error_bound_mc(small_run, d=5, trials=5)
