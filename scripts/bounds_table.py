@@ -50,8 +50,10 @@ def main():
     if t_min is not None and 0.0 <= t_min <= 1.0:
         cov_lb = theory.coverage_bound_linear(
             t_min, d=args.d, k=result.k, N=len(result.pool), delta=0.05)
-        print(f"coverage lower bound at t_min={t_min:.3f}: {cov_lb:.4f} "
-              f"(observed {report.cov_hat:.4f})")
+        # coverage is at least 0, so a bound at or below it says nothing
+        tag = "vacuous" if cov_lb <= 0.0 else "binding"
+        print(f"coverage lower bound at t_min={t_min:.3f}: {cov_lb:.4f} ({tag}), "
+              f"observed {report.cov_hat:.4f}")
 
     print("\nminimum validation size (sigma, epsilon) -> n_v")
     for sigma, eps in [(1.0, 0.1), (1.0, 0.05), (0.5, 0.05)]:

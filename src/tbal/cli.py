@@ -35,7 +35,8 @@ from .threshold import SIGMA_KINDS, ThresholdConfig
 RUN_HEADER = ["method", "axis_value", "seed", "err_hat", "cov_hat",
               "human_labels", "val_labels", "rounds"]
 SUMMARY_HEADER = ["method", "axis_value", "err_hat_mean", "err_hat_std",
-                  "cov_hat_mean", "cov_hat_std", "err_over_eps_frac"]
+                  "cov_hat_mean", "cov_hat_std", "err_over_eps_frac",
+                  "err_hat_trials", "err_over_eps_upper95"]
 
 TRAIN_BUDGET = "train_budget"
 VALIDATION_SIZE = "validation_size"
@@ -338,12 +339,15 @@ def run_experiment(exp: ExperimentConfig) -> int:
                 if not sub:
                     continue
                 errs = [r["err_hat"] for r in sub]
-                covs = [r["cov_hat"] for r in sub]
-                em, es = metrics.summarize_trials(errs)
-                cm, cs = metrics.summarize_trials(covs)
-                # the share of trials over epsilon_a; a nan err_hat is not over
-                over = sum(e > exp.epsilon_a for e in errs) / len(errs)
-                w.writerow([m, g, _fmt(em), _fmt(es), _fmt(cm), _fmt(cs), _fmt(over)])
+                # the error is undefined (nan) in a trial that labeled nothing
+                defined = [e for e in errs if not math.isnan(e)]
+                em, es = metrics.summarize_trials(defined) if defined else (math.nan,) * 2
+                cm, cs = metrics.summarize_trials([r["cov_hat"] for r in sub])
+                # the trials over epsilon_a; a nan err_hat is not over
+                over = sum(e > exp.epsilon_a for e in errs)
+                w.writerow([m, g, _fmt(em), _fmt(es), _fmt(cm), _fmt(cs),
+                            _fmt(over / len(errs)), len(defined),
+                            _fmt(metrics.clopper_pearson_upper(over, len(errs)))])
     print(f"wrote {runs_path} and {summary_path}")
     return 0 if failed == 0 else 1
 

@@ -1,6 +1,7 @@
 """Confidence functions g(model, x) -> nonnegative score, larger = more
-confident. All kinds share that orientation so threshold search stays
-kind-agnostic.
+confident, computed from the model's raw scores of the rows x
+(``model.raw_scores``), so a caller may compute those a chunk at a time.
+All kinds share that orientation so threshold search stays kind-agnostic.
 
 Only NumPy is imported here: scipy, which the energy kind reads, is imported
 on its first use, so importing the package and failing a config stay cheap."""
@@ -47,20 +48,26 @@ def make_kind(name: str, **params):
         raise ValueError(f"unknown confidence kind {name!r}") from None
 
 
-def score(kind, model, X) -> tuple[np.ndarray, np.ndarray]:
-    """(predicted class, confidence) for each row of 2-D X."""
-    X = np.asarray(X, dtype=np.float64)
+def score(kind, model, raw) -> tuple[np.ndarray, np.ndarray]:
+    """(predicted class, confidence) for each row of the model's raw scores
+    ``raw`` (``model.raw_scores``): a binary model's margins, shape (n,), or
+    the logits, shape (n, K)."""
+    raw = np.asarray(raw, dtype=np.float64)
+    row = () if model.binary else (model.num_classes,)
+    if raw.ndim != 1 + len(row) or raw.shape[1:] != row:
+        raise ValueError(f"raw scores of shape {raw.shape} do not fit the model's "
+                         f"{model.num_classes} classes")
     if isinstance(kind, AbsMargin):
         if not model.binary:
             raise ValueError("abs_margin is defined for binary models only")
-        # one product serves both: the argmax of the logit pair (-s, s) is
+        # the margin serves both: the argmax of the logit pair (-s, s) is
         # s > 0, with a tie (s == 0) going to class 0
-        s = linmod.check_finite(linmod.margin(model, X))
+        s = linmod.check_finite(raw)
         conf = np.abs(s)
         if model.normalized:
             conf = np.minimum(conf, 1.0)
         return (s > 0).astype(np.int64), conf
-    z = linmod.check_finite(linmod.logits(model, X))
+    z = linmod.check_finite(linmod.as_logits(model, raw))
     if isinstance(kind, Softmax):
         # scipy.special.softmax's own steps, so the scores keep its bits
         e = np.exp(z - z.max(axis=1, keepdims=True))

@@ -166,28 +166,33 @@ def _chunk_rows(d: int, k: int) -> int:
 
 
 def _score_rows(kind, model, points, ids) -> tuple[np.ndarray, np.ndarray]:
-    """``conf.score(kind, model, points.gather(ids))`` (``points`` a pool or
-    validation set), gathered and scored a chunk at a time, each chunk
-    written into the first rows of one buffer of at most 2c - 1 rows.
+    """``conf.score(kind, model, linmod.raw_scores(model, points.gather(ids)))``
+    (``points`` a pool or validation set), with the rows gathered a chunk at
+    a time, each chunk into the first rows of one buffer of at most 2c - 1
+    rows, and its raw scores written into its rows of one array, which is
+    scored once.
 
     Chunks start at multiples of c (``_chunk_rows``), and the last one takes
     the remainder, so it holds c to 2c - 1 rows (fewer than c ids are one
     chunk). BLAS results for a row depend on how the rows around it are laid
-    out, and with this rule every row's scores keep the bits of one gather
+    out, and with this rule every row's product keeps the bits of one gather
     of all ``ids``, on the kinds, K and d the tests cover: scoring the whole
-    matrix and indexing it does not, nor do shorter chunks. Gathering into
-    one short buffer leaves peak memory independent of the pool size."""
+    matrix and indexing it does not, nor do shorter chunks. The bias and the
+    confidence act on each row alone, so the chunks leave their bits as they
+    are, and the confidence runs once over all rows. Gathering into one
+    short buffer keeps the copied rows independent of the pool size; the raw
+    scores and the confidence's temporaries grow with n (n * K floats each
+    for a multiclass model)."""
     # a product column per class, or one for binary weights
     c = _chunk_rows(points.dimension, 1 if model.binary else model.num_classes)
     n = len(ids)
     buffer = np.empty((min(2 * c - 1, n), points.dimension))
+    raw = np.empty((n,) if model.binary else (n, model.num_classes))
     bounds = [i * c for i in range(max(1, n // c))] + [n]
-    scored = [conf.score(kind, model, points.gather(ids[lo:hi], out=buffer[:hi - lo]))
-              for lo, hi in zip(bounds[:-1], bounds[1:])]
-    if len(scored) == 1:
-        return scored[0]
-    preds, confs = zip(*scored)
-    return np.concatenate(preds), np.concatenate(confs)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        linmod.raw_scores(model, points.gather(ids[lo:hi], out=buffer[:hi - lo]),
+                          out=raw[lo:hi])
+    return conf.score(kind, model, raw)
 
 
 def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried):

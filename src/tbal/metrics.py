@@ -56,3 +56,24 @@ def summarize_trials(values: list[float]) -> tuple[float, float]:
     mean = float(arr.mean())
     std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
     return mean, std
+
+
+def clopper_pearson_upper(k: int, n: int) -> float:
+    """One-sided 95% Clopper-Pearson upper bound on a rate observed as ``k``
+    events in ``n`` trials: the p at which P(Binomial(n, p) <= k) falls to
+    0.05, found by bisection (1.0 when k = n). Pure Python, so a sweep's
+    summary imports no scipy.stats."""
+    if not 0 <= k <= n or n < 1:
+        raise ValueError(f"need 0 <= k <= n and n >= 1, got k={k}, n={n}")
+    if k == n:
+        return 1.0
+
+    def cdf(p):  # the binomial tail P(X <= k), in logs so large n stays finite
+        return sum(math.exp(math.log(math.comb(n, i)) + i * math.log(p)
+                            + (n - i) * math.log1p(-p)) for i in range(k + 1))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):  # the tail falls as p rises
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if cdf(mid) > 0.05 else (lo, mid)
+    return hi

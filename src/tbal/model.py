@@ -77,25 +77,28 @@ def _check_dimension(model: LinearModel, X: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {X.shape[1]} != {model.dimension}")
 
 
-def margin(model: LinearModel, X: np.ndarray) -> np.ndarray:
-    """Signed score s = w . x + b of a binary model for each row of 2-D X;
-    the sign rule predicts class 1 where s > 0."""
+def raw_scores(model: LinearModel, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The model's raw score of each row of 2-D X: the signed margin
+    s = w . x + b of a binary model, shape (n,), where the sign rule predicts
+    class 1 for s > 0; otherwise the logits w_c . x + b_c, shape (n, K).
+    ``out``, if given, receives the scores and is returned."""
+    X = np.asarray(X, dtype=np.float64)
     _check_dimension(model, X)
-    return X @ model.weights + float(model.bias)
+    s = np.matmul(X, model.weights if model.binary else model.weights.T, out=out)
+    s += model.bias
+    return s
+
+
+def as_logits(model: LinearModel, raw: np.ndarray) -> np.ndarray:
+    """The logits of the raw scores ``raw`` (see ``raw_scores``): a binary
+    model's margins become the symmetric pair (-s, +s), so argmax agrees with
+    the sign rule."""
+    return np.column_stack([-raw, raw]) if model.binary else raw
 
 
 def logits(model: LinearModel, X: np.ndarray) -> np.ndarray:
-    """Raw per-class scores w_c . x + b_c for each row x of 2-D X. Binary
-    models expose the symmetric pair (-s, +s) so argmax agrees with the sign
-    rule."""
-    X = np.asarray(X, dtype=np.float64)
-    _check_dimension(model, X)
-    if model.binary:
-        s = margin(model, X)
-        z = np.column_stack([-s, s])
-    else:
-        z = X @ model.weights.T + model.bias
-    return z
+    """Per-class scores of each row of 2-D X (see ``as_logits``)."""
+    return as_logits(model, raw_scores(model, X))
 
 
 def check_finite(z: np.ndarray) -> np.ndarray:

@@ -37,6 +37,8 @@ class ThresholdConfig:
             raise ValueError("n0 must be >= 1")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
+        if self.sigma_kind not in SIGMA_KINDS + (ZERO,):
+            raise ValueError(f"unknown sigma kind {self.sigma_kind!r}")
 
 
 @dataclass
@@ -85,29 +87,39 @@ def _estimate_single(unlabeled_scores: np.ndarray,
     vs[j:], so all have support n_v - j and the same estimate: only the
     smallest candidate of a non-empty bucket can be chosen, and the scan
     evaluates one candidate per bucket instead of one per distinct pool
-    score. Tied validation scores leave the buckets between them empty."""
-    us = np.sort(unlabeled_scores)
+    score. Tied validation scores leave the buckets between them empty.
+
+    A bucket's estimate reads validation data only, so the scan first finds
+    the support levels q that pass, then sorts only the pool scores above
+    vs[q[0]-1], the only ones a passing bucket holds, and returns the first
+    passing bucket that is non-empty."""
     order = np.argsort(val_scores)
     vs = val_scores[order]
     n_v = len(vs)
     m = n_v - cfg.n0 + 1  # buckets 0..m-1 have support at least n0
     if m <= 0:
         return _ABSTAIN
-    # ends[j]: the number of candidates <= vs[j]; bucket j starts where j-1 ends
-    ends = np.searchsorted(us, vs[:m], "right")
-    starts = np.concatenate(([0], ends[:-1]))
-    j = np.flatnonzero(ends > starts)
-    if len(j) == 0:  # nothing to inflate: an unknown sigma kind stays unnoticed
-        return _ABSTAIN
     wrong_below = np.concatenate(([0], np.cumsum(~val_correct[order])))
-    n_ok = n_v - j
-    e_hat = (wrong_below[-1] - wrong_below[j]) / n_ok
+    n_ok = np.arange(n_v, n_v - m, -1)  # n_v - j
+    e_hat = (wrong_below[-1] - wrong_below[:m]) / n_ok
     s_hat = sigma(e_hat, n_ok, cfg.sigma_kind, cfg.delta)
-    hit = np.flatnonzero(e_hat + s_hat <= cfg.epsilon_a)
+    q = np.flatnonzero(e_hat + s_hat <= cfg.epsilon_a)
+    if len(q) == 0:
+        return _ABSTAIN
+    u = unlabeled_scores
+    if q[0]:
+        u = u[u > vs[q[0] - 1]]
+    us = np.sort(u)
+    # passing bucket q[i] holds us[starts[i]:ends[i]]; every score kept is
+    # above vs[q[0]-1], so the first starts at 0
+    ends = np.searchsorted(us, vs[q], "right")
+    starts = np.concatenate(([0], np.searchsorted(us, vs[q[1:] - 1], "right")))
+    hit = np.flatnonzero(ends > starts)
     if len(hit) == 0:
         return _ABSTAIN
-    i = hit[0]  # buckets ascend: the first qualifying holds the smallest t
-    return (float(us[starts[j[i]]]), int(n_ok[i]), float(e_hat[i]), float(s_hat[i]))
+    i = hit[0]  # buckets ascend: the first non-empty holds the smallest t
+    j = q[i]
+    return (float(us[starts[i]]), int(n_ok[j]), float(e_hat[j]), float(s_hat[j]))
 
 
 def estimate_threshold(unlabeled_scores: np.ndarray,

@@ -1,9 +1,11 @@
 """The two engine loops as they stood before ``engine.run`` merged them:
 ``run_tbal`` and ``run_baseline`` with the helpers they read, copied
 unchanged apart from the margin-random query's arguments (the batch size
-and ``C``, once a copy of the ``QueryConfig``) and the branches of the
-removed ``use_gap`` option, and the way they pack their ``RunResult``,
-which now holds the last model fitted and reads its counts from its state.
+and ``C``, once a copy of the ``QueryConfig``), the branches of the removed
+``use_gap`` option, the way they pack their ``RunResult``, which now holds
+the last model fitted and reads its counts from its state, and the raw
+scores (``model.raw_scores``) that ``confidence.score`` now reads in place
+of the rows.
 ``tests/test_engine.py`` checks that the single loop reproduces them record
 for record.
 
@@ -41,9 +43,11 @@ def _auto_label_pass(cfg, model, pool, val, rnd, queried):
     auto_ids = auto_labels = drop = np.empty(0, dtype=np.int64)
     left = np.empty(0)
     if len(unlabeled):
-        pred_u, raw_u = conf.score(cfg.confidence, model, pool.gather(unlabeled))
+        pred_u, raw_u = conf.score(cfg.confidence, model,
+                                    linmod.raw_scores(model, pool.gather(unlabeled)))
         if n_v:
-            pred_v, conf_v = conf.score(cfg.confidence, model, val.gather(act))
+            pred_v, conf_v = conf.score(cfg.confidence, model,
+                                        linmod.raw_scores(model, val.gather(act)))
         else:
             pred_v, conf_v = np.empty(0, dtype=np.int64), np.empty(0)
         conf_u, conf_v = conf.shift_nonnegative(raw_u, conf_v)
@@ -73,7 +77,7 @@ def _auto_label_pass(cfg, model, pool, val, rnd, queried):
 
 def _margin_scores(cfg, model, X):
     """The margin-random query's score of each row of X under ``model``."""
-    return conf.score(cfg.confidence, model, X)[1]
+    return conf.score(cfg.confidence, model, linmod.raw_scores(model, X))[1]
 
 
 def _fit_round(cfg, pool, train_X, train_y, seed, rnd):

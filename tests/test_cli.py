@@ -15,6 +15,7 @@ from tbal.cli import (VALIDATION_SIZE, ConfigFileError, _subsample_validation,
 from tbal.confidence import AbsMargin, Energy
 from tbal.core import AUTO, KINDS, UNLABELED
 from tbal.data import make_dataset
+from tbal.metrics import clopper_pearson_upper
 from tbal.query import QueryConfig
 from tbal.theory import band_probability_bound, rademacher_vc
 from tbal.threshold import ThresholdConfig
@@ -331,7 +332,8 @@ class TestRunExperiment:
                            "human_labels", "val_labels", "rounds"]
         assert summary[0] == ["method", "axis_value", "err_hat_mean",
                               "err_hat_std", "cov_hat_mean", "cov_hat_std",
-                              "err_over_eps_frac"]
+                              "err_over_eps_frac", "err_hat_trials",
+                              "err_over_eps_upper95"]
         # 2 methods x 2 grid points x 2 trials
         assert len(runs) == 1 + 8
         assert len(summary) == 1 + 4
@@ -341,10 +343,12 @@ class TestRunExperiment:
         run_experiment(exp)
         runs = self.read(tmp_path / "res" / "runs.csv")[1:]
         summary = self.read(tmp_path / "res" / "summary.csv")[1:]
-        for m, g, em, es, cm, cs, _ in summary:
+        for m, g, em, es, cm, cs, _, n_err, _ in summary:
             errs = [float(r[3]) for r in runs if r[0] == m and r[1] == g]
             covs = [float(r[4]) for r in runs if r[0] == m and r[1] == g]
+            assert int(n_err) == len(errs)  # every trial labeled something
             assert float(em) == pytest.approx(np.mean(errs), abs=1e-6)
+            assert float(es) == pytest.approx(np.std(errs, ddof=1), abs=1e-6)
             assert float(cm) == pytest.approx(np.mean(covs), abs=1e-6)
             assert float(cs) == pytest.approx(np.std(covs, ddof=1), abs=1e-6)
 
@@ -359,14 +363,46 @@ class TestRunExperiment:
         runs = self.read(tmp_path / "res" / "runs.csv")[1:]
         summary = self.read(tmp_path / "res" / "summary.csv")[1:]
         fracs = {}
-        for m, g, *_, over in summary:
+        for m, g, em, es, _, _, over, n_err, upper in summary:
             errs = [float(r[3]) for r in runs if r[0] == m and r[1] == g]
-            assert over == f"{sum(e > 0.01 for e in errs) / len(errs):.6f}"
+            k = sum(e > 0.01 for e in errs)
+            assert over == f"{k / len(errs):.6f}"
+            assert upper == f"{clopper_pearson_upper(k, len(errs)):.6f}"
+            assert int(n_err) == sum(not math.isnan(e) for e in errs)
             fracs[m, g] = float(over)
         if overrides:
             assert all(math.isnan(float(r[3])) for r in runs if r[0] == "tbal")
             assert fracs["tbal", "40"] == fracs["tbal", "80"] == 0.0
+            for m, g, em, es, *_, n_err, upper in summary:
+                if m == "tbal":  # 0 of 2 trials over: the bound is 1 - 0.05^(1/2)
+                    assert (em, es, n_err, upper) == ("nan", "nan", "0", "0.776393")
         assert len(set(fracs.values())) > 1
+
+    def test_a_trial_that_labels_nothing_leaves_the_others_mean(self, tmp_path,
+                                                                monkeypatch):
+        # one trial's err_hat is undefined; the point's mean and std are
+        # those of the trials whose error is defined
+        exp = load_config(write_config(tmp_path, out=str(tmp_path / "res"), trials=3,
+                                       methods=["tbal"], sweep={"axis": "train_budget",
+                                                                "grid": [40]}))
+        real = cli.run_single
+
+        def run_single(exp, method, axis_value, trial, shared=None):
+            row = real(exp, method, axis_value, trial, shared)
+            return dict(row, err_hat=math.nan) if trial == 1 else row
+
+        monkeypatch.setattr(cli, "run_single", run_single)
+        assert run_experiment(exp) == 0
+        runs = self.read(tmp_path / "res" / "runs.csv")[1:]
+        (row,) = self.read(tmp_path / "res" / "summary.csv")[1:]
+        errs = [float(r[3]) for r in runs]
+        assert sum(map(math.isnan, errs)) == 1
+        defined = [e for e in errs if not math.isnan(e)]
+        assert float(row[2]) == pytest.approx(np.mean(defined), abs=1e-6)
+        assert float(row[3]) == pytest.approx(np.std(defined, ddof=1), abs=1e-6)
+        assert row[7] == "2"
+        k = sum(e > 0.05 for e in defined)
+        assert row[8] == f"{clopper_pearson_upper(k, 3):.6f}"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         p1 = write_config(tmp_path, out=str(tmp_path / "a"))

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from tbal.confidence import (AbsMargin, Energy, Softmax, make_kind, score,
                              shift_nonnegative)
-from tbal.model import LinearModel, TrainConfig, fit, logits
+from tbal.model import LinearModel, TrainConfig, fit, logits, raw_scores
+
+
+def score_rows(kind, model, X):
+    """The scores of the rows of X: ``score`` of their raw scores."""
+    return score(kind, model, raw_scores(model, X))
 
 
 def binary_model(w, b, normalized=False):
@@ -38,7 +43,7 @@ class TestAbsMargin:
     def test_is_absolute_margin(self):
         m = binary_model([2.0, -1.0], 0.5)
         X = np.array([[1.0, 1.0], [-1.0, 0.0]])
-        pred, conf = score(AbsMargin(), m, X)
+        pred, conf = score_rows(AbsMargin(), m, X)
         s = X @ m.weights + 0.5
         assert np.allclose(conf, np.abs(s))
         assert np.array_equal(pred, (s > 0).astype(int))
@@ -46,16 +51,16 @@ class TestAbsMargin:
     def test_clipped_only_when_normalized(self):
         X = np.array([[10.0, 0.0]])
         loose = binary_model([1.0, 0.0], 0.0)
-        _, c1 = score(AbsMargin(), loose, X)
+        _, c1 = score_rows(AbsMargin(), loose, X)
         assert c1[0] == 10.0
         unit = binary_model([1.0, 0.0], 0.0, normalized=True)
-        _, c2 = score(AbsMargin(), unit, X)
+        _, c2 = score_rows(AbsMargin(), unit, X)
         assert c2[0] == 1.0
 
     def test_rejects_multiclass(self):
         m = multi_model(np.eye(3), np.zeros(3))
         with pytest.raises(ValueError, match="binary"):
-            score(AbsMargin(), m, np.zeros((1, 3)))
+            score_rows(AbsMargin(), m, np.zeros((1, 3)))
 
 
 def logits_abs_margin(model, X):
@@ -78,7 +83,7 @@ def assert_same_bits(got, want):
 
 
 class TestAbsMarginSingleProduct:
-    """score() computes w.x + b once for a binary model; it must equal the
+    """score_rows() computes w.x + b once for a binary model; it must equal the
     logits path bit for bit."""
 
     def test_random_models_match_the_logits_path(self):
@@ -88,25 +93,25 @@ class TestAbsMarginSingleProduct:
                 m = binary_model(rng.standard_normal(5), rng.standard_normal(),
                                  normalized=normalized)
                 X = 3.0 * rng.standard_normal((200, 5))
-                assert_same_bits(score(AbsMargin(), m, X), logits_abs_margin(m, X))
+                assert_same_bits(score_rows(AbsMargin(), m, X), logits_abs_margin(m, X))
 
     def test_zero_margin_goes_to_class_zero(self):
         m = binary_model([1.0, -1.0], 0.0)
         X = np.array([[2.0, 2.0], [0.0, 0.0], [-0.0, 0.0], [1.0, 0.5], [0.5, 1.0]])
-        pred, conf = score(AbsMargin(), m, X)
+        pred, conf = score_rows(AbsMargin(), m, X)
         assert pred.tolist() == [0, 0, 0, 1, 0]
         assert conf[:3].tolist() == [0.0, 0.0, 0.0]
         assert_same_bits((pred, conf), logits_abs_margin(m, X))
         # a bias that cancels the product exactly
         m = binary_model([0.5, 0.0], -1.0)
         X = np.array([[2.0, 7.0]])
-        assert_same_bits(score(AbsMargin(), m, X), logits_abs_margin(m, X))
-        assert score(AbsMargin(), m, X)[0].tolist() == [0]
+        assert_same_bits(score_rows(AbsMargin(), m, X), logits_abs_margin(m, X))
+        assert score_rows(AbsMargin(), m, X)[0].tolist() == [0]
 
     def test_normalized_clipping(self):
         m = binary_model([0.6, 0.8], 0.0, normalized=True)
         X = np.array([[10.0, 0.0], [-10.0, 0.0], [0.5, 0.0], [-0.5, 0.0]])
-        pred, conf = score(AbsMargin(), m, X)
+        pred, conf = score_rows(AbsMargin(), m, X)
         assert conf.tolist() == [1.0, 1.0, 0.3, 0.3]
         assert_same_bits((pred, conf), logits_abs_margin(m, X))
 
@@ -114,7 +119,7 @@ class TestAbsMarginSingleProduct:
         for cls in (0, 1):
             X = np.random.default_rng(cls).standard_normal((7, 3))
             m = fit(X, np.full(7, cls), TrainConfig(), seed=0, num_classes=2)
-            pred, conf = score(AbsMargin(), m, X)
+            pred, conf = score_rows(AbsMargin(), m, X)
             assert pred.tolist() == [cls] * 7
             assert conf.tolist() == [1.0] * 7  # every score ties
             assert_same_bits((pred, conf), logits_abs_margin(m, X))
@@ -123,18 +128,31 @@ class TestAbsMarginSingleProduct:
     def test_dimension_mismatch(self, kind):
         m = binary_model([1.0, 0.0], 0.0)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            score(kind, m, np.zeros((4, 3)))
+            score_rows(kind, m, np.zeros((4, 3)))
         with pytest.raises(ValueError, match="2-D"):
-            score(kind, m, np.zeros(2))
+            score_rows(kind, m, np.zeros(2))
+
+    def test_raw_scores_must_fit_the_model(self):
+        # a binary model's raw scores are its margins, (n,); a model with a
+        # weight row per class has one logit per class, (n, K)
+        binary, multi = binary_model([1.0, 0.0], 0.0), multi_model(np.eye(3), np.zeros(3))
+        for m, raw in [(binary, np.zeros((4, 2))), (binary, np.zeros((4, 1))),
+                       (binary, np.float64(0.0)), (multi, np.zeros(4)),
+                       (multi, np.zeros((4, 2))), (multi, np.zeros((4, 3, 1)))]:
+            for kind in (AbsMargin(), Softmax(), Energy()):
+                with pytest.raises(ValueError, match="raw scores of shape"):
+                    score(kind, m, raw)
+        assert score(Softmax(), binary, np.zeros(4))[1].tolist() == [0.5] * 4
+        assert score(Softmax(), multi, np.zeros((4, 3)))[0].tolist() == [0] * 4
 
     def test_nonfinite_input_rejected(self):
         m = binary_model([1.0, 0.0], 0.0)
         for bad in (np.nan, np.inf, -np.inf):
             X = np.array([[1.0, 0.0], [bad, 0.0]])
             with pytest.raises(FloatingPointError):
-                score(AbsMargin(), m, X)
+                score_rows(AbsMargin(), m, X)
         with pytest.raises(FloatingPointError):
-            score(AbsMargin(), binary_model([np.inf, 0.0], 0.0), np.ones((2, 2)))
+            score_rows(AbsMargin(), binary_model([np.inf, 0.0], 0.0), np.ones((2, 2)))
 
 
 class TestSoftmax:
@@ -142,7 +160,7 @@ class TestSoftmax:
         m = multi_model(np.random.default_rng(0).standard_normal((4, 3)),
                         np.zeros(4))
         X = np.random.default_rng(1).standard_normal((20, 3))
-        pred, conf = score(Softmax(), m, X)
+        pred, conf = score_rows(Softmax(), m, X)
         z = X @ m.weights.T
         for i in range(len(X)):
             assert conf[i] == pytest.approx(softmax_oracle(list(z[i])), rel=1e-12)
@@ -151,7 +169,7 @@ class TestSoftmax:
     def test_confidence_in_half_open_interval(self):
         m = multi_model(np.random.default_rng(2).standard_normal((5, 2)),
                         np.zeros(5))
-        _, conf = score(Softmax(), m, np.random.default_rng(3).standard_normal((50, 2)))
+        _, conf = score_rows(Softmax(), m, np.random.default_rng(3).standard_normal((50, 2)))
         assert np.all(conf >= 1.0 / 5) and np.all(conf <= 1.0)
 
 
@@ -161,7 +179,7 @@ class TestEnergy:
                         np.array([0.1, -0.2, 0.0]))
         X = np.random.default_rng(1).standard_normal((15, 4))
         for t in (0.5, 1.0, 2.0):
-            _, conf = score(Energy(temperature=t), m, X)
+            _, conf = score_rows(Energy(temperature=t), m, X)
             z = X @ m.weights.T + m.bias
             for i in range(len(X)):
                 assert conf[i] == pytest.approx(energy_oracle(list(z[i]), t), rel=1e-12)
@@ -170,14 +188,14 @@ class TestEnergy:
         # for K=2 both scores are monotone in |s|, so orderings coincide
         m = binary_model([1.0, -0.5], 0.2)
         X = np.random.default_rng(4).standard_normal((40, 2))
-        _, e = score(Energy(), m, X)
-        _, p = score(Softmax(), m, X)
+        _, e = score_rows(Energy(), m, X)
+        _, p = score_rows(Softmax(), m, X)
         assert np.array_equal(np.argsort(np.argsort(e)), np.argsort(np.argsort(p)))
 
     def test_nonfinite_logits_rejected(self):
         m = binary_model([1e308, 1e308], 0.0)
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-            score(Energy(), m, np.array([[1e10, 1e10]]))
+            score_rows(Energy(), m, np.array([[1e10, 1e10]]))
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
     def test_temperature_must_be_finite_and_positive(self, t):
@@ -206,12 +224,12 @@ class TestSameBitsAsScipy:
         ones = 0
         for m in self.models():
             z = logits(m, X)
-            _, conf = score(Softmax(), m, X)
+            _, conf = score_rows(Softmax(), m, X)
             assert np.array_equal(bits(conf), bits(scipy.special.softmax(z, axis=1).max(1)))
             ones += int(np.sum(conf == 1.0))
             for x in X[:5, None]:  # one row alone scores through the same steps
                 want = scipy.special.softmax(logits(m, x), axis=1).max(1)
-                assert np.array_equal(bits(score(Softmax(), m, x)[1]), bits(want))
+                assert np.array_equal(bits(score_rows(Softmax(), m, x)[1]), bits(want))
         assert ones > 0
 
     def test_energy(self):
@@ -219,7 +237,7 @@ class TestSameBitsAsScipy:
         for m in self.models():
             z = logits(m, X)
             for t in (0.5, 1.0, 2.0):
-                _, conf = score(Energy(temperature=t), m, X)
+                _, conf = score_rows(Energy(temperature=t), m, X)
                 want = t * scipy.special.logsumexp(z / t, axis=1)
                 assert np.array_equal(bits(conf), bits(want))
 
@@ -237,7 +255,7 @@ def test_one_class_fit_scores_as_the_constant_logits(K, cls, kind):
         want = scipy.special.softmax(z, axis=1).max(1)
     else:
         want = kind.temperature * scipy.special.logsumexp(z / kind.temperature, axis=1)
-    assert_same_bits(score(kind, m, X), (np.full(40, cls), want))
+    assert_same_bits(score_rows(kind, m, X), (np.full(40, cls), want))
 
 
 def test_import_loads_no_scipy():
@@ -266,7 +284,7 @@ class TestMakeKind:
         with pytest.raises(ValueError, match="unknown confidence kind"):
             make_kind("entropy")
         with pytest.raises(ValueError, match="unknown confidence kind"):
-            score(object(), binary_model([1.0], 0.0), np.array([[1.0]]))
+            score_rows(object(), binary_model([1.0], 0.0), np.array([[1.0]]))
 
 
 class TestShiftNonnegative:

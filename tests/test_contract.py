@@ -182,3 +182,25 @@ def test_cli_import_leaves_the_process_pool_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def test_a_sweep_loads_no_scipy(tmp_path):
+    # an abs_margin and a softmax sweep, summary.csv included, run on NumPy
+    # alone: loading scipy.stats took a process from 27 to 99 MB of memory
+    configs = []
+    for confidence in ("abs_margin", "softmax"):
+        (tmp_path / confidence).mkdir()
+        configs.append(write_config(tmp_path / confidence, trials=1, confidence=confidence,
+                                    out=str(tmp_path / confidence / "res")))
+    code = ("import sys\n"
+            "from tbal import cli\n"
+            f"for path in {configs!r}:\n"
+            "    assert cli.run_experiment(cli.load_config(path)) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert loaded == [], loaded\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    for confidence in ("abs_margin", "softmax"):
+        assert (tmp_path / confidence / "res" / "summary.csv").exists()

@@ -136,22 +136,16 @@ class TestTbalLoop:
         # a fresh pool-sized copy per round left a run's peak memory to where
         # the allocator placed it, which varied from seed to seed
         pool, val = problem()
-        scored, real_score = [], conf.score
-
-        def score(kind, model, x):
-            scored.append(x)
-            return real_score(kind, model, x)
-
-        monkeypatch.setattr(conf, "score", score)
+        gathered = spy_chunk_gathers(monkeypatch)
         res = run(pool, val, RunConfig(method="tbal", **kw), seed=0)
         # each round scores its unlabeled pool rows and its validation rows,
-        # a chunk of c to 2c - 1 rows (or all of fewer than c) a call
+        # gathered a chunk of c to 2c - 1 rows (or all of fewer than c) at a time
         chunks, unlabeled = 0, len(pool) - kw["n_s"]
         for r in res.rounds:
             chunks += max(1, unlabeled // c) + max(1, r.n_v // c)
             unlabeled -= r.n_a + kw["n_b"]
-        assert len(scored) == chunks >= 2 * res.k >= 4
-        assert all(len(x) <= len(x.base) < 2 * c for x in scored)
+        assert len(gathered) == chunks >= 2 * res.k >= 4
+        assert all(len(x) <= len(x.base) < 2 * c for x in gathered)
 
     @pytest.mark.parametrize("method", ["tbal", "al"])
     def test_constant_hinge_model_scores_a_long_pool(self, method):
@@ -235,6 +229,20 @@ def random_model(rng, K, d, binary=False):
                               rng.standard_normal(K), K)
 
 
+def spy_chunk_gathers(monkeypatch):
+    """The rows ``engine._score_rows`` gathers, one array per chunk: it is
+    the one caller that gathers into a buffer."""
+    gathered = []
+    for cls in (Pool, ValidationSet):
+        def gather(self, ids, out=None, real=cls.gather):
+            rows = real(self, ids, out=out)
+            if out is not None:
+                gathered.append(rows)
+            return rows
+        monkeypatch.setattr(cls, "gather", gather)
+    return gathered
+
+
 def as_points(features):
     """``features`` as the rows of a validation set, in order: what
     ``engine._score_rows`` reads."""
@@ -273,7 +281,8 @@ class TestChunkedScoring:
                 X = features[ids]
                 for kind in kinds:
                     pred, score = engine._score_rows(kind, model, points, ids)
-                    want_pred, want_score = score_kind(kind, model, X)
+                    want_pred, want_score = score_kind(kind, model,
+                                                       linmod.raw_scores(model, X))
                     case = (K, binary, kind, n)
                     assert pred.dtype == want_pred.dtype, case
                     assert pred.tobytes() == want_pred.tobytes(), case
@@ -289,7 +298,7 @@ class TestChunkedScoring:
             from tbal import engine
             from tbal.confidence import AbsMargin, Softmax, score
             from tbal.core import ValidationSet
-            from tbal.model import LinearModel
+            from tbal.model import LinearModel, raw_scores
             chunked, whole = hashlib.sha256(), hashlib.sha256()
             for d in (2, 30, 784, 2048, 4096):
                 c = engine._chunk_rows(d, 1)
@@ -306,7 +315,7 @@ class TestChunkedScoring:
                     for kind in (AbsMargin(), Softmax()):
                         for h, scored in (
                                 (chunked, engine._score_rows(kind, model, points, ids)),
-                                (whole, score(kind, model, features[ids]))):
+                                (whole, score(kind, model, raw_scores(model, features[ids])))):
                             for a in scored:
                                 h.update(a.tobytes())
             print(chunked.hexdigest(), whole.hexdigest())
@@ -326,20 +335,36 @@ class TestChunkedScoring:
 
     @pytest.mark.parametrize("n,calls", [(1, 1), (255, 1), (256, 1), (511, 1),
                                          (512, 2), (767, 2), (768, 3), (1031, 4)])
-    def test_one_score_call_per_chunk(self, monkeypatch, n, calls):
+    def test_one_gather_per_chunk(self, monkeypatch, n, calls):
         rng = np.random.default_rng(0)
         features = rng.standard_normal((1100, 784))
-        sizes, real_score = [], conf.score
-
-        def score(kind, model, x):
-            sizes.append(len(x))
-            return real_score(kind, model, x)
-
-        monkeypatch.setattr(conf, "score", score)
+        gathered = spy_chunk_gathers(monkeypatch)
         engine._score_rows(Softmax(), random_model(rng, 10, 784), as_points(features),
                            np.arange(n))
+        sizes = [len(x) for x in gathered]
         assert len(sizes) == calls and sum(sizes) == n
         assert all(s == 256 for s in sizes[:-1]) and sizes[-1] < 512
+
+    @pytest.mark.parametrize("method", ["tbal", "al", "pl"])
+    def test_one_score_call_per_scoring_pass(self, monkeypatch, method):
+        # the chunks fill one array of raw scores, which is scored once
+        pool, val = k10_problem()
+        passes, real_rows = [], engine._score_rows
+        scored, real_score = [], conf.score
+
+        def score_rows(kind, model, points, ids):
+            passes.append(len(ids))
+            return real_rows(kind, model, points, ids)
+
+        def score(kind, model, raw):
+            scored.append(len(raw))
+            return real_score(kind, model, raw)
+
+        monkeypatch.setattr(engine, "_score_rows", score_rows)
+        monkeypatch.setattr(conf, "score", score)
+        run(pool, val, RunConfig(method=method, **softmax_config(n_s=60, n_b=60, N_q=180)),
+            seed=0)
+        assert scored == passes and max(passes) > 256
 
     @pytest.mark.parametrize("method", ["tbal", "pl", "alsc"])
     def test_a_run_holds_no_pool_sized_copy(self, method):
@@ -518,7 +543,8 @@ class TestMulticlassOffline:
         for r, model in zip(res.rounds, models):
             if r.decision is None or r.n_a == 0:
                 continue
-            pred, score = score_kind(Softmax(), model, pool.gather(r.auto_ids))
+            pred, score = score_kind(Softmax(), model,
+                                     linmod.raw_scores(model, pool.gather(r.auto_ids)))
             assert np.array_equal(pred, r.auto_labels)
             t = r.decision.thresholds
             assert t.shape == (self.K,)
@@ -580,7 +606,7 @@ class TestQueryReadsThePassScores:
             done = np.concatenate([done, prev.queried_ids, prev.auto_ids])
             remaining = np.setdiff1d(np.arange(len(pool)), done)
             X, model = pool.gather(remaining), models[r - 1]
-            _, want_scores = score_kind(cfg.confidence, model, X)
+            _, want_scores = score_kind(cfg.confidence, model, linmod.raw_scores(model, X))
             assert passed[r - 1].tobytes() == want_scores.tobytes()
             batch = res.rounds[r].queried_ids
             want, _ = full_sort_margin_random(remaining, want_scores, len(batch),

@@ -6,7 +6,8 @@ import pytest
 from tbal.core import Pool, ValidationSet, partition_counts
 from tbal.data import gen_unit_ball, split_pool_val
 from tbal.engine import RoundRecord, RunConfig, RunResult, run
-from tbal.metrics import IntegrityError, MetricReport, evaluate, summarize_trials
+from tbal.metrics import (IntegrityError, MetricReport, clopper_pearson_upper, evaluate,
+                          summarize_trials)
 from tbal.model import LinearModel, TrainConfig
 
 
@@ -104,3 +105,28 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize_trials([])
+
+
+class TestClopperPearsonUpper:
+    def test_no_violation_in_ten_or_forty_trials(self):
+        # 0 of n: the bound is 1 - 0.05^(1/n)
+        assert round(clopper_pearson_upper(0, 10), 3) == 0.259
+        assert round(clopper_pearson_upper(0, 40), 3) == 0.072
+        for n in (1, 10, 40, 59, 1000):
+            assert clopper_pearson_upper(0, n) == pytest.approx(1 - 0.05 ** (1 / n),
+                                                                rel=1e-12)
+        assert clopper_pearson_upper(0, 59) < 0.05 < clopper_pearson_upper(0, 58)
+
+    def test_matches_the_beta_quantile(self):
+        beta = pytest.importorskip("scipy.stats").beta
+        for k, n in [(1, 10), (3, 40), (9, 10), (5, 2000), (26, 40), (1, 1500)]:
+            assert clopper_pearson_upper(k, n) == pytest.approx(
+                beta.ppf(0.95, k + 1, n - k), rel=1e-12)
+
+    def test_every_trial_over_bounds_at_one(self):
+        assert clopper_pearson_upper(10, 10) == 1.0
+
+    def test_counts_checked(self):
+        for k, n in [(-1, 10), (11, 10), (0, 0)]:
+            with pytest.raises(ValueError):
+                clopper_pearson_upper(k, n)

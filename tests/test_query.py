@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from tbal.confidence import AbsMargin, score
 from tbal.core import rng_from
-from tbal.model import LinearModel
+from tbal.model import LinearModel, raw_scores
 from tbal.query import (MARGIN_RANDOM, QueryConfig, _lowest, query_margin_random,
                         query_random)
 
@@ -16,7 +16,7 @@ def line_model():
 
 def scored_query(model, kind, ids, X, n, C, rng):
     """Score the rows of ``ids`` as the engine does, then query."""
-    _, scores = score(kind, model, X[ids])
+    _, scores = score(kind, model, raw_scores(model, X[ids]))
     return query_margin_random(ids, scores, n, C, rng)
 
 

@@ -208,7 +208,12 @@ class TestRunPlumbing:
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
             timeout=120)
         assert out.returncode == 0, out.stderr
-        assert any(line.startswith("run: ") for line in out.stdout.splitlines())
+        lines = out.stdout.splitlines()
+        assert any(line.startswith("run: ") for line in lines)
+        # this run's coverage bound is below 0: tagged, not read as a result
+        (cov,) = [line for line in lines if line.startswith("coverage lower bound")]
+        bound = float(cov.split(": ", 1)[1].split()[0])
+        assert bound <= 0.0 and "(vacuous)" in cov
 
     def test_mc_report_shape(self):
         report = verify_error_bound_mc(small_run, d=5, trials=5)

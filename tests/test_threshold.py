@@ -120,17 +120,13 @@ class TestWidePoolOracleEquivalence:
                 finite += math.isfinite(want[0])
         assert finite > 0
 
-    def test_unknown_sigma_kind_raises_only_at_support_n0(self):
-        cfg = ThresholdConfig(n0=3, sigma_kind="wilson")
-        u, up = np.array([0.5]), np.array([0])
-        v, vp, c = np.array([0.6, 0.7, 0.4]), np.array([0, 0, 0]), np.ones(3, dtype=bool)
-        # the best candidate, 0.5, sees 2 < n0 validation scores: nothing is inflated
-        dec = estimate_threshold(u, up, v, vp, c, cfg, num_classes=1)
-        assert dec.thresholds[0] == math.inf
-        # a tie at 0.5 lifts its support to n0
-        with pytest.raises(ValueError, match="unknown sigma kind"):
-            estimate_threshold(u, up, np.append(v, 0.5), np.append(vp, 0),
-                               np.append(c, True), cfg, num_classes=1)
+    def test_unknown_sigma_kind_is_refused_when_the_config_is_built(self):
+        # the scan inflates every support level, so a kind it cannot compute
+        # is refused before any scan, not at the first level it inflates
+        with pytest.raises(ValueError, match="unknown sigma kind 'wilson'"):
+            ThresholdConfig(n0=3, sigma_kind="wilson")
+        for kind in (STDERR, HOEFFDING, ZERO):
+            assert ThresholdConfig(sigma_kind=kind).sigma_kind == kind
 
 
 class TestScanMatchesTheFrozenScan:
@@ -146,6 +142,39 @@ class TestScanMatchesTheFrozenScan:
             u, v, c, cfg = random_instance(rng)
             want = reference.estimate_single(u, v, c, cfg)
             assert _estimate_single(u, v, c, cfg) == want, (u, v, c, cfg)
+
+    def test_alternating_levels_and_the_edge_below_the_first_pass(self):
+        # validation scores 0..n_v-1 with the b lowest and every odd one
+        # wrong: under a zero inflation at epsilon_a 0.5 the support levels
+        # below b fail, and from b on the even ones pass and the odd ones
+        # fail. Pool scores tie with validation scores or fall halfway
+        # between, in a random subset of the buckets
+        rng = np.random.default_rng(2305)
+        seen = {"abstain below the edge": 0, "edge tie": 0, "empty first pass": 0}
+        for _ in range(600):
+            n_v = 2 * int(rng.integers(3, 30))
+            b = 2 * int(rng.integers(1, n_v // 2))
+            idx = np.arange(n_v)
+            v = idx.astype(np.float64)
+            c = (idx % 2 == 0) & (idx >= b)
+            cfg = ThresholdConfig(epsilon_a=0.5, n0=int(rng.integers(1, n_v - b + 2)),
+                                  sigma_kind=ZERO)
+            # half-integer steps from one below the lowest validation score
+            # to one above the highest
+            steps = np.arange(-2, 2 * n_v + 1) / 2.0
+            u = rng.choice(steps, size=int(rng.integers(1, 3 * n_v)))
+            edge = v[b - 1]  # the score below the first passing level
+            if rng.random() < 0.25:
+                u = np.append(u[u <= edge], edge)
+            elif rng.random() < 0.5:
+                u = np.append(u, edge)
+            want = reference.estimate_single(u, v, c, cfg)
+            assert _estimate_single(u, v, c, cfg) == want, (u, b, cfg)
+            if b <= n_v - cfg.n0:  # level b passes
+                seen["abstain below the edge"] += bool(u.max() <= edge)
+                seen["edge tie"] += bool(np.any(u == edge)) and math.isfinite(want[0])
+                seen["empty first pass"] += bool(0 < want[1] < n_v - b)
+        assert min(seen.values()) >= 20, seen
 
     @pytest.mark.parametrize("grid", [None, 40], ids=["continuous", "grid"])
     @pytest.mark.parametrize("K", [1, 2, 10])
