@@ -24,14 +24,15 @@ _CODE = {k: c for c, k in enumerate(KINDS)}
 
 class _MatrixRows:
     """Features held as rows of a matrix: point ``i``'s features are row
-    ``rows[i]`` of ``matrix``, a float64 (rows, d) array that the pool and
-    validation set split from one dataset share, so a split copies no
-    features. Read them with :meth:`gather`."""
+    ``rows[i]`` of ``matrix``, a C-order float64 (rows, d) array that the
+    pool and validation set split from one dataset share, so a split copies
+    no features. Read them with :meth:`gather`; the engine scores the
+    matrix's rows in place."""
 
     def _hold(self, matrix, n: int, rows) -> None:
         """Check and keep ``matrix`` and ``rows`` for ``n`` points; ``rows``
         None means one matrix row per point, in order."""
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix, dtype=np.float64, order="C")
         if matrix.ndim != 2:
             raise ValueError(f"the matrix must be 2-D (rows, d), got shape {matrix.shape}")
         if rows is None:
@@ -42,7 +43,7 @@ class _MatrixRows:
         if rows.ndim != 1 or len(rows) != n:
             raise ValueError(f"rows must be 1-D with one entry per point ({n}), "
                              f"got shape {rows.shape}")
-        # ``gather`` clips, so a row outside the matrix must fail here
+        # a row outside the matrix fails here, not mid-run
         if n and (rows.dtype.kind not in "iu" or rows.min() < 0
                   or rows.max() >= len(matrix)):
             raise ValueError(f"rows must be integers in [0, {len(matrix)})")
@@ -52,12 +53,9 @@ class _MatrixRows:
     def dimension(self) -> int:
         return self.matrix.shape[1]
 
-    def gather(self, ids, out=None) -> np.ndarray:
-        """The features of points ``ids`` (an id or an array of them), as
-        ``np.take`` gives them: into ``out`` when it is given."""
-        # mode "raise" gathers into a temporary first and copies it over;
-        # ``rows`` index the matrix, so "clip" changes none of them
-        return np.take(self.matrix, self.rows.take(ids), axis=0, out=out, mode="clip")
+    def gather(self, ids) -> np.ndarray:
+        """The features of points ``ids`` (an id or an array of them)."""
+        return self.matrix.take(self.rows.take(ids), axis=0)
 
 
 class Pool(_MatrixRows):

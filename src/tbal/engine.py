@@ -142,7 +142,7 @@ SMALL_GEMM = 100 ** 3
 
 def _chunk_rows(d: int, k: int) -> int:
     """The chunk length c for rows of dimension ``d`` scored by a product
-    with ``k`` columns (see ``_score_rows``).
+    with ``k`` columns (see ``_matrix_scores``).
 
     A binary model (k = 1) scores its rows with a matrix-vector product:
     c is the largest power of two whose rows fit in ``BINARY_CHUNK_BYTES``,
@@ -150,13 +150,13 @@ def _chunk_rows(d: int, k: int) -> int:
     threads at a row set by the row count, and a row's bits depend on which
     side it falls. A product of at most 2c - 1 such rows ran on one thread
     at 1 and 2 BLAS threads on OpenBLAS 0.3.31, so these chunks keep the
-    bits of one single-threaded gather there; a later OpenBLAS that threads
+    bits of one single-threaded product there; a later OpenBLAS that threads
     smaller products breaks that, which
     ``test_binary_scores_do_not_depend_on_the_blas_thread_count`` checks.
 
     Otherwise c is the largest power of two whose rows fit in
     ``CHUNK_BYTES``, at least 256, doubled until a chunk's product is too
-    large for OpenBLAS's small-matrix kernel."""
+    large for OpenBLAS's small-matrix kernel (on a matrix of c rows or more)."""
     budget, c = (BINARY_CHUNK_BYTES, 1) if k == 1 else (CHUNK_BYTES, 256)
     while 2 * c * 8 * d <= budget:
         c *= 2
@@ -165,34 +165,33 @@ def _chunk_rows(d: int, k: int) -> int:
     return c
 
 
-def _score_rows(kind, model, points, ids) -> tuple[np.ndarray, np.ndarray]:
-    """``conf.score(kind, model, linmod.raw_scores(model, points.gather(ids)))``
-    (``points`` a pool or validation set), with the rows gathered a chunk at
-    a time, each chunk into the first rows of one buffer of at most 2c - 1
-    rows, and its raw scores written into its rows of one array, which is
-    scored once.
-
-    Chunks start at multiples of c (``_chunk_rows``), and the last one takes
-    the remainder, so it holds c to 2c - 1 rows (fewer than c ids are one
-    chunk). BLAS results for a row depend on how the rows around it are laid
-    out, and with this rule every row's product keeps the bits of one gather
-    of all ``ids``, on the kinds, K and d the tests cover: scoring the whole
-    matrix and indexing it does not, nor do shorter chunks. The bias and the
-    confidence act on each row alone, so the chunks leave their bits as they
-    are, and the confidence runs once over all rows. Gathering into one
-    short buffer keeps the copied rows independent of the pool size; the raw
-    scores and the confidence's temporaries grow with n (n * K floats each
-    for a multiclass model)."""
+def _matrix_scores(model, matrix: np.ndarray) -> np.ndarray:
+    """The raw scores (``linmod.raw_scores``) of every row of ``matrix``,
+    multiplied a contiguous view at a time. Views start at multiples of c
+    (``_chunk_rows``) and the last takes the remainder, so it holds c to
+    2c - 1 rows (fewer than c rows are one view). On the kinds, K and d the
+    tests cover, a row's bits are then those of one product over the whole
+    matrix at the same BLAS thread count (a binary model's: at 1 thread, at
+    1 and 2 alike), whatever rows a pass reads."""
     # a product column per class, or one for binary weights
-    c = _chunk_rows(points.dimension, 1 if model.binary else model.num_classes)
-    n = len(ids)
-    buffer = np.empty((min(2 * c - 1, n), points.dimension))
+    c = _chunk_rows(matrix.shape[1], 1 if model.binary else model.num_classes)
+    n = len(matrix)
     raw = np.empty((n,) if model.binary else (n, model.num_classes))
     bounds = [i * c for i in range(max(1, n // c))] + [n]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        linmod.raw_scores(model, points.gather(ids[lo:hi], out=buffer[:hi - lo]),
-                          out=raw[lo:hi])
-    return conf.score(kind, model, raw)
+        linmod.raw_scores(model, matrix[lo:hi], out=raw[lo:hi])
+    return raw
+
+
+def _score_rows(kind, model, points, ids, raw=None) -> tuple[np.ndarray, np.ndarray]:
+    """``conf.score`` of the raw scores of points ``ids`` (``points`` a pool
+    or validation set), taken from ``raw``, those of every row of
+    ``points.matrix`` (``_matrix_scores`` of it when None): no feature row is
+    copied. ``raw`` takes N * K floats (4.8 MB for 60000 rows at K = 10);
+    the confidence's temporaries scale with the pass (a few n * K floats)."""
+    if raw is None:
+        raw = _matrix_scores(model, points.matrix)
+    return conf.score(kind, model, raw.take(points.rows.take(ids), axis=0))
 
 
 def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried):
@@ -206,9 +205,12 @@ def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried):
     auto_ids = auto_labels = drop = np.empty(0, dtype=np.int64)
     keep, raw_u = np.empty(0, dtype=np.int64), np.empty(0)
     if len(unlabeled):
-        pred_u, raw_u = _score_rows(cfg.confidence, model, pool, unlabeled)
+        # one product serves both sets when they share a matrix, as a split does
+        raw = _matrix_scores(model, pool.matrix)
+        pred_u, raw_u = _score_rows(cfg.confidence, model, pool, unlabeled, raw)
         if n_v:
-            pred_v, conf_v = _score_rows(cfg.confidence, model, val, act)
+            pred_v, conf_v = _score_rows(cfg.confidence, model, val, act,
+                                         raw if val.matrix is pool.matrix else None)
         else:
             pred_v, conf_v = np.empty(0, dtype=np.int64), np.empty(0)
         conf_u, conf_v = conf.shift_nonnegative(raw_u, conf_v)

@@ -204,3 +204,31 @@ def test_a_sweep_loads_no_scipy(tmp_path):
     assert out.returncode == 0, out.stderr
     for confidence in ("abs_margin", "softmax"):
         assert (tmp_path / confidence / "res" / "summary.csv").exists()
+
+
+def test_a_sweep_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the README promises the same runs.csv at 1 and 2 BLAS threads: a
+    # reduced xor sweep and a reduced unit-ball budget sweep (d = 30)
+    code = ("import sys\n"
+            "from tbal import cli\n"
+            f"xor = cli.load_config({os.path.join(ROOT, 'configs', 'xor.yaml')!r})\n"
+            f"ball = cli.load_config({os.path.join(ROOT, 'configs', 'unit_ball_budget.yaml')!r})\n"
+            "xor.trials, xor.out = 2, sys.argv[1] + '/xor'\n"
+            "ball.trials, ball.grid, ball.out = 2, [500], sys.argv[1] + '/ball'\n"
+            "assert ball.dataset.d == 30\n"
+            "for exp in (xor, ball):\n"
+            "    assert cli.run_experiment(exp) == 0\n")
+    procs = {}
+    for threads in ("1", "2"):  # read by OpenBLAS when NumPy is imported
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        procs[threads] = subprocess.Popen(
+            [sys.executable, "-c", code, str(tmp_path / threads)], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    for proc in procs.values():
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+    for sweep in ("xor", "ball"):
+        for name in ("runs.csv", "summary.csv"):
+            one, two = ((tmp_path / t / sweep / name).read_bytes() for t in ("1", "2"))
+            assert one == two, (sweep, name)

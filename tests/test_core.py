@@ -93,11 +93,20 @@ class TestMatrixRows:
         assert points.dimension == 3
         assert np.array_equal(points.gather(np.array([2, 0])), points.matrix[[5, 4]])
         assert np.array_equal(points.gather(3), points.matrix[2])
-        out = np.empty((2, 3))
-        assert points.gather(np.array([1, 3]), out=out) is out
-        assert np.array_equal(out, points.matrix[[0, 2]])
         with pytest.raises(IndexError):
             points.gather(np.array([4]))
+
+    def test_the_matrix_is_held_in_c_order(self, cls):
+        # the engine multiplies contiguous views of the matrix's rows
+        labels = np.zeros(4, dtype=np.int64)
+
+        def held(m):
+            return (Pool(m, labels, 2) if cls is Pool else ValidationSet(m, labels)).matrix
+
+        matrix = np.arange(12.0).reshape(4, 3)
+        assert held(matrix) is matrix
+        copied = held(np.asfortranarray(matrix))
+        assert copied.flags.c_contiguous and np.array_equal(copied, matrix)
 
     def test_copy_shares_the_matrix_and_rows(self, cls):
         points = make_points(cls, np.array([4, 0, 5, 2]))

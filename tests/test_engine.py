@@ -126,26 +126,23 @@ class TestTbalLoop:
         assert any(not np.array_equal(a.auto_ids, b.auto_ids)
                    for a, b in zip(r1.rounds, r3.rounds)) or r1.N_a != r3.N_a
 
-    @pytest.mark.parametrize("problem,kw,c", [
+    @pytest.mark.parametrize("problem,kw", [
         (lambda: small_problem(seed=5),
-         dict(n_s=20, n_b=10, N_q=60, train=TrainConfig(normalized=True, learning_rate=3.0)),
-         engine._chunk_rows(4, 1)),
-        (k10_problem, softmax_config(n_s=60, n_b=60, N_q=180), 256),
+         dict(n_s=20, n_b=10, N_q=60, train=TrainConfig(normalized=True, learning_rate=3.0))),
+        (k10_problem, softmax_config(n_s=60, n_b=60, N_q=180)),
     ], ids=["binary", "k10_chunks"])
-    def test_rounds_gather_their_rows_into_short_buffers(self, monkeypatch, problem, kw, c):
+    def test_rounds_gather_only_the_training_rows(self, monkeypatch, problem, kw):
         # a fresh pool-sized copy per round left a run's peak memory to where
-        # the allocator placed it, which varied from seed to seed
+        # the allocator placed it, which varied from seed to seed; scoring
+        # reads the matrix in place and copies no row
         pool, val = problem()
-        gathered = spy_chunk_gathers(monkeypatch)
+        gathered = spy_gathers(monkeypatch)
         res = run(pool, val, RunConfig(method="tbal", **kw), seed=0)
-        # each round scores its unlabeled pool rows and its validation rows,
-        # gathered a chunk of c to 2c - 1 rows (or all of fewer than c) at a time
-        chunks, unlabeled = 0, len(pool) - kw["n_s"]
-        for r in res.rounds:
-            chunks += max(1, unlabeled // c) + max(1, r.n_v // c)
-            unlabeled -= r.n_a + kw["n_b"]
-        assert len(gathered) == chunks >= 2 * res.k >= 4
-        assert all(len(x) <= len(x.base) < 2 * c for x in gathered)
+        # each round's fit gathers its human-labeled rows, in query order
+        assert len(gathered) == res.k >= 2
+        for r, ids in enumerate(gathered, 1):
+            want = np.concatenate([x.queried_ids for x in res.rounds[:r]])
+            assert np.array_equal(ids, want)
 
     @pytest.mark.parametrize("method", ["tbal", "al"])
     def test_constant_hinge_model_scores_a_long_pool(self, method):
@@ -229,18 +226,34 @@ def random_model(rng, K, d, binary=False):
                               rng.standard_normal(K), K)
 
 
-def spy_chunk_gathers(monkeypatch):
-    """The rows ``engine._score_rows`` gathers, one array per chunk: it is
-    the one caller that gathers into a buffer."""
+def spy_gathers(monkeypatch):
+    """The ids of every ``gather`` call on a pool or validation set."""
     gathered = []
     for cls in (Pool, ValidationSet):
-        def gather(self, ids, out=None, real=cls.gather):
-            rows = real(self, ids, out=out)
-            if out is not None:
-                gathered.append(rows)
-            return rows
+        def gather(self, ids, real=cls.gather):
+            gathered.append(np.asarray(ids))
+            return real(self, ids)
         monkeypatch.setattr(cls, "gather", gather)
     return gathered
+
+
+def one_thread_margins(tmp_path, features, model):
+    """``linmod.raw_scores(model, features)`` of a binary model in one call,
+    computed in a process whose BLAS runs on 1 thread."""
+    np.savez(tmp_path / "in.npz", features=features, w=model.weights, b=model.bias)
+    code = f"""if True:
+        import numpy as np
+        from tbal.model import LinearModel, raw_scores
+        data = np.load({str(tmp_path / "in.npz")!r})
+        model = LinearModel(data["w"], data["b"], 2)
+        np.save({str(tmp_path / "out.npy")!r}, raw_scores(model, data["features"]))
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return np.load(tmp_path / "out.npy")
 
 
 def as_points(features):
@@ -250,9 +263,9 @@ def as_points(features):
 
 
 class TestChunkedScoring:
-    """``_score_rows`` against one gather of every row: the chunk rule keeps
-    each score's bits, which neither scoring the whole matrix and indexing it
-    nor shorter chunks do."""
+    """``_score_rows`` against one product over the whole matrix (a binary
+    model's at 1 BLAS thread): a row's score keeps its bits whatever other
+    rows a pass reads."""
 
     @pytest.mark.parametrize("d,k,c", [
         (2, 10, 131072), (2, 2, 262144), (5, 10, 32768), (8, 10, 32768), (8, 3, 65536),
@@ -263,30 +276,59 @@ class TestChunkedScoring:
         assert engine._chunk_rows(d, k) == c
 
     @pytest.mark.parametrize("d", [2, 5, 8, 30, 50, 784])
-    def test_scores_keep_the_bits_of_one_gather(self, d):
+    def test_scores_keep_the_bits_of_the_matrix_product(self, tmp_path, d):
         rng = np.random.default_rng(d)
         chunk = {K: engine._chunk_rows(d, K) for K in (1, 2, 3, 4, 10)}
         features = rng.standard_normal((3 * max(chunk.values()) + 57, d))
         assert features.nbytes < 24e6
-        points = as_points(features)
+        # the points read the matrix's rows in another order than its own
+        points = ValidationSet(features, np.zeros(len(features), dtype=np.int64),
+                               rows=rng.permutation(len(features)))
         # (K, binary model): a binary model scores one vector, the chunks of k = 1
         for K, binary in [(2, True), (2, False), (3, False), (4, False), (10, False)]:
+            model = random_model(rng, K, d, binary)
+            # a binary product over the whole matrix is split between BLAS
+            # threads, and a multiclass one at d = 784 takes other bits at 2
+            # threads than at 1, chunked or not
+            whole = (one_thread_margins(tmp_path, features, model) if binary
+                     else linmod.raw_scores(model, features))
             c = chunk[1 if binary else K]
             kinds = [Softmax(), Energy()] + ([AbsMargin()] if binary else [])
-            sizes = [c - 1, c, c + 1, 2 * c - 1, 2 * c, 3 * c + 7,
+            sizes = [1, 5, c - 1, c, c + 1, 2 * c - 1, 2 * c, 3 * c + 7,
                      rng.integers(1, 3 * c + 7)]
-            model = random_model(rng, K, d, binary)
             for n in sizes:
                 ids = rng.permutation(len(features))[:n]
-                X = features[ids]
                 for kind in kinds:
                     pred, score = engine._score_rows(kind, model, points, ids)
-                    want_pred, want_score = score_kind(kind, model,
-                                                       linmod.raw_scores(model, X))
+                    want_pred, want_score = score_kind(kind, model, whole[points.rows[ids]])
                     case = (K, binary, kind, n)
                     assert pred.dtype == want_pred.dtype, case
                     assert pred.tobytes() == want_pred.tobytes(), case
                     assert score.tobytes() == want_score.tobytes(), case
+
+    @pytest.mark.parametrize("K,d,n", [(2, 8, 8191), (10, 784, 1000)],
+                             ids=["binary", "k10"])
+    def test_a_rows_score_does_not_depend_on_the_other_ids(self, K, d, n):
+        # a multiclass pass of fewer than SMALL_GEMM / (K * d) gathered rows
+        # ran on OpenBLAS's small-matrix kernel, and a binary pass's last
+        # n mod 4 rows on the matrix-vector product's tail path: both gave
+        # a row other bits than a long pass did
+        rng = np.random.default_rng(K)
+        points = as_points(rng.standard_normal((n, d)))
+        model = random_model(rng, K, d, binary=K == 2)
+        sample = np.concatenate([rng.choice(n - 4, 40, replace=False), np.arange(n - 4, n)])
+        lengths = np.resize([1, 3, 5, 17, 64], n)
+        short = np.split(rng.permutation(n), np.cumsum(lengths)[:-1])
+        alone = np.split(sample, len(sample))
+        for kind in (Softmax(), Energy()):
+            full = rng.permutation(n)
+            pred, score = engine._score_rows(kind, model, points, full)
+            order = np.argsort(full)
+            want_pred, want_score = pred[order], score[order]
+            for ids in [x for x in short if len(x)] + alone:
+                pred, score = engine._score_rows(kind, model, points, ids)
+                assert pred.tobytes() == want_pred[ids].tobytes(), (kind, ids)
+                assert score.tobytes() == want_score[ids].tobytes(), (kind, ids)
 
     def test_binary_scores_do_not_depend_on_the_blas_thread_count(self):
         # a binary model's matrix-vector product is split between BLAS
@@ -310,12 +352,13 @@ class TestChunkedScoring:
                 points = ValidationSet(features, np.zeros(len(features), dtype=np.int64))
                 model = LinearModel(rng.standard_normal(d) / math.sqrt(d),
                                     np.array(rng.standard_normal()), 2, normalized=True)
+                product = raw_scores(model, features)  # the whole matrix in one call
                 for n in sizes:
                     ids = rng.permutation(len(features))[:n]
                     for kind in (AbsMargin(), Softmax()):
                         for h, scored in (
                                 (chunked, engine._score_rows(kind, model, points, ids)),
-                                (whole, score(kind, model, raw_scores(model, features[ids])))):
+                                (whole, score(kind, model, product[ids]))):
                             for a in scored:
                                 h.update(a.tobytes())
             print(chunked.hexdigest(), whole.hexdigest())
@@ -330,31 +373,42 @@ class TestChunkedScoring:
             assert out.returncode == 0, out.stderr
             digests[threads] = out.stdout.split()
         assert digests["1"][0] == digests["2"][0]
-        # and the chunks keep the bits of one single-threaded gather
+        # and the chunks keep the bits of one single-threaded product
         assert digests["1"][0] == digests["1"][1]
 
     @pytest.mark.parametrize("n,calls", [(1, 1), (255, 1), (256, 1), (511, 1),
                                          (512, 2), (767, 2), (768, 3), (1031, 4)])
-    def test_one_gather_per_chunk(self, monkeypatch, n, calls):
+    def test_one_product_per_matrix_chunk(self, monkeypatch, n, calls):
+        # a matrix of n rows is multiplied in place, a chunk of c to 2c - 1
+        # rows at a time, however few of its rows the pass reads
         rng = np.random.default_rng(0)
-        features = rng.standard_normal((1100, 784))
-        gathered = spy_chunk_gathers(monkeypatch)
+        features = rng.standard_normal((n, 784))
+        gathered = spy_gathers(monkeypatch)
+        products, real = [], linmod.raw_scores
+
+        def raw_scores(model, X, out=None):
+            products.append(X)
+            return real(model, X, out=out)
+
+        monkeypatch.setattr(linmod, "raw_scores", raw_scores)
         engine._score_rows(Softmax(), random_model(rng, 10, 784), as_points(features),
-                           np.arange(n))
-        sizes = [len(x) for x in gathered]
+                           rng.permutation(n)[:5])
+        sizes = [len(x) for x in products]
         assert len(sizes) == calls and sum(sizes) == n
         assert all(s == 256 for s in sizes[:-1]) and sizes[-1] < 512
+        assert all(np.shares_memory(x, features) for x in products)
+        assert gathered == []
 
     @pytest.mark.parametrize("method", ["tbal", "al", "pl"])
     def test_one_score_call_per_scoring_pass(self, monkeypatch, method):
-        # the chunks fill one array of raw scores, which is scored once
+        # each pass scores its ids' rows of the raw scores in one call
         pool, val = k10_problem()
         passes, real_rows = [], engine._score_rows
         scored, real_score = [], conf.score
 
-        def score_rows(kind, model, points, ids):
+        def score_rows(kind, model, points, ids, raw=None):
             passes.append(len(ids))
-            return real_rows(kind, model, points, ids)
+            return real_rows(kind, model, points, ids, raw)
 
         def score(kind, model, raw):
             scored.append(len(raw))
