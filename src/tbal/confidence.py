@@ -1,7 +1,8 @@
 """Confidence functions g(model, x) -> nonnegative score, larger = more
 confident, computed from the model's raw scores of the rows x
-(``model.raw_scores``), so a caller may compute those a chunk at a time.
-All kinds share that orientation so threshold search stays kind-agnostic.
+(``model.raw_scores``), so a caller computes the product once and scores
+any subset of its rows. All kinds share that orientation so threshold
+search stays kind-agnostic.
 
 Only NumPy is imported here: scipy, which the energy kind reads, is imported
 on its first use, so importing the package and failing a config stay cheap."""

@@ -22,6 +22,16 @@ KINDS = (UNLABELED, HUMAN, AUTO)  # a point's kind code is its index here
 _CODE = {k: c for c, k in enumerate(KINDS)}
 
 
+def _point_ids(ids, n: int) -> np.ndarray:
+    """``ids`` (an id or an array of them) as a flat int64 array; an id
+    outside [0, n) raises IndexError, a negative one too, where NumPy
+    indexing would wrap it around."""
+    flat = np.asarray(ids, dtype=np.int64).reshape(-1)
+    if len(flat) and (flat.min() < 0 or flat.max() >= n):
+        raise IndexError(f"point ids must lie in [0, {n})")
+    return flat
+
+
 class _MatrixRows:
     """Features held as rows of a matrix: point ``i``'s features are row
     ``rows[i]`` of ``matrix``, a C-order float64 (rows, d) array that the
@@ -90,7 +100,7 @@ class Pool(_MatrixRows):
     def _mark(self, ids, kind: str, label, rnd: int) -> None:
         """Label one id or an array of distinct unlabeled ids; a batch with any
         other id is rejected whole, before anything is written."""
-        flat = np.asarray(ids, dtype=np.int64).reshape(-1)
+        flat = _point_ids(ids, len(self))
         # a label array of the wrong length fails here, before any write
         labels = np.broadcast_to(np.asarray(label, dtype=np.int64), flat.shape)
         taken = flat[self.kind[flat] != _CODE[UNLABELED]]
@@ -160,7 +170,7 @@ class ValidationSet(_MatrixRows):
 
     def deactivate(self, indices: np.ndarray) -> None:
         # filtering never re-adds; only True -> False transitions happen here
-        self.active[np.asarray(indices, dtype=np.int64)] = False
+        self.active[_point_ids(indices, len(self))] = False
 
     def copy(self) -> "ValidationSet":
         return ValidationSet(self.matrix, self.labels, self.active.copy(), self.rows)

@@ -128,69 +128,14 @@ def _round_seed(seed: int, *stream) -> int:
     return int(rng_from(seed, *stream).integers(0, 2**63 - 1))
 
 
-# a scoring chunk's float64 rows take up to this many bytes (see ``_score_rows``),
-# so a chunk stays in cache while it is scored
-CHUNK_BYTES = 2 * 1024 * 1024
-# a binary model's chunks of c rows take up to this many bytes, so its
-# longest chunk (2c - 1 rows) stays under 1 MiB
-BINARY_CHUNK_BYTES = 512 * 1024
-# on CPUs with AVX-512, OpenBLAS multiplies matrices of at most this many
-# multiply-adds with a small-matrix kernel, whose bits differ from those of
-# its blocked kernel
-SMALL_GEMM = 100 ** 3
-
-
-def _chunk_rows(d: int, k: int) -> int:
-    """The chunk length c for rows of dimension ``d`` scored by a product
-    with ``k`` columns (see ``_matrix_scores``).
-
-    A binary model (k = 1) scores its rows with a matrix-vector product:
-    c is the largest power of two whose rows fit in ``BINARY_CHUNK_BYTES``,
-    at least 1. Multithreaded OpenBLAS splits a longer product between
-    threads at a row set by the row count, and a row's bits depend on which
-    side it falls. A product of at most 2c - 1 such rows ran on one thread
-    at 1 and 2 BLAS threads on OpenBLAS 0.3.31, so these chunks keep the
-    bits of one single-threaded product there; a later OpenBLAS that threads
-    smaller products breaks that, which
-    ``test_binary_scores_do_not_depend_on_the_blas_thread_count`` checks.
-
-    Otherwise c is the largest power of two whose rows fit in
-    ``CHUNK_BYTES``, at least 256, doubled until a chunk's product is too
-    large for OpenBLAS's small-matrix kernel (on a matrix of c rows or more)."""
-    budget, c = (BINARY_CHUNK_BYTES, 1) if k == 1 else (CHUNK_BYTES, 256)
-    while 2 * c * 8 * d <= budget:
-        c *= 2
-    while k > 1 and c * k * d <= SMALL_GEMM:
-        c *= 2
-    return c
-
-
-def _matrix_scores(model, matrix: np.ndarray) -> np.ndarray:
-    """The raw scores (``linmod.raw_scores``) of every row of ``matrix``,
-    multiplied a contiguous view at a time. Views start at multiples of c
-    (``_chunk_rows``) and the last takes the remainder, so it holds c to
-    2c - 1 rows (fewer than c rows are one view). On the kinds, K and d the
-    tests cover, a row's bits are then those of one product over the whole
-    matrix at the same BLAS thread count (a binary model's: at 1 thread, at
-    1 and 2 alike), whatever rows a pass reads."""
-    # a product column per class, or one for binary weights
-    c = _chunk_rows(matrix.shape[1], 1 if model.binary else model.num_classes)
-    n = len(matrix)
-    raw = np.empty((n,) if model.binary else (n, model.num_classes))
-    bounds = [i * c for i in range(max(1, n // c))] + [n]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        linmod.raw_scores(model, matrix[lo:hi], out=raw[lo:hi])
-    return raw
-
-
 def _score_rows(kind, model, points, ids, raw=None) -> tuple[np.ndarray, np.ndarray]:
     """``conf.score`` of the raw scores of points ``ids`` (``points`` a pool
     or validation set), taken from ``raw``, those of every row of
-    ``points.matrix`` (``_matrix_scores`` of it when None): no feature row is
-    copied. ``raw`` takes N * K floats (4.8 MB for 60000 rows at K = 10);
+    ``points.matrix`` (``linmod.raw_scores`` of it when None): no feature row
+    is copied. ``raw`` takes N * K floats (4.8 MB for 60000 rows at K = 10);
     the confidence's temporaries scale with the pass (a few n * K floats)."""
     if raw is None:
-        raw = _matrix_scores(model, points.matrix)
+        raw = linmod.raw_scores(model, points.matrix)
     return conf.score(kind, model, raw.take(points.rows.take(ids), axis=0))
 
 
@@ -203,17 +148,17 @@ def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried):
     n_v = len(act)
     decision = None
     auto_ids = auto_labels = drop = np.empty(0, dtype=np.int64)
-    keep, raw_u = np.empty(0, dtype=np.int64), np.empty(0)
+    keep, unshifted_u = np.empty(0, dtype=np.int64), np.empty(0)
     if len(unlabeled):
         # one product serves both sets when they share a matrix, as a split does
-        raw = _matrix_scores(model, pool.matrix)
-        pred_u, raw_u = _score_rows(cfg.confidence, model, pool, unlabeled, raw)
+        raw = linmod.raw_scores(model, pool.matrix)
+        pred_u, unshifted_u = _score_rows(cfg.confidence, model, pool, unlabeled, raw)
         if n_v:
             pred_v, conf_v = _score_rows(cfg.confidence, model, val, act,
                                          raw if val.matrix is pool.matrix else None)
         else:
             pred_v, conf_v = np.empty(0, dtype=np.int64), np.empty(0)
-        conf_u, conf_v = conf.shift_nonnegative(raw_u, conf_v)
+        conf_u, conf_v = conf.shift_nonnegative(unshifted_u, conf_v)
         correct_v = pred_v == val.labels[act]
         decision = estimate_threshold(conf_u, pred_u, conf_v, pred_v, correct_v,
                                       cfg.threshold, num_classes=pool.num_classes)
@@ -235,7 +180,7 @@ def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried):
         train_loss=model.loss_trace[-1] if model.loss_trace else float("nan"),
         decision=decision, auto_ids=auto_ids, auto_labels=auto_labels,
         val_deactivated=drop, n_v=n_v)
-    return record, unlabeled.take(keep), raw_u.take(keep)
+    return record, unlabeled.take(keep), unshifted_u.take(keep)
 
 
 def _query_human(pool, oracle, ids, human):

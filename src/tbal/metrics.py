@@ -18,7 +18,6 @@ class IntegrityError(RuntimeError):
 @dataclass
 class MetricReport:
     err_hat: float  # nan when undefined (no auto-labels)
-    err_defined: bool
     cov_hat: float
 
 
@@ -41,10 +40,8 @@ def evaluate(result, pool: Pool) -> MetricReport:
     n_a = result.N_a
     if partition_counts(rpool)[0] != n_a:
         raise IntegrityError("pool auto count disagrees with round records")
-    defined = n_a > 0
-    err = mistakes / n_a if defined else math.nan
-    cov = n_a / len(pool)
-    return MetricReport(err_hat=err, err_defined=defined, cov_hat=cov)
+    err = mistakes / n_a if n_a else math.nan
+    return MetricReport(err_hat=err, cov_hat=n_a / len(pool))
 
 
 def summarize_trials(values: list[float]) -> tuple[float, float]:

@@ -77,14 +77,48 @@ def _check_dimension(model: LinearModel, X: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {X.shape[1]} != {model.dimension}")
 
 
-def raw_scores(model: LinearModel, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+# a binary model's views of c rows take up to this many bytes, so its
+# longest view (2c - 1 rows) stays under 1 MiB
+BINARY_CHUNK_BYTES = 512 * 1024
+
+
+def _binary_chunk_rows(d: int) -> int:
+    """The view length c of a binary model's product over rows of dimension
+    ``d`` (see ``raw_scores``): the largest power of two whose rows fit in
+    ``BINARY_CHUNK_BYTES``, at least 1.
+
+    Multithreaded OpenBLAS splits a longer matrix-vector product between
+    threads at a row set by the row count, and a row's bits depend on which
+    side it falls. A product of at most 2c - 1 such rows ran on one thread
+    at 1 and 2 BLAS threads on OpenBLAS 0.3.31, so these views keep the bits
+    of one single-threaded product there; a later OpenBLAS that threads
+    smaller products breaks that, which
+    ``test_binary_scores_do_not_depend_on_the_blas_thread_count`` checks."""
+    c = 1
+    while 2 * c * 8 * d <= BINARY_CHUNK_BYTES:
+        c *= 2
+    return c
+
+
+def raw_scores(model: LinearModel, X: np.ndarray) -> np.ndarray:
     """The model's raw score of each row of 2-D X: the signed margin
     s = w . x + b of a binary model, shape (n,), where the sign rule predicts
     class 1 for s > 0; otherwise the logits w_c . x + b_c, shape (n, K).
-    ``out``, if given, receives the scores and is returned."""
+
+    Logits are one product over X. Margins are multiplied a contiguous view
+    at a time: views start at multiples of c (``_binary_chunk_rows``) and the
+    last takes the remainder, so it holds c to 2c - 1 rows (fewer than c rows
+    are one view)."""
     X = np.asarray(X, dtype=np.float64)
     _check_dimension(model, X)
-    s = np.matmul(X, model.weights if model.binary else model.weights.T, out=out)
+    if not model.binary:
+        s = X @ model.weights.T
+    else:
+        n, c = len(X), _binary_chunk_rows(X.shape[1])
+        s = np.empty(n)
+        bounds = [i * c for i in range(max(1, n // c))] + [n]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            np.matmul(X[lo:hi], model.weights, out=s[lo:hi])
     s += model.bias
     return s
 

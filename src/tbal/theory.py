@@ -157,7 +157,7 @@ def verify_error_bound_mc(make_run, d: int, trials: int,
             vacuous += 1
             continue
         report = evaluate(result, result.pool)
-        if not report.err_defined:
+        if math.isnan(report.err_hat):
             vacuous += 1
             continue
         evaluated += 1

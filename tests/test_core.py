@@ -191,6 +191,19 @@ class TestBatchMarking:
             pool.mark_auto(np.array([1, 2]), np.array([0, 1, 1]), rnd=1)
         assert_state_unchanged(pool, before)
 
+    @pytest.mark.parametrize("ids", [-1, [0, -1], [2, -10], [3, 10]],
+                             ids=["minus_one", "last_minus_one", "far_negative", "past_end"])
+    def test_out_of_range_id_rejected_whole(self, ids):
+        # NumPy indexing wraps a negative id around to the end of the pool
+        pool = make_pool()
+        before = state_arrays(pool)
+        with pytest.raises(IndexError):
+            pool.mark_human(ids, 1)
+        assert_state_unchanged(pool, before)
+        with pytest.raises(IndexError):
+            pool.mark_auto(ids, 0, rnd=1)
+        assert_state_unchanged(pool, before)
+
     def test_scalar_id(self):
         pool = make_pool()
         pool.mark_auto(np.int64(2), np.int64(1), rnd=5)
@@ -223,6 +236,14 @@ class TestValidationSet:
         assert list(v.active_indices()) == [0, 2, 4]
         v.deactivate(np.array([1]))  # re-deactivation is a no-op
         assert v.n_active == 3
+
+    @pytest.mark.parametrize("ids", [[-1], [0, -5], [1, 5]])
+    def test_out_of_range_index_rejected_whole(self, ids):
+        # NumPy indexing wraps a negative index around to the last entries
+        v = ValidationSet(np.zeros((5, 2)), np.zeros(5, dtype=np.int64))
+        with pytest.raises(IndexError):
+            v.deactivate(np.array(ids))
+        assert v.n_active == 5
 
     def test_copy_preserves_mask(self):
         v = ValidationSet(np.zeros((4, 2)), np.zeros(4, dtype=np.int64))

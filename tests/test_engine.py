@@ -49,8 +49,8 @@ def gauss_clusters(seed=0, K=4, d=8, n=1200, val=600, spread=1.0):
 
 
 def k10_problem(seed=0, n=1400, val=600):
-    """The MNIST shape, K=10 and d=784: the pool spans 5 scoring chunks and
-    the validation set 2, and TBAL labels part of the pool each round."""
+    """The MNIST shape, K=10 and d=784: TBAL labels part of the pool each
+    round."""
     return gauss_clusters(seed, K=10, d=784, n=n, val=val, spread=0.2)
 
 
@@ -147,10 +147,10 @@ class TestTbalLoop:
     @pytest.mark.parametrize("method", ["tbal", "al"])
     def test_constant_hinge_model_scores_a_long_pool(self, method):
         # a seed batch of one id has one class, so the first round fits a
-        # constant model with binary weights; its rows must be cut to the
-        # binary chunk length
+        # constant model with binary weights, whose product over the pool
+        # takes more than one view
         d = 30
-        n = 2 * engine._chunk_rows(d, 1) + 500
+        n = 2 * linmod._binary_chunk_rows(d) + 500
         pool, val = small_problem(seed=6, n=n, val=300, d=d)
         res = run(pool, val, RunConfig(method=method, n_s=1, n_b=10, N_q=21), seed=0)
         assert res.human_labels_used == 21
@@ -238,15 +238,13 @@ def spy_gathers(monkeypatch):
 
 
 def one_thread_margins(tmp_path, features, model):
-    """``linmod.raw_scores(model, features)`` of a binary model in one call,
+    """A binary model's margins ``features @ w + b`` in one product,
     computed in a process whose BLAS runs on 1 thread."""
     np.savez(tmp_path / "in.npz", features=features, w=model.weights, b=model.bias)
     code = f"""if True:
         import numpy as np
-        from tbal.model import LinearModel, raw_scores
         data = np.load({str(tmp_path / "in.npz")!r})
-        model = LinearModel(data["w"], data["b"], 2)
-        np.save({str(tmp_path / "out.npy")!r}, raw_scores(model, data["features"]))
+        np.save({str(tmp_path / "out.npy")!r}, data["features"] @ data["w"] + data["b"])
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -267,35 +265,31 @@ class TestChunkedScoring:
     model's at 1 BLAS thread): a row's score keeps its bits whatever other
     rows a pass reads."""
 
-    @pytest.mark.parametrize("d,k,c", [
-        (2, 10, 131072), (2, 2, 262144), (5, 10, 32768), (8, 10, 32768), (8, 3, 65536),
-        (30, 10, 8192), (30, 2, 32768), (50, 10, 4096), (784, 10, 256), (784, 4, 512),
-        (784, 2, 1024), (100_000, 10, 256),
-        (2, 1, 32768), (30, 1, 2048), (784, 1, 64), (4096, 1, 16)])
-    def test_chunk_length(self, d, k, c):
-        assert engine._chunk_rows(d, k) == c
+    @pytest.mark.parametrize("d,c", [(2, 32768), (30, 2048), (784, 64), (4096, 16)])
+    def test_chunk_length(self, d, c):
+        # a binary model's view length; a multiclass product is not cut
+        assert linmod._binary_chunk_rows(d) == c
 
     @pytest.mark.parametrize("d", [2, 5, 8, 30, 50, 784])
     def test_scores_keep_the_bits_of_the_matrix_product(self, tmp_path, d):
         rng = np.random.default_rng(d)
-        chunk = {K: engine._chunk_rows(d, K) for K in (1, 2, 3, 4, 10)}
-        features = rng.standard_normal((3 * max(chunk.values()) + 57, d))
+        c = linmod._binary_chunk_rows(d)
+        features = rng.standard_normal((max(3 * c + 57, 3000), d))
         assert features.nbytes < 24e6
         # the points read the matrix's rows in another order than its own
         points = ValidationSet(features, np.zeros(len(features), dtype=np.int64),
                                rows=rng.permutation(len(features)))
-        # (K, binary model): a binary model scores one vector, the chunks of k = 1
+        # (K, binary model): a binary model scores one vector
         for K, binary in [(2, True), (2, False), (3, False), (4, False), (10, False)]:
             model = random_model(rng, K, d, binary)
             # a binary product over the whole matrix is split between BLAS
             # threads, and a multiclass one at d = 784 takes other bits at 2
-            # threads than at 1, chunked or not
+            # threads than at 1, so its reference runs in this process
             whole = (one_thread_margins(tmp_path, features, model) if binary
-                     else linmod.raw_scores(model, features))
-            c = chunk[1 if binary else K]
+                     else features @ model.weights.T + model.bias)
             kinds = [Softmax(), Energy()] + ([AbsMargin()] if binary else [])
             sizes = [1, 5, c - 1, c, c + 1, 2 * c - 1, 2 * c, 3 * c + 7,
-                     rng.integers(1, 3 * c + 7)]
+                     rng.integers(1, 3 * c + 7), len(features)]
             for n in sizes:
                 ids = rng.permutation(len(features))[:n]
                 for kind in kinds:
@@ -340,10 +334,10 @@ class TestChunkedScoring:
             from tbal import engine
             from tbal.confidence import AbsMargin, Softmax, score
             from tbal.core import ValidationSet
-            from tbal.model import LinearModel, raw_scores
+            from tbal.model import LinearModel, _binary_chunk_rows
             chunked, whole = hashlib.sha256(), hashlib.sha256()
             for d in (2, 30, 784, 2048, 4096):
-                c = engine._chunk_rows(d, 1)
+                c = _binary_chunk_rows(d)
                 # 19345 rows at d = 30: one call split between 2 threads
                 # gave other bits than 1 thread on OpenBLAS 0.3.31
                 sizes = [c - 1, c, c + 1, 2 * c - 1, 3 * c + 7] + [19345] * (d == 30)
@@ -352,7 +346,8 @@ class TestChunkedScoring:
                 points = ValidationSet(features, np.zeros(len(features), dtype=np.int64))
                 model = LinearModel(rng.standard_normal(d) / math.sqrt(d),
                                     np.array(rng.standard_normal()), 2, normalized=True)
-                product = raw_scores(model, features)  # the whole matrix in one call
+                # the whole matrix in one plain product
+                product = features @ model.weights + model.bias
                 for n in sizes:
                     ids = rng.permutation(len(features))[:n]
                     for kind in (AbsMargin(), Softmax()):
@@ -373,30 +368,29 @@ class TestChunkedScoring:
             assert out.returncode == 0, out.stderr
             digests[threads] = out.stdout.split()
         assert digests["1"][0] == digests["2"][0]
-        # and the chunks keep the bits of one single-threaded product
+        # and the views keep the bits of one single-threaded product
         assert digests["1"][0] == digests["1"][1]
 
-    @pytest.mark.parametrize("n,calls", [(1, 1), (255, 1), (256, 1), (511, 1),
-                                         (512, 2), (767, 2), (768, 3), (1031, 4)])
-    def test_one_product_per_matrix_chunk(self, monkeypatch, n, calls):
-        # a matrix of n rows is multiplied in place, a chunk of c to 2c - 1
-        # rows at a time, however few of its rows the pass reads
+    @pytest.mark.parametrize("n", [1, 255, 256, 511, 512, 767, 768, 1031])
+    @pytest.mark.parametrize("binary", [False, True], ids=["k10", "binary"])
+    def test_one_product_per_pass(self, monkeypatch, n, binary):
+        # a matrix of n rows is multiplied in place, in one call over the
+        # whole matrix, however few of its rows the pass reads
         rng = np.random.default_rng(0)
         features = rng.standard_normal((n, 784))
         gathered = spy_gathers(monkeypatch)
         products, real = [], linmod.raw_scores
 
-        def raw_scores(model, X, out=None):
+        def raw_scores(model, X):
             products.append(X)
-            return real(model, X, out=out)
+            return real(model, X)
 
         monkeypatch.setattr(linmod, "raw_scores", raw_scores)
-        engine._score_rows(Softmax(), random_model(rng, 10, 784), as_points(features),
-                           rng.permutation(n)[:5])
-        sizes = [len(x) for x in products]
-        assert len(sizes) == calls and sum(sizes) == n
-        assert all(s == 256 for s in sizes[:-1]) and sizes[-1] < 512
-        assert all(np.shares_memory(x, features) for x in products)
+        engine._score_rows(Softmax(), random_model(rng, 10, 784, binary),
+                           as_points(features), rng.permutation(n)[:5])
+        assert len(products) == 1
+        assert products[0].shape == features.shape
+        assert np.shares_memory(products[0], features)
         assert gathered == []
 
     @pytest.mark.parametrize("method", ["tbal", "al", "pl"])
@@ -422,7 +416,7 @@ class TestChunkedScoring:
 
     @pytest.mark.parametrize("method", ["tbal", "pl", "alsc"])
     def test_a_run_holds_no_pool_sized_copy(self, method):
-        # the pool spans 9 chunks; gathering it whole took one full copy
+        # gathering the pool whole took one full copy
         pool, val = k10_problem(n=2400, val=300)
         cfg = RunConfig(method=method, **softmax_config(n_s=30, n_b=30, N_q=60))
         tracemalloc.start()

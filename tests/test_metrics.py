@@ -40,7 +40,6 @@ class TestEvaluate:
         pool, res = build_result(truth, [[(0, 0), (1, 0)],
                                          [(3, 1), (4, 1), (5, 1)]])
         rep = evaluate(res, pool)
-        assert rep.err_defined
         assert rep.err_hat == pytest.approx(2 / 5)
         assert rep.cov_hat == pytest.approx(5 / 6)
         assert [r.m_a for r in res.rounds] == [1, 1]
@@ -51,7 +50,6 @@ class TestEvaluate:
     def test_no_auto_labels_error_undefined_not_zero(self):
         pool, res = build_result([0, 1, 0], [])
         rep = evaluate(res, pool)
-        assert not rep.err_defined
         assert math.isnan(rep.err_hat)
         assert rep.cov_hat == 0.0
 
@@ -85,7 +83,7 @@ class TestEvaluate:
         assert n_auto + n_human + n_unlabeled == len(pool)
         assert (n_auto, n_human) == (res.N_a, res.human_labels_used)
         assert rep.cov_hat == n_auto / len(pool)
-        if rep.err_defined:
+        if not math.isnan(rep.err_hat):
             # recount mistakes independently from the pool state arrays
             auto = res.pool.ids_with("auto")
             wrong = int(np.sum(res.pool.label[auto] != pool._truth[auto]))
