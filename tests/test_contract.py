@@ -4,6 +4,7 @@ dependencies agree with the code."""
 import ast
 import dataclasses
 import glob
+import json
 import os
 import re
 import subprocess
@@ -206,29 +207,89 @@ def test_a_sweep_loads_no_scipy(tmp_path):
         assert (tmp_path / confidence / "res" / "summary.csv").exists()
 
 
-def test_a_sweep_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # the README promises the same runs.csv at 1 and 2 BLAS threads: a
-    # reduced xor sweep and a reduced unit-ball budget sweep (d = 30)
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden.json")
+# the sweeps whose outputs tests/golden.json pins, each run at 1 and 2 BLAS
+# threads: the full shipped xor sweep, a reduced xor sweep and a reduced
+# unit-ball budget sweep (d = 30)
+GOLDEN_SWEEPS = ("xor", "xor_reduced", "ball_reduced")
+GOLDEN_FILES = ("runs.csv", "summary.csv")
+
+
+def blas_environment():
+    """What a sweep's bits depend on besides the code: the NumPy version, the
+    version of the OpenBLAS NumPy links and the core that OpenBLAS chose at
+    load time. The core is read through a private symbol of NumPy's bundled
+    OpenBLAS, so it is None where that symbol is missing."""
+    import ctypes
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = None
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas*"))
+    for path in libs:
+        fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if fn is not None:
+            fn.restype = ctypes.c_char_p
+            core = fn().decode()
+    return {"numpy": np.__version__, "openblas": blas.get("version"),
+            "openblas_core": core}
+
+
+@pytest.fixture(scope="module")
+def golden_sweeps(tmp_path_factory):
+    """The directory holding ``<threads>/<sweep>/<file>`` for every golden
+    sweep, run in two subprocesses at once, one at 1 and one at 2 BLAS
+    threads."""
+    root = tmp_path_factory.mktemp("golden")
     code = ("import sys\n"
             "from tbal import cli\n"
             f"xor = cli.load_config({os.path.join(ROOT, 'configs', 'xor.yaml')!r})\n"
+            f"small = cli.load_config({os.path.join(ROOT, 'configs', 'xor.yaml')!r})\n"
             f"ball = cli.load_config({os.path.join(ROOT, 'configs', 'unit_ball_budget.yaml')!r})\n"
-            "xor.trials, xor.out = 2, sys.argv[1] + '/xor'\n"
-            "ball.trials, ball.grid, ball.out = 2, [500], sys.argv[1] + '/ball'\n"
+            "xor.out = sys.argv[1] + '/xor'\n"
+            "small.trials, small.out = 2, sys.argv[1] + '/xor_reduced'\n"
+            "ball.trials, ball.grid, ball.out = 2, [500], sys.argv[1] + '/ball_reduced'\n"
             "assert ball.dataset.d == 30\n"
-            "for exp in (xor, ball):\n"
+            "for exp in (xor, small, ball):\n"
             "    assert cli.run_experiment(exp) == 0\n")
     procs = {}
     for threads in ("1", "2"):  # read by OpenBLAS when NumPy is imported
         env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
                    OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         procs[threads] = subprocess.Popen(
-            [sys.executable, "-c", code, str(tmp_path / threads)], env=env,
+            [sys.executable, "-c", code, str(root / threads)], env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     for proc in procs.values():
         _, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, err
-    for sweep in ("xor", "ball"):
-        for name in ("runs.csv", "summary.csv"):
-            one, two = ((tmp_path / t / sweep / name).read_bytes() for t in ("1", "2"))
+    return root
+
+
+def test_a_sweep_does_not_depend_on_the_blas_thread_count(golden_sweeps):
+    # the README promises the same runs.csv at 1 and 2 BLAS threads
+    for sweep in GOLDEN_SWEEPS:
+        for name in GOLDEN_FILES:
+            one, two = ((golden_sweeps / t / sweep / name).read_bytes() for t in ("1", "2"))
             assert one == two, (sweep, name)
+
+
+def test_sweeps_write_the_golden_bytes(golden_sweeps):
+    """The golden sweeps' outputs have the sha256 digests stored in
+    tests/golden.json. A change that means to alter them re-records the file
+    from this test's message and says so; on an environment other than the
+    one the file was recorded in the digests are not comparable, and the
+    test skips."""
+    import hashlib
+
+    with open(GOLDEN) as f:
+        golden = json.load(f)
+    env = blas_environment()
+    if env != golden["environment"]:
+        pytest.skip(f"golden digests were recorded on {golden['environment']}, "
+                    f"not on this {env}")
+    digests = {f"{sweep}/{name}": hashlib.sha256(
+        (golden_sweeps / "1" / sweep / name).read_bytes()).hexdigest()
+        for sweep in GOLDEN_SWEEPS for name in GOLDEN_FILES}
+    assert digests == golden["digests"], json.dumps(
+        {"environment": env, "digests": digests}, indent=1)
