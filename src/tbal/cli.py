@@ -250,25 +250,21 @@ def _point_inputs(exp: ExperimentConfig, axis_value: int, trial: int):
     return pool, val, axis_value, seed
 
 
-def _run_point(exp: ExperimentConfig, method: str, axis_value: int, trial: int,
-               shared: dict | None = None) -> engine.RunResult:
-    """The engine run of one sweep point: (method, grid value, trial).
-
-    ``shared``, a dict kept across the methods of one grid value and trial,
-    holds the point's dataset, built by the first run that needs it, and the
-    engine's memo of trajectories (see ``engine.run``), which dies with it."""
-    if shared is None:
-        shared = {}
-    if "inputs" not in shared:
-        shared["inputs"] = _point_inputs(exp, axis_value, trial)
-    pool, val, N_q, seed = shared["inputs"]
-    return engine.run(pool, val, build_run_config(exp, method, N_q), seed,
-                      memo=shared.setdefault("trajectories", {}))
+def _trial_chunks(exp: ExperimentConfig) -> list:
+    """The sweep's trials in contiguous chunks, one per worker; a grid value
+    and a chunk make a group (see ``run_single``). A logistic sweep runs one
+    trial per group: its fits do not stack (see ``model.fit_many``), and a
+    group holds the datasets of all its trials at once."""
+    if exp.train.loss == LOGISTIC:
+        return [[t] for t in range(exp.trials)]
+    n = min(exp.workers, exp.trials)
+    q, r = divmod(exp.trials, n)
+    starts = [i * q + min(i, r) for i in range(n + 1)]
+    return [list(range(a, b)) for a, b in zip(starts, starts[1:])]
 
 
-def run_single(exp: ExperimentConfig, method: str, axis_value: int, trial: int,
-               shared: dict | None = None):
-    result = _run_point(exp, method, axis_value, trial, shared)
+def _row(method: str, axis_value: int, result: engine.RunResult) -> dict:
+    """The ``runs.csv`` row of a finished run."""
     report = metrics.evaluate(result, result.pool)
     return {
         "method": method, "axis_value": axis_value, "seed": result.seed,
@@ -278,22 +274,63 @@ def run_single(exp: ExperimentConfig, method: str, axis_value: int, trial: int,
     }
 
 
-def _group_runs(exp: ExperimentConfig, axis_value: int, trial: int):
-    """Yield ((method, grid value, trial), row, error) for each method at one
-    grid value and trial, one ``run_single`` call each. The calls share the
-    dataset and the trajectories (al/alsc, pl/plsc). A failure comes back as
-    its message, so a sweep keeps the other runs' results."""
-    shared: dict = {}
-    for method in exp.methods:
-        try:
-            outcome = run_single(exp, method, axis_value, trial, shared), None
-        except Exception as e:
-            outcome = None, str(e)
-        yield (method, axis_value, trial), *outcome
+def _group_outcomes(exp: ExperimentConfig, methods: list, axis_value: int,
+                    trials: list) -> dict:
+    """{(method, trial): row or exception} of the runs of ``methods`` at one
+    grid value and ``trials``: the trials' datasets are built, the runs go
+    through ``engine.run_many`` in lockstep, and each run becomes its row as
+    it ends, so only the row outlives it."""
+    inputs = [_point_inputs(exp, axis_value, t) for t in trials]
+    cfgs = [build_run_config(exp, m, inputs[0][2]) for m in methods]
+    outcomes = {}
+    runs = engine.run_many([(pool, val, seed) for pool, val, _, seed in inputs], cfgs)
+    for i, method, outcome in runs:
+        if not isinstance(outcome, Exception):
+            try:
+                outcome = _row(method, axis_value, outcome)
+            except Exception as e:
+                outcome = e
+        outcomes[method, trials[i]] = outcome
+    return outcomes
+
+
+def run_single(exp: ExperimentConfig, method: str, axis_value: int, trial: int,
+               group: dict | None = None):
+    """The ``runs.csv`` row of the run (method, grid value, trial).
+
+    ``group``, a dict kept across the runs of one grid value and chunk of
+    trials, names its "methods" and "trials". The group's first call runs
+    all of them (``_group_outcomes``) and keeps each run's row or error in
+    it; every call returns its own row or raises its own error. None is a
+    group of this run alone."""
+    if group is None:
+        group = {"methods": [method], "trials": [trial]}
+    if "outcomes" not in group:
+        group["outcomes"] = _group_outcomes(exp, group["methods"], axis_value,
+                                            group["trials"])
+    outcome = group["outcomes"].pop((method, trial))
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _group_runs(exp: ExperimentConfig, axis_value: int, trials: list):
+    """Yield ((method, grid value, trial), row, error) for each run of one
+    group, ``trials`` at one grid value: one ``run_single`` call per run,
+    trial by trial, sharing the group. A failure comes back as its message,
+    so a sweep keeps the other runs' results."""
+    group = {"methods": exp.methods, "trials": trials}
+    for trial in trials:
+        for method in exp.methods:
+            try:
+                outcome = run_single(exp, method, axis_value, trial, group), None
+            except Exception as e:
+                outcome = None, str(e)
+            yield (method, axis_value, trial), *outcome
 
 
 def _run_group(group):
-    """All of ``_group_runs`` for one (exp, grid value, trial), in one worker."""
+    """All of ``_group_runs`` for one (exp, grid value, trials), in one worker."""
     return list(_group_runs(*group))
 
 
@@ -305,7 +342,7 @@ def _fmt(v) -> str:
 
 def run_experiment(exp: ExperimentConfig) -> int:
     """Execute the full sweep; returns 0 when every run completed."""
-    groups = [(exp, g, t) for g in exp.grid for t in range(exp.trials)]
+    groups = [(exp, g, trials) for g in exp.grid for trials in _trial_chunks(exp)]
     if exp.workers > 1:
         # imported here: it adds to every start-up, and a serial sweep
         # never reads it
@@ -437,7 +474,8 @@ def _cmd_export(args) -> int:
     exp = _load(args)
     if exp is None:
         return 2
-    result = _run_point(exp, args.method, exp.grid[0], trial=0)
+    pool, val, N_q, seed = _point_inputs(exp, exp.grid[0], trial=0)
+    result = engine.run(pool, val, build_run_config(exp, args.method, N_q), seed)
     export_dataset(result, args.out, include_features=args.features)
     print(f"wrote {args.out}")
     return 0

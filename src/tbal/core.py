@@ -64,8 +64,10 @@ class _MatrixRows:
         return self.matrix.shape[1]
 
     def gather(self, ids) -> np.ndarray:
-        """The features of points ``ids`` (an id or an array of them)."""
-        return self.matrix.take(self.rows.take(ids), axis=0)
+        """The features of points ``ids``: one row for an id, else one row per
+        id in an array; an id outside [0, n) raises IndexError."""
+        rows = self.rows.take(_point_ids(ids, len(self.rows)))
+        return self.matrix.take(rows if np.ndim(ids) else rows[0], axis=0)
 
 
 class Pool(_MatrixRows):

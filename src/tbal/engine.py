@@ -20,12 +20,15 @@ once, on the full budget, with the seed of their last round.
 A run is its trajectory (the seed query and the round loop) followed by
 ``finish`` (the labeling at the end). The first two choices shape the
 trajectory, so al/alsc, and pl/plsc, make the same queries and fits and
-differ only in ``finish``: ``run`` takes a memo in which such a pair shares
-one trajectory. Both steps return a ``RunResult``, the one record of a run.
+differ only in ``finish``: ``run_many`` runs one trajectory for such a pair.
+It also advances the trajectories of many points (a grid point's trials)
+together and serves their fits of equal size in one ``model.fit_many`` call.
+Both steps return a ``RunResult``, the one record of a run.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -200,10 +203,13 @@ def _choices(method: str, strategy: str) -> tuple[str, bool, bool]:
     return strategy, False, method in (PLSC, ALSC)
 
 
-def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> RunResult:
+def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int):
     """The seed query and the round loop of ``cfg.method``, on copies of the
-    inputs. ``finish`` writes none of the result, so every run of a pair
-    finishes from the same state."""
+    inputs, as a generator: each round that trains yields its fit request,
+    the arguments of ``linmod.fit`` (rows, labels, train config, seed, K),
+    and is sent the fitted model. It returns the ``RunResult``. ``finish``
+    writes none of the result, so every run of a pair finishes from the same
+    state."""
     strategy, every_round, _ = _choices(cfg.method, cfg.query.strategy)
     pool = pool.copy()
     val = val.copy()
@@ -222,9 +228,8 @@ def trajectory(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> Run
         remaining = pool.ids_with(UNLABELED)
         spent = len(human) >= cfg.N_q
         if every_round or strategy == qry.MARGIN_RANDOM or spent or not len(remaining):
-            model = linmod.fit(pool.gather(human), pool.label[human], cfg.train,
-                               _round_seed(seed, "train", rnd),
-                               num_classes=pool.num_classes)
+            model = yield (pool.gather(human), pool.label[human], cfg.train,
+                           _round_seed(seed, "train", rnd), pool.num_classes)
         left_scores = None
         if every_round:
             record, remaining, left_scores = _auto_label_pass(
@@ -274,22 +279,70 @@ def finish(traj: RunResult, cfg: RunConfig) -> RunResult:
                      rounds=rounds, model=model)
 
 
-def run(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int,
-        memo: dict | None = None) -> RunResult:
-    """Run ``cfg.method`` on copies of the inputs.
+def _run_key(points: list, cfgs: list) -> Iterator[tuple]:
+    """``run_many`` for ``cfgs`` of one trajectory key: a trajectory per point,
+    all advanced together. Each turn fits the pending requests that share the
+    smallest row count in one ``linmod.fit_many`` call, so trajectories at
+    equal rounds fit together."""
+    trajs = [trajectory(pool, val, cfgs[0], seed) for pool, val, seed in points]
+    pending: dict = {}  # point index -> its trajectory's fit request
 
-    ``memo``, a dict the caller keeps for one (pool, validation set, seed),
-    holds finished trajectories, each beside the inputs it ran from, keyed
-    by the choices that shape it: a run whose trajectory is in it runs only
-    ``finish``, and a run that computes one stores it.
-    """
-    if memo is None:
-        return finish(trajectory(pool, val, cfg, seed), cfg)
-    key = _choices(cfg.method, cfg.query.strategy)[:2]
-    if key not in memo:
-        memo[key] = (pool, val, cfg, seed), trajectory(pool, val, cfg, seed)
-    (src_pool, src_val, src_cfg, src_seed), traj = memo[key]
-    if not (src_pool is pool and src_val is val and src_seed == seed
-            and replace(src_cfg, method=cfg.method) == cfg):
-        raise ValueError("the memo's trajectory was run from other inputs, seed or config")
-    return finish(traj, cfg)
+    def resume(i, model=None, error=None):
+        """Send trajectory i its model, or raise ``error`` in it; yield its
+        runs' outcomes if it ends."""
+        try:
+            pending[i] = trajs[i].send(model) if error is None else trajs[i].throw(error)
+            return
+        except StopIteration as end:
+            traj, error = end.value, None
+        except Exception as e:
+            traj, error = None, e
+        for cfg in cfgs:
+            try:
+                outcome = finish(traj, cfg) if error is None else error
+            except Exception as e:
+                outcome = e
+            yield i, cfg.method, outcome
+
+    for i in range(len(trajs)):
+        yield from resume(i)
+    while pending:
+        n = min(len(req[0]) for req in pending.values())
+        batch = [i for i, req in pending.items() if len(req[0]) == n]
+        requests = [pending.pop(i) for i in batch]
+        # the trainer's errors depend on the config and K, which the
+        # requests share: a failed call fails every trajectory in it
+        try:
+            models, error = linmod.fit_many(requests), None
+        except Exception as e:
+            models, error = [None] * len(batch), e
+        for i, model in zip(batch, models):
+            yield from resume(i, model, error)
+
+
+def run_many(points: list, cfgs: list) -> Iterator[tuple]:
+    """Run each config of ``cfgs``, which differ in their method only, from
+    each point (pool, validation set, seed) of ``points``, on copies of the
+    inputs. Yields (point index, method, outcome) for every run as soon as
+    its trajectory ends; the outcome is its ``RunResult`` or the exception
+    the run raised, so one point's failure leaves the others' runs.
+
+    The methods of a trajectory key (tbal; al and alsc; pl and plsc) share
+    one trajectory per point. The keys run one after another, in the order
+    of their first method in ``cfgs``, so only one key's trajectories are
+    held at a time."""
+    if any(replace(c, method=cfgs[0].method) != cfgs[0] for c in cfgs):
+        raise ValueError("run_many's configs must differ in their method only")
+    keys: dict = {}
+    for cfg in cfgs:
+        keys.setdefault(_choices(cfg.method, cfg.query.strategy)[:2], []).append(cfg)
+    for key_cfgs in keys.values():
+        yield from _run_key(points, key_cfgs)
+
+
+def run(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> RunResult:
+    """Run ``cfg.method`` on copies of the inputs: ``run_many`` of one point."""
+    ((_, _, outcome),) = run_many([(pool, val, seed)], [cfg])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -162,14 +162,11 @@ def _hinge_loss(w: np.ndarray, b: float, X: np.ndarray, ypm: np.ndarray | None,
     return float(np.add.reduce(margins) / len(margins) + ((0.5 * l2) * w).dot(w))
 
 
-def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
-    # minibatch subgradient descent with 1/t decay and tail iterate
-    # averaging. The start point is random per call: on non-separable data
-    # the hinge optimum can be a useless degenerate separator, and a noisy
-    # start lets repeated refits explore near-optimal alternatives instead
-    # of collapsing to it every time.
-    n, d = X.shape
-    ypm = np.where(y == 1, 1.0, -1.0)
+def _hinge_start(d: int, cfg: TrainConfig, rng) -> tuple[np.ndarray, float]:
+    """The random start (w, b) of a hinge fit. It is random per call: on
+    non-separable data the hinge optimum can be a useless degenerate
+    separator, and a noisy start lets repeated refits explore near-optimal
+    alternatives instead of collapsing to it every time."""
     w = rng.standard_normal(d)
     if cfg.normalized:
         # the homogeneous variant optimizes unconstrained from a unit-norm
@@ -177,20 +174,48 @@ def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
         # projecting every step caps all margins below 1 and degrades the
         # solution to the class-mean direction
         w /= max(np.linalg.norm(w), 1e-12)
+        return w, 0.0
+    w *= cfg.init_scale
+    return w, float(rng.standard_normal() * cfg.init_scale)
+
+
+def _hinge_schedule(n: int, cfg: TrainConfig) -> tuple[float, int, np.ndarray]:
+    """(t0, avg_start, neg_inv) of a hinge fit on n rows: the step size at
+    step t is lr / (1 + t / t0), the iterates from epoch avg_start on are
+    averaged, and neg_inv holds -1 / (the length of each shuffled row's
+    batch); the last batch may be short."""
+    bs = cfg.batch_size
+    batch_len = np.full(n, float(bs))
+    batch_len[n - n % bs:] = n % bs
+    return 5.0 * max(1, -(-n // bs)), int(cfg.epochs * 0.75), -1.0 / batch_len
+
+
+def _hinge_model(w_sum, b_sum, n_avg: int, X, ypm, cfg: TrainConfig, trace: list,
+                 epochs: int) -> LinearModel:
+    """The fitted model: the average of the ``n_avg`` summed iterates, unit
+    norm and bias 0 when normalized; ``trace`` gains its loss."""
+    # epoch avg_start is always reached, so the average is never empty
+    w = w_sum / n_avg
+    b = b_sum / n_avg
+    if cfg.normalized:
+        nrm = np.linalg.norm(w)
+        if nrm > 0:
+            w /= nrm
         b = 0.0
-    else:
-        w *= cfg.init_scale
-        b = float(rng.standard_normal() * cfg.init_scale)
+    trace.append(_hinge_loss(w, b, X, ypm, cfg.l2))
+    return LinearModel(w, np.asarray(b), num_classes=2, normalized=cfg.normalized,
+                       loss_trace=trace, epochs=epochs)
+
+
+def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
+    # minibatch subgradient descent with 1/t decay and tail iterate averaging
+    n, d = X.shape
+    ypm = np.where(y == 1, 1.0, -1.0)
+    w, b = _hinge_start(d, cfg, rng)
     bs = cfg.batch_size
     lr = cfg.learning_rate
     l2 = cfg.l2
-    steps_per_epoch = max(1, -(-n // bs))
-    t0 = 5.0 * steps_per_epoch
-    avg_start = int(cfg.epochs * 0.75)
-    # each row's batch length in shuffled order; the last batch may be short
-    batch_len = np.full(n, float(bs))
-    batch_len[n - n % bs:] = n % bs
-    neg_inv = -1.0 / batch_len
+    t0, avg_start, neg_inv = _hinge_schedule(n, cfg)
     # a unit-norm fit trains on label-signed rows y * x. With y = +-1 and the
     # bias at +0.0 that keeps every bit: negation is exact and rounding is
     # symmetric, so (y x) . w == y (x . w + 0) in any summation order, and
@@ -246,17 +271,95 @@ def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
             if abs(prev - loss) < cfg.tolerance and epoch >= avg_start:
                 break
             prev = loss
-    # epoch avg_start is always reached, so the average is never empty
-    w = w_sum / n_avg
-    b = b_sum / n_avg
-    if cfg.normalized:
-        nrm = np.linalg.norm(w)
-        if nrm > 0:
-            w /= nrm
-        b = 0.0
-    trace.append(_hinge_loss(w, b, X, ypm, l2))
-    return LinearModel(w, np.asarray(b), num_classes=2, normalized=cfg.normalized,
-                       loss_trace=trace, epochs=epoch + 1)
+    return _hinge_model(w_sum, b_sum, n_avg, X, ypm, cfg, trace, epoch + 1)
+
+
+def _fit_hinge_stack(Xs: list, ys: list, cfg: TrainConfig, rngs: list) -> list:
+    """``_fit_hinge`` of each (X, y, rng), T >= 2 fits of n rows of dimension
+    d each, stepped in lockstep. Every array of the fits is stacked on a
+    leading axis, so one step is a few NumPy calls whatever T is: the margins
+    are one ``np.matmul`` over (T, bs, d) @ (T, d, 1), the gradient one over
+    (T, d, bs) @ (T, bs, 1). NumPy runs each slice of these as the
+    matrix-vector product ``_fit_hinge`` calls, and every other operation is
+    elementwise or a sum along one contiguous row, in ``_fit_hinge``'s order:
+    each fit keeps its bits, its permutations are drawn from its own rng,
+    and it leaves the stack when its own stop test fires."""
+    T = len(Xs)
+    n, d = Xs[0].shape
+    X = np.stack(Xs)  # (T, n, d)
+    ypm = np.where(np.stack(ys) == 1, 1.0, -1.0)  # (T, n)
+    w = np.empty((T, d, 1))
+    b = np.empty((T, 1, 1))
+    for j, rng in enumerate(rngs):
+        w[j, :, 0], b[j] = _hinge_start(d, cfg, rng)
+    bs = cfg.batch_size
+    lr = cfg.learning_rate
+    l2 = cfg.l2
+    t0, avg_start, neg_inv = _hinge_schedule(n, cfg)
+    neg_inv = neg_inv[:, None]
+    signed = cfg.normalized  # label-signed rows, as in _fit_hinge
+    if signed:
+        X = X * ypm[:, :, None]
+    w_sum = np.zeros((T, d, 1))
+    b_sum = np.zeros((T, 1, 1))
+    n_avg = 0
+    fits = list(range(T))  # the request index of each stack slot
+    traces = [[] for _ in range(T)]
+    prev = np.full(T, np.inf)
+    models = [None] * T
+    t = 0
+    for epoch in range(cfg.epochs):
+        slots = np.arange(len(fits))[:, None]
+        order = np.stack([rngs[i].permutation(n) for i in fits])
+        Xo = X[slots, order]
+        if not signed:
+            yo = ypm[slots, order][:, :, None]
+            co = yo * neg_inv
+        for start in range(0, n, bs):
+            sl = slice(start, start + bs)
+            Xb = Xo[:, sl]
+            t += 1
+            eta = lr / (1.0 + t / t0)
+            mg = np.matmul(Xb, w)
+            if signed:
+                coef = np.where(mg < 1.0, neg_inv[sl], 0.0)
+            else:
+                mg += b
+                mg *= yo[:, sl]
+                coef = np.where(mg < 1.0, co[:, sl], 0.0)
+            gw = np.matmul(Xb.transpose(0, 2, 1), coef)
+            gw += l2 * w
+            gw *= eta
+            w -= gw
+            if not signed:
+                b -= eta * np.add.reduce(coef[:, :, 0], axis=1)[:, None, None]
+            if epoch >= avg_start:
+                w_sum += w
+                b_sum += b
+                n_avg += 1
+        if epoch >= avg_start - 1:
+            stop = np.zeros(len(fits), dtype=bool)
+            for s, i in enumerate(fits):
+                loss = _hinge_loss(w[s, :, 0], b[s, 0, 0], X[s],
+                                   None if signed else ypm[s], l2)
+                traces[i].append(loss)
+                stop[s] = abs(prev[s] - loss) < cfg.tolerance and epoch >= avg_start
+                prev[s] = loss
+            if epoch + 1 == cfg.epochs:
+                stop[:] = True
+            for s in np.flatnonzero(stop):
+                i = fits[s]
+                models[i] = _hinge_model(w_sum[s, :, 0], b_sum[s, 0, 0], n_avg, X[s],
+                                         None if signed else ypm[s], cfg, traces[i],
+                                         epoch + 1)
+            if stop.any():
+                keep = ~stop
+                fits = [i for i, k in zip(fits, keep) if k]
+                if not fits:
+                    break
+                X, ypm, w, b, w_sum, b_sum, prev = (
+                    a[keep] for a in (X, ypm, w, b, w_sum, b_sum, prev))
+    return models
 
 
 def _fit_logistic(X, y, K, cfg: TrainConfig, rng) -> LinearModel:
@@ -343,3 +446,30 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig, seed: int,
     elif cfg.loss == LOGISTIC:
         return _fit_logistic(X, y, K, cfg, rng)
     raise TrainingError(f"unknown loss {cfg.loss!r}")
+
+
+def fit_many(requests: list) -> list[LinearModel]:
+    """``fit(*request)`` of each request, in order; a request is the tuple of
+    ``fit``'s arguments (X, y, cfg, seed, num_classes).
+
+    Binary hinge fits with both classes present, rows of one shape (n, d)
+    and equal configs step together when there are two or more of them
+    (``_fit_hinge_stack``), with the bits ``fit`` gives each. Every other
+    request goes through ``fit``: a lone fit too, since the stacked step ran
+    at 0.55-0.69 of ``_fit_hinge``'s speed for one fit."""
+    stacks: dict = {}
+    for i, (X, y, cfg, _, num_classes) in enumerate(requests):
+        y = np.asarray(y)
+        if (cfg.loss == HINGE and len(y) and y.min() != y.max()
+                and (num_classes if num_classes is not None else int(y.max()) + 1) == 2):
+            stacks.setdefault((np.shape(X), *vars(cfg).values()), []).append(i)
+    models = [None] * len(requests)
+    for ids in stacks.values():
+        if len(ids) > 1:
+            fitted = _fit_hinge_stack(
+                [np.asarray(requests[i][0], dtype=np.float64) for i in ids],
+                [np.asarray(requests[i][1], dtype=np.int64) for i in ids],
+                requests[ids[0]][2], [rng_from(requests[i][3], "fit") for i in ids])
+            for i, model in zip(ids, fitted):
+                models[i] = model
+    return [fit(*r) if m is None else m for m, r in zip(models, requests)]

@@ -1,8 +1,9 @@
 """The trainers as they stood before their step loops were rewritten to run
 in place, each with the helpers it reads, copied unchanged.
 
-- ``_fit_hinge``: ``tests/test_model.py`` checks that ``model.fit``
-  reproduces it byte for byte, loss trace included.
+- ``_fit_hinge``: ``tests/test_model.py`` checks that ``model.fit``, and
+  every fit of a ``model.fit_many`` stack, reproduce it byte for byte, loss
+  trace included.
 - ``_fit_logistic``: it computed each step's gradient with
   ``_logistic_grad`` and, for its stop test, the full-data
   ``_logistic_loss`` after every epoch. ``model.fit`` now reads the loss

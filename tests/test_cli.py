@@ -16,6 +16,7 @@ from tbal.confidence import AbsMargin, Energy
 from tbal.core import AUTO, KINDS, UNLABELED
 from tbal.data import make_dataset
 from tbal.metrics import clopper_pearson_upper
+from tbal.model import TrainConfig
 from tbal.query import QueryConfig
 from tbal.theory import band_probability_bound, rademacher_vc
 from tbal.threshold import ThresholdConfig
@@ -475,18 +476,18 @@ class TestSharedGroups:
         return run_experiment(exp), tmp_path / name
 
     def test_a_pair_fits_as_often_as_one_of_its_runs(self, tmp_path, monkeypatch):
-        real_fit = linmod.fit
+        real_fit_many = linmod.fit_many
         fits = {}
         for methods in (["al"], ["al", "alsc"], ["pl"], ["pl", "plsc"]):
-            calls = []
+            requests = []
 
-            def counting_fit(*args, **kwargs):
-                calls.append(1)
-                return real_fit(*args, **kwargs)
+            def counting_fit_many(batch):
+                requests.extend(batch)
+                return real_fit_many(batch)
 
-            monkeypatch.setattr(linmod, "fit", counting_fit)
+            monkeypatch.setattr(linmod, "fit_many", counting_fit_many)
             assert self.sweep(tmp_path, "-".join(methods), methods=methods)[0] == 0
-            fits[tuple(methods)] = len(calls)
+            fits[tuple(methods)] = len(requests)
         assert fits[("al",)] == fits[("al", "alsc")] > fits[("pl",)] == fits[("pl", "plsc")]
 
     def test_one_dataset_build_per_grid_value_and_trial(self, tmp_path, monkeypatch):
@@ -501,25 +502,37 @@ class TestSharedGroups:
         assert self.sweep(tmp_path, "s")[0] == 0
         assert builds == [0, 1, 0, 1]  # grid [40, 80] x trials 2
 
-    def test_runs_leave_the_group_dataset_unchanged(self, tmp_path):
+    def test_runs_leave_the_group_dataset_unchanged(self, tmp_path, monkeypatch):
         exp = load_config(write_config(tmp_path))
-        shared = {}
-        for method in engine.METHODS:
-            run_single(exp, method, 80, 1, shared)
-        assert len(shared["trajectories"]) == 3
-        pool, val, N_q, seed = shared["inputs"]
-        fresh_pool, fresh_val = make_dataset(exp.dataset, seed)
-        assert (N_q, seed) == (80, 1)
-        assert pool.matrix is val.matrix  # the split copied no features
-        assert np.array_equal(pool.matrix, fresh_pool.matrix)
-        assert np.array_equal(pool.rows, fresh_pool.rows)
-        assert np.array_equal(pool._truth, fresh_pool._truth)
-        for name in ("kind", "label", "round"):
-            assert np.array_equal(getattr(pool, name), getattr(fresh_pool, name))
-        assert np.all(pool.kind == KINDS.index(UNLABELED))
-        assert np.array_equal(val.rows, fresh_val.rows)
-        assert np.array_equal(val.labels, fresh_val.labels)
-        assert val.active.all()
+        groups = []
+        real = engine.run_many
+
+        def recording(points, cfgs):
+            groups.append((points, cfgs))
+            return real(points, cfgs)
+
+        monkeypatch.setattr(engine, "run_many", recording)
+        group = {"methods": list(engine.METHODS), "trials": [0, 1]}
+        for trial in group["trials"]:
+            for method in engine.METHODS:
+                run_single(exp, method, 80, trial, group)
+        assert group["outcomes"] == {}  # every row was taken once
+        ((points, cfgs),) = groups  # one engine call for the whole group
+        assert [c.method for c in cfgs] == list(engine.METHODS)
+        assert {c.N_q for c in cfgs} == {80}
+        for trial, (pool, val, seed) in enumerate(points):
+            fresh_pool, fresh_val = make_dataset(exp.dataset, seed)
+            assert seed == trial
+            assert pool.matrix is val.matrix  # the split copied no features
+            assert np.array_equal(pool.matrix, fresh_pool.matrix)
+            assert np.array_equal(pool.rows, fresh_pool.rows)
+            assert np.array_equal(pool._truth, fresh_pool._truth)
+            for name in ("kind", "label", "round"):
+                assert np.array_equal(getattr(pool, name), getattr(fresh_pool, name))
+            assert np.all(pool.kind == KINDS.index(UNLABELED))
+            assert np.array_equal(val.rows, fresh_val.rows)
+            assert np.array_equal(val.labels, fresh_val.labels)
+            assert val.active.all()
 
     def test_lone_method_writes_the_rows_of_the_full_sweep(self, tmp_path):
         _, full = self.sweep(tmp_path, "full")
@@ -558,6 +571,52 @@ class TestSharedGroups:
             assert len(self.read(tmp_path / "serial" / name)) == 1  # the header
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "parallel" / name).read_bytes()
+
+    @pytest.mark.parametrize("workers, chunks", [(1, [[0, 1, 2]]), (2, [[0, 1], [2]]),
+                                                 (3, [[0], [1], [2]]), (5, [[0], [1], [2]])])
+    def test_trials_split_into_one_chunk_per_worker(self, tmp_path, workers, chunks):
+        exp = load_config(write_config(tmp_path, trials=3, workers=workers))
+        assert cli._trial_chunks(exp) == chunks
+        exp.train = TrainConfig(loss="logistic")  # logistic: a trial per group
+        assert cli._trial_chunks(exp) == [[0], [1], [2]]
+
+    def test_trials_split_across_workers_match_serial(self, tmp_path):
+        # trials [0, 1] and [2] of each grid value run in different workers
+        assert self.sweep(tmp_path, "serial", trials=3)[0] == 0
+        assert self.sweep(tmp_path, "parallel", trials=3, workers=2)[0] == 0
+        for name in ("runs.csv", "summary.csv"):
+            assert (tmp_path / "serial" / name).read_bytes() == \
+                (tmp_path / "parallel" / name).read_bytes()
+        assert len(self.read(tmp_path / "serial" / "runs.csv")) == 1 + 5 * 2 * 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the nan features
+    @pytest.mark.parametrize("pair", [("al", "alsc"), ("pl", "plsc")], ids="-".join)
+    def test_a_failing_trial_fails_only_its_own_runs(self, tmp_path, capsys,
+                                                     monkeypatch, pair):
+        # trial 1's dataset has nan features, so its models have non-finite
+        # logits; trial 0 fits beside it in the same stacked calls. The
+        # workers are forked, so they build the patched datasets too
+        _, clean = self.sweep(tmp_path, "clean", methods=list(pair))
+        real = cli.make_dataset
+
+        def make_dataset(spec, seed):
+            pool, val = real(spec, seed)
+            if seed == 1:
+                pool.matrix[:] = np.nan
+            return pool, val
+
+        monkeypatch.setattr(cli, "make_dataset", make_dataset)
+        errs = {}
+        for name, workers in (("serial", 1), ("parallel", 2)):
+            assert self.sweep(tmp_path, name, methods=list(pair),
+                              workers=workers)[0] == 1
+            errs[name] = capsys.readouterr().err.splitlines()
+        assert errs["serial"] == [f"run failed for ({m!r}, {g}, 1): non-finite logits"
+                                  for g in (40, 80) for m in pair]
+        assert errs["parallel"] == errs["serial"]
+        want = [r for r in self.read(clean / "runs.csv") if r[2] != "1"]
+        for name in ("serial", "parallel"):
+            assert self.read(tmp_path / name / "runs.csv") == want
 
 
 class TestPrintSummary:

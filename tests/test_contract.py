@@ -230,7 +230,7 @@ def blas_environment():
     for path in libs:
         fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
         if fn is not None:
-            fn.restype = ctypes.c_char_p
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
             core = fn().decode()
     return {"numpy": np.__version__, "openblas": blas.get("version"),
             "openblas_core": core}

@@ -96,6 +96,14 @@ class TestMatrixRows:
         with pytest.raises(IndexError):
             points.gather(np.array([4]))
 
+    @pytest.mark.parametrize("ids", [np.array([-1]), -1, np.array([0, -4])],
+                             ids=["array", "scalar", "in_a_batch"])
+    def test_gather_rejects_negative_ids(self, cls, ids):
+        # NumPy indexing wraps a negative index around to the last points
+        points = make_points(cls, np.array([4, 0, 5, 2]))
+        with pytest.raises(IndexError):
+            points.gather(ids)
+
     def test_the_matrix_is_held_in_c_order(self, cls):
         # the engine multiplies contiguous views of the matrix's rows
         labels = np.zeros(4, dtype=np.int64)

@@ -798,61 +798,117 @@ class TestOneLoopMatchesTheTwoLoops:
             run(pool, val, RunConfig(method=method, n_s=40, n_b=20, N_q=80), seed=0)
 
 
-class TestSharedTrajectories:
-    """A pair that shares a trajectory through ``run``'s memo gets the runs
-    that two independent calls give, in either order."""
+def count_fit_requests(monkeypatch):
+    """Route the engine's ``fit_many`` calls through a recorder; returns the
+    list of each call's request count."""
+    calls = []
+    real = linmod.fit_many
 
-    @pytest.mark.parametrize("pair", [("al", "alsc"), ("alsc", "al"),
-                                      ("pl", "plsc"), ("plsc", "pl")])
+    def recording(requests):
+        calls.append(len(requests))
+        return real(requests)
+
+    monkeypatch.setattr(linmod, "fit_many", recording)
+    return calls
+
+
+class TestRunMany:
+    """``run_many`` runs one trajectory per point for each trajectory key
+    (tbal; al/alsc; pl/plsc), advances the points' trajectories together and
+    gives every run that an independent ``run`` gives."""
+
+    SEEDS = (0, 5, 11)
+
+    @pytest.mark.parametrize("methods", [("al", "alsc"), ("plsc", "pl"), METHODS],
+                             ids="-".join)
     @pytest.mark.parametrize("case", ["xor", "unit_ball", "k4_softmax",
                                       "budget_is_seed_batch",
                                       "pool_drained_before_budget"])
-    def test_shared_runs_equal_independent_runs(self, case, pair):
+    def test_runs_equal_independent_runs(self, case, methods):
         problem, kw = MERGE_CASES[case]
         pool, val = problem()
-        for seed in (0, 5):
-            memo = {}
-            shared = [run(pool, val, RunConfig(method=m, **kw), seed, memo) for m in pair]
-            assert [traj.method for _, traj in memo.values()] == [pair[0]]
-            for method, got in zip(pair, shared):
-                assert_same_run(got, run(pool, val, RunConfig(method=method, **kw), seed))
+        points = [(pool, val, seed) for seed in self.SEEDS]
+        outcomes = list(engine.run_many(points, [RunConfig(method=m, **kw)
+                                                 for m in methods]))
+        assert sorted((i, m) for i, m, _ in outcomes) == \
+            sorted((i, m) for i in range(len(points)) for m in methods)
+        # one key at a time: the key of the outcomes changes once per key
+        keys = [engine._choices(m, qry.MARGIN_RANDOM)[:2] for _, m, _ in outcomes]
+        assert sum(a != b for a, b in zip(keys, keys[1:])) == len(set(keys)) - 1
+        for i, method, got in outcomes:
+            assert_same_run(got, run(pool, val, RunConfig(method=method, **kw),
+                                     self.SEEDS[i]))
 
-    def test_the_second_run_of_a_pair_only_finishes(self, monkeypatch):
+    def test_trials_at_equal_rounds_fit_in_one_call(self, monkeypatch):
         pool, val = xor_problem(seed=1)
-        memo = {}
-        fits = record_fits(monkeypatch)
-        run(pool, val, RunConfig(method="al", n_s=40, n_b=20, N_q=100), 0, memo)
-        n = len(fits)
-        assert n > 1
-        run(pool, val, RunConfig(method="alsc", n_s=40, n_b=20, N_q=100), 0, memo)
-        assert len(fits) == n
+        calls = count_fit_requests(monkeypatch)
+        list(engine.run_many([(pool, val, seed) for seed in self.SEEDS],
+                             [RunConfig(method="tbal", n_s=40, n_b=20, N_q=100)]))
+        assert calls == [3] * 4  # rounds at 40, 60, 80 and 100 rows
 
-    def test_tbal_keeps_its_own_trajectory(self):
+    def test_a_pair_fits_as_often_as_one_of_its_runs(self, monkeypatch):
         pool, val = xor_problem(seed=1)
-        cfg = dict(n_s=40, n_b=20, N_q=100)
-        memo = {}
-        for method in METHODS:
-            run(pool, val, RunConfig(method=method, **cfg), 0, memo)
-        assert len(memo) == 3  # tbal, al/alsc and pl/plsc
+        kw = dict(n_s=40, n_b=20, N_q=100)
+        fits = {}
+        for methods in (["al"], ["al", "alsc"], ["pl"], ["pl", "plsc"]):
+            calls = count_fit_requests(monkeypatch)
+            list(engine.run_many([(pool, val, 0)], [RunConfig(method=m, **kw)
+                                                    for m in methods]))
+            fits[tuple(methods)] = sum(calls)
+        assert fits[("al",)] == fits[("al", "alsc")] == 4
+        assert fits[("pl",)] == fits[("pl", "plsc")] == 1
+
+    def test_tbal_keeps_its_own_trajectory(self, monkeypatch):
+        pool, val = xor_problem(seed=1)
+        started, finished = [], []
+        real_trajectory, real_finish = engine.trajectory, engine.finish
+
+        def trajectory(pool, val, cfg, seed):
+            started.append(cfg.method)
+            return real_trajectory(pool, val, cfg, seed)
+
+        def finish(traj, cfg):
+            finished.append((traj, real_finish(traj, cfg)))
+            return finished[-1][1]
+
+        monkeypatch.setattr(engine, "trajectory", trajectory)
+        monkeypatch.setattr(engine, "finish", finish)
+        cfgs = [RunConfig(method=m, n_s=40, n_b=20, N_q=100) for m in METHODS]
+        list(engine.run_many([(pool, val, 0), (pool, val, 1)], cfgs))
+        # tbal, pl/plsc and al/alsc, a trajectory each per point
+        assert started == ["tbal"] * 2 + ["pl"] * 2 + ["al"] * 2
         # TBAL's result is its trajectory's state, uncopied
-        res = run(pool, val, RunConfig(method="tbal", **cfg), 0, memo)
-        (traj,) = [t for _, t in memo.values() if t.method == "tbal"]
-        assert res.pool is traj.pool and res.validation is traj.validation
+        for traj, res in finished:
+            if res.method == "tbal":
+                assert res.pool is traj.pool and res.validation is traj.validation
 
-    @pytest.mark.parametrize("change", [
-        lambda pool, val, cfg, seed: (pool.copy(), val, cfg, seed),
-        lambda pool, val, cfg, seed: (pool, val.copy(), cfg, seed),
-        lambda pool, val, cfg, seed: (pool, val, replace(cfg, N_q=120), seed),
-        lambda pool, val, cfg, seed: (pool, val, cfg, seed + 1),
-    ], ids=["pool", "validation", "config", "seed"])
-    def test_memo_of_other_inputs_is_refused(self, change):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the nan features
+    @pytest.mark.parametrize("methods", [("tbal",), ("al", "alsc"), ("pl", "plsc")],
+                             ids="-".join)
+    def test_a_failing_point_fails_only_its_own_runs(self, methods):
+        # nan features give a nan model, whose logits are refused; the other
+        # points fit in the same stacked calls and keep their runs
         pool, val = xor_problem(seed=1)
-        cfg = RunConfig(method="pl", n_s=40, n_b=20, N_q=100)
-        memo = {}
-        run(pool, val, cfg, 0, memo)
-        pool2, val2, cfg2, seed2 = change(pool, val, replace(cfg, method="plsc"), 0)
-        with pytest.raises(ValueError, match="memo"):
-            run(pool2, val2, cfg2, seed2, memo)
+        bad_pool, bad_val = xor_problem(seed=1)
+        bad_pool.matrix[:] = np.nan
+        cfgs = [RunConfig(method=m, n_s=40, n_b=20, N_q=100) for m in methods]
+        points = [(pool, val, 0), (bad_pool, bad_val, 1), (pool, val, 2)]
+        for i, method, outcome in engine.run_many(points, cfgs):
+            if i == 1:
+                assert isinstance(outcome, FloatingPointError)
+                assert str(outcome) == "non-finite logits"
+            else:
+                cfg = cfgs[[c.method for c in cfgs].index(method)]
+                assert_same_run(outcome, run(pool, val, cfg, points[i][2]))
+        with pytest.raises(FloatingPointError, match="non-finite logits"):
+            run(bad_pool, bad_val, cfgs[0], 1)
+
+    def test_configs_that_differ_beyond_their_method_are_refused(self):
+        pool, val = xor_problem(seed=1)
+        cfgs = [RunConfig(method="pl", n_s=40, n_b=20, N_q=100),
+                RunConfig(method="plsc", n_s=40, n_b=20, N_q=120)]
+        with pytest.raises(ValueError, match="differ in their method only"):
+            list(engine.run_many([(pool, val, 0)], cfgs))
 
 
 class TestBinaryConfidenceKindsAgree:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import tbal
 
 from tbal.core import rng_from
 from tbal.model import (LinearModel, TrainConfig, TrainingError, _hinge_loss, fit,
-                        logits, predict)
+                        fit_many, logits, predict)
 
 import reference_trainer
 
@@ -210,6 +211,123 @@ class TestHingeTrainerMatchesReference:
         assert got.weights.tobytes() == want.weights.tobytes()
         assert np.array(got.loss_trace).tobytes() == np.array(want.loss_trace).tobytes()
         assert got.epochs == epochs
+
+
+def hinge_stack(T, n, d, cfg):
+    """T binary fit requests of n rows of dimension d, each with both
+    classes and its own rows and seed."""
+    requests = []
+    for j in range(T):
+        rng = np.random.default_rng([n, d, j])
+        X = rng.standard_normal((n, d))
+        y = (X[:, 0] * X[:, 1] > 0).astype(np.int64)
+        y[:2] = (0, 1)
+        requests.append((X, y, cfg, 10 * n + j, None))
+    return requests
+
+
+def fit_many_matches_reference():
+    """[(case, message)] of every stacked fit whose weights, bias, epochs or
+    loss trace differ from the frozen ``_fit_hinge``'s; also the epochs of
+    every fit of the stacks at tolerance 0.02, where some fits stop early and
+    others run all epochs."""
+    bad, mixed = [], []
+    # the default l2 and tolerance, then l2 = 0 (which leaves an exact-zero
+    # gradient entry's sign to the rows) with a tolerance that stops some fits
+    for T, n, d, normalized, (l2, tolerance) in itertools.product(
+            (2, 3, 10), (2, 31, 32, 33, 137, 500), (2, 30), (False, True),
+            ((1e-4, 1e-5), (0.0, 0.02))):
+        cfg = TrainConfig(normalized=normalized, tolerance=tolerance, l2=l2,
+                          learning_rate=3.0 if normalized else 0.1)
+        requests = hinge_stack(T, n, d, cfg)
+        read_from = int(cfg.epochs * 0.75) - 1
+        for (X, y, _, seed, _), got in zip(requests, fit_many(requests)):
+            want = reference_trainer._fit_hinge(X, y, cfg, rng_from(seed, "fit"))
+            case = (T, n, d, normalized, l2, tolerance, seed)
+            if got.weights.tobytes() != want.weights.tobytes():
+                bad.append((case, "weights"))
+            if got.bias.tobytes() != want.bias.tobytes():
+                bad.append((case, "bias"))
+            if got.epochs != len(want.loss_trace) - 1:
+                bad.append((case, "epochs"))
+            if np.array(got.loss_trace).tobytes() != \
+                    np.array(want.loss_trace[read_from:]).tobytes():
+                bad.append((case, "loss_trace"))
+            if tolerance == 0.02:
+                mixed.append((T, n, d, normalized, l2, got.epochs))
+    return bad, mixed
+
+
+class TestFitMany:
+    """``fit_many`` steps equal binary hinge fits in lockstep, and each keeps
+    the bits of the frozen ``_fit_hinge``; every other request is ``fit``."""
+
+    def test_stacked_fits_match_the_reference_at_1_and_2_blas_threads(self):
+        code = ("import sys, json\n"
+                "sys.path.insert(0, sys.argv[1])\n"
+                "import test_model\n"
+                "bad, mixed = test_model.fit_many_matches_reference()\n"
+                "print(json.dumps({'bad': bad, 'mixed': mixed}))\n")
+        src = os.path.dirname(os.path.dirname(tbal.__file__))
+        procs = {}
+        for threads in ("1", "2"):  # read by OpenBLAS when NumPy is imported
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            procs[threads] = subprocess.Popen(
+                [sys.executable, "-c", code, os.path.dirname(__file__)], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for threads, proc in procs.items():
+            out, err = proc.communicate(timeout=600)
+            assert proc.returncode == 0, err
+            result = json.loads(out.splitlines()[-1])
+            assert result["bad"] == [], (threads, result["bad"][:10])
+            stacks = {}
+            for *case, epochs in result["mixed"]:
+                stacks.setdefault(tuple(case), set()).add(epochs)
+            # some stacks hold fits that stop early next to fits that run
+            # every epoch, so fits leave a stack while others step on
+            assert any(len(e) > 1 and 80 in e for e in stacks.values())
+
+    def test_a_mixed_request_list_comes_back_in_order(self):
+        hinge = TrainConfig(epochs=20)
+        pair = hinge_stack(2, 40, 3, hinge)
+        other_n = hinge_stack(2, 41, 3, hinge)
+        X, y, _, _, _ = pair[0]
+        X3, y3 = TestFit().separable(n=60, d=3, seed=1)[0], np.arange(60) % 3
+        requests = [
+            pair[0],
+            (X, y, TrainConfig(loss="logistic", epochs=5), 7, None),  # logistic
+            other_n[0],  # another n: a stack of its own with other_n[1]
+            (X, np.ones(40, dtype=np.int64), hinge, 8, 2),  # one class
+            pair[1],
+            (X3, y3, TrainConfig(loss="logistic", epochs=5), 9, 3),  # K = 3
+            (X, y, TrainConfig(epochs=20, l2=0.0), 10, None),  # a lone config
+            other_n[1],
+        ]
+        got = fit_many(requests)
+        assert len(got) == len(requests)
+        for request, model in zip(requests, got):
+            want = fit(*request)
+            assert model.weights.tobytes() == want.weights.tobytes()
+            assert model.bias.tobytes() == want.bias.tobytes()
+            assert (model.epochs, model.num_classes) == (want.epochs, want.num_classes)
+            assert np.array(model.loss_trace).tobytes() == np.array(want.loss_trace).tobytes()
+
+    def test_only_a_stack_bypasses_fit(self, monkeypatch):
+        import tbal.model as linmod
+
+        seen = []
+        real = linmod.fit
+
+        def counting(X, y, cfg, seed, num_classes=None):
+            seen.append(seed)
+            return real(X, y, cfg, seed, num_classes)
+
+        monkeypatch.setattr(linmod, "fit", counting)
+        stack = hinge_stack(3, 40, 2, TrainConfig(epochs=5))
+        lone = hinge_stack(1, 50, 2, TrainConfig(epochs=5))
+        fit_many(stack + lone)
+        assert seen == [lone[0][3]]
 
 
 def batch_seen_replay(X, y, K, cfg, rng):
