@@ -4,8 +4,7 @@ confident, computed from the model's raw scores of the rows x
 any subset of its rows. All kinds share that orientation so threshold
 search stays kind-agnostic.
 
-Only NumPy is imported here: scipy, which the energy kind reads, is imported
-on its first use, so importing the package and failing a config stay cheap."""
+Only NumPy is imported here."""
 
 from __future__ import annotations
 
@@ -74,14 +73,33 @@ def score(kind, model, raw) -> tuple[np.ndarray, np.ndarray]:
         e = np.exp(z - z.max(axis=1, keepdims=True))
         conf = (e / e.sum(axis=1, keepdims=True)).max(axis=1)
     elif isinstance(kind, Energy):
-        # not a two-line NumPy formula (it sums the non-max terms with log1p),
-        # so scipy's, whose bits the energy scores keep
-        from scipy.special import logsumexp
         t = kind.temperature
-        conf = t * logsumexp(z / t, axis=1)
+        conf = t * _logsumexp(z / t)
     else:
         raise ValueError(f"unknown confidence kind {kind!r}")
     return np.argmax(z, axis=1), conf
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) of each row of 2-D ``a``, in the steps of
+    ``scipy.special.logsumexp(a, axis=1)`` (scipy 1.17), so the scores keep
+    its bits: the m maxima of a row are taken out of the sum, the rest are
+    exp-summed relative to the max (s), and the result is
+    log1p(s / m) + log(m) + max. A row whose result is not finite takes the
+    direct log(sum(exp(a))), as scipy's does."""
+    top = a.max(axis=1, keepdims=True)
+    is_top = a == top
+    m = np.add.reduce(is_top, axis=1, keepdims=True, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # inf - inf where a row's max is inf
+        s = np.add.reduce(np.exp(np.where(is_top, -np.inf, a) - top), axis=1,
+                          keepdims=True)
+        s /= m
+        out = (np.log1p(s) + np.log(m) + top)[:, 0]
+    bad = ~np.isfinite(out)
+    if bad.any():
+        with np.errstate(divide="ignore", over="ignore"):
+            out[bad] = np.log(np.add.reduce(np.exp(a[bad]), axis=1))
+    return out
 
 
 def shift_nonnegative(*score_arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -21,9 +21,10 @@ A run is its trajectory (the seed query and the round loop) followed by
 ``finish`` (the labeling at the end). The first two choices shape the
 trajectory, so al/alsc, and pl/plsc, make the same queries and fits and
 differ only in ``finish``: ``run_many`` runs one trajectory for such a pair.
-It also advances the trajectories of many points (a grid point's trials)
-together and serves their fits of equal size in one ``model.fit_many`` call.
-Both steps return a ``RunResult``, the one record of a run.
+It also advances the trajectories of many points (a grid point's trials),
+every key's together, and serves their fits of equal size in one
+``model.fit_many`` call. Both steps return a ``RunResult``, the one record
+of a run.
 """
 
 from __future__ import annotations
@@ -279,47 +280,6 @@ def finish(traj: RunResult, cfg: RunConfig) -> RunResult:
                      rounds=rounds, model=model)
 
 
-def _run_key(points: list, cfgs: list) -> Iterator[tuple]:
-    """``run_many`` for ``cfgs`` of one trajectory key: a trajectory per point,
-    all advanced together. Each turn fits the pending requests that share the
-    smallest row count in one ``linmod.fit_many`` call, so trajectories at
-    equal rounds fit together."""
-    trajs = [trajectory(pool, val, cfgs[0], seed) for pool, val, seed in points]
-    pending: dict = {}  # point index -> its trajectory's fit request
-
-    def resume(i, model=None, error=None):
-        """Send trajectory i its model, or raise ``error`` in it; yield its
-        runs' outcomes if it ends."""
-        try:
-            pending[i] = trajs[i].send(model) if error is None else trajs[i].throw(error)
-            return
-        except StopIteration as end:
-            traj, error = end.value, None
-        except Exception as e:
-            traj, error = None, e
-        for cfg in cfgs:
-            try:
-                outcome = finish(traj, cfg) if error is None else error
-            except Exception as e:
-                outcome = e
-            yield i, cfg.method, outcome
-
-    for i in range(len(trajs)):
-        yield from resume(i)
-    while pending:
-        n = min(len(req[0]) for req in pending.values())
-        batch = [i for i, req in pending.items() if len(req[0]) == n]
-        requests = [pending.pop(i) for i in batch]
-        # the trainer's errors depend on the config and K, which the
-        # requests share: a failed call fails every trajectory in it
-        try:
-            models, error = linmod.fit_many(requests), None
-        except Exception as e:
-            models, error = [None] * len(batch), e
-        for i, model in zip(batch, models):
-            yield from resume(i, model, error)
-
-
 def run_many(points: list, cfgs: list) -> Iterator[tuple]:
     """Run each config of ``cfgs``, which differ in their method only, from
     each point (pool, validation set, seed) of ``points``, on copies of the
@@ -328,16 +288,55 @@ def run_many(points: list, cfgs: list) -> Iterator[tuple]:
     the run raised, so one point's failure leaves the others' runs.
 
     The methods of a trajectory key (tbal; al and alsc; pl and plsc) share
-    one trajectory per point. The keys run one after another, in the order
-    of their first method in ``cfgs``, so only one key's trajectories are
-    held at a time."""
+    one trajectory per point, and every key's trajectories advance together:
+    each turn fits the pending requests that share the smallest row count,
+    whatever their key, in one ``linmod.fit_many`` call, so trajectories at
+    equal rounds fit together. A trajectory is dropped once its runs are
+    yielded."""
     if any(replace(c, method=cfgs[0].method) != cfgs[0] for c in cfgs):
         raise ValueError("run_many's configs must differ in their method only")
     keys: dict = {}
     for cfg in cfgs:
         keys.setdefault(_choices(cfg.method, cfg.query.strategy)[:2], []).append(cfg)
-    for key_cfgs in keys.values():
-        yield from _run_key(points, key_cfgs)
+    # trajectory index -> (point index, its key's configs, the trajectory)
+    trajs = dict(enumerate((i, key_cfgs, trajectory(pool, val, key_cfgs[0], seed))
+                           for key_cfgs in keys.values()
+                           for i, (pool, val, seed) in enumerate(points)))
+    pending: dict = {}  # trajectory index -> its fit request
+
+    def resume(j, model=None, error=None):
+        """Send trajectory j its model, or raise ``error`` in it; yield its
+        runs' outcomes if it ends."""
+        i, key_cfgs, traj = trajs[j]
+        try:
+            pending[j] = traj.send(model) if error is None else traj.throw(error)
+            return
+        except StopIteration as end:
+            result, error = end.value, None
+        except Exception as e:
+            result, error = None, e
+        del trajs[j]
+        for cfg in key_cfgs:
+            try:
+                outcome = finish(result, cfg) if error is None else error
+            except Exception as e:
+                outcome = e
+            yield i, cfg.method, outcome
+
+    for j in list(trajs):
+        yield from resume(j)
+    while pending:
+        n = min(len(req[0]) for req in pending.values())
+        batch = [j for j, req in pending.items() if len(req[0]) == n]
+        requests = [pending.pop(j) for j in batch]
+        # the trainer's errors depend on the config and K, which the
+        # requests share: a failed call fails every trajectory in it
+        try:
+            models, error = linmod.fit_many(requests), None
+        except Exception as e:
+            models, error = [None] * len(batch), e
+        for j, model in zip(batch, models):
+            yield from resume(j, model, error)
 
 
 def run(pool: Pool, val: ValidationSet, cfg: RunConfig, seed: int) -> RunResult:

@@ -338,10 +338,19 @@ def _fit_hinge_stack(Xs: list, ys: list, cfg: TrainConfig, rngs: list) -> list:
                 b_sum += b
                 n_avg += 1
         if epoch >= avg_start - 1:
+            # _hinge_loss of every slot: its steps over (T, n), each row's
+            # sum one contiguous reduction, as _hinge_loss takes it
+            margins = np.matmul(X, w)[:, :, 0]
+            if not signed:
+                margins += b[:, 0]
+                margins *= ypm
+            np.subtract(1.0, margins, out=margins)
+            np.maximum(0.0, margins, out=margins)
+            sums = np.add.reduce(margins, axis=1)
             stop = np.zeros(len(fits), dtype=bool)
             for s, i in enumerate(fits):
-                loss = _hinge_loss(w[s, :, 0], b[s, 0, 0], X[s],
-                                   None if signed else ypm[s], l2)
+                ws = w[s, :, 0]
+                loss = float(sums[s] / n + ((0.5 * l2) * ws).dot(ws))
                 traces[i].append(loss)
                 stop[s] = abs(prev[s] - loss) < cfg.tolerance and epoch >= avg_start
                 prev[s] = loss

@@ -208,7 +208,7 @@ def bits(a):
 
 
 class TestSameBitsAsScipy:
-    """Softmax is computed in NumPy and energy imports scipy on first use;
+    """Softmax and energy are computed in NumPy, in scipy.special's steps;
     both keep the scores scipy.special gives, bit for bit."""
 
     def models(self):
@@ -240,6 +240,19 @@ class TestSameBitsAsScipy:
                 _, conf = score_rows(Energy(temperature=t), m, X)
                 want = t * scipy.special.logsumexp(z / t, axis=1)
                 assert np.array_equal(bits(conf), bits(want))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    def test_energy_of_overflowing_logits(self):
+        # z / t overflows at a tiny temperature: a row whose max is +inf
+        # takes the direct sum, as scipy's does
+        m = multi_model(np.array([[1.0], [-1.0], [0.0]]), np.zeros(3))
+        X = np.array([[1e10], [-1e10], [0.0], [1e-300]])
+        z = logits(m, X)
+        for t in (1e-300, 1.0):
+            _, conf = score_rows(Energy(temperature=t), m, X)
+            want = t * scipy.special.logsumexp(z / t, axis=1)
+            assert np.array_equal(bits(conf), bits(want))
+            assert np.isinf(conf).sum() == (2 if t < 1 else 0)
 
 
 @pytest.mark.parametrize("K, cls", [(2, 0), (2, 1), (10, 4)])

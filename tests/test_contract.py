@@ -162,7 +162,7 @@ def test_every_third_party_import_is_declared():
         deps = tomllib.load(f)["project"]["dependencies"]
     declared = {re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0].lower() for d in deps}
     found = package_imports()
-    assert {name for name, _, _ in found} >= MODULE_LEVEL | {"scipy"}
+    assert {name for name, _, _ in found} >= MODULE_LEVEL
     undeclared = sorted((DISTRIBUTION.get(name, name), where) for name, _, where in found
                         if DISTRIBUTION.get(name, name) not in declared)
     assert undeclared == []
@@ -186,10 +186,10 @@ def test_cli_import_leaves_the_process_pool_out():
 
 
 def test_a_sweep_loads_no_scipy(tmp_path):
-    # an abs_margin and a softmax sweep, summary.csv included, run on NumPy
+    # a sweep of each confidence kind, summary.csv included, runs on NumPy
     # alone: loading scipy.stats took a process from 27 to 99 MB of memory
     configs = []
-    for confidence in ("abs_margin", "softmax"):
+    for confidence in ("abs_margin", "softmax", "energy"):
         (tmp_path / confidence).mkdir()
         configs.append(write_config(tmp_path / confidence, trials=1, confidence=confidence,
                                     out=str(tmp_path / confidence / "res")))
@@ -203,7 +203,7 @@ def test_a_sweep_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    for confidence in ("abs_margin", "softmax"):
+    for confidence in ("abs_margin", "softmax", "energy"):
         assert (tmp_path / confidence / "res" / "summary.csv").exists()
 
 

@@ -1,8 +1,10 @@
+import gc
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -814,7 +816,7 @@ def count_fit_requests(monkeypatch):
 
 class TestRunMany:
     """``run_many`` runs one trajectory per point for each trajectory key
-    (tbal; al/alsc; pl/plsc), advances the points' trajectories together and
+    (tbal; al/alsc; pl/plsc), advances every key's trajectories together and
     gives every run that an independent ``run`` gives."""
 
     SEEDS = (0, 5, 11)
@@ -832,9 +834,6 @@ class TestRunMany:
                                                  for m in methods]))
         assert sorted((i, m) for i, m, _ in outcomes) == \
             sorted((i, m) for i in range(len(points)) for m in methods)
-        # one key at a time: the key of the outcomes changes once per key
-        keys = [engine._choices(m, qry.MARGIN_RANDOM)[:2] for _, m, _ in outcomes]
-        assert sum(a != b for a, b in zip(keys, keys[1:])) == len(set(keys)) - 1
         for i, method, got in outcomes:
             assert_same_run(got, run(pool, val, RunConfig(method=method, **kw),
                                      self.SEEDS[i]))
@@ -845,6 +844,66 @@ class TestRunMany:
         list(engine.run_many([(pool, val, seed) for seed in self.SEEDS],
                              [RunConfig(method="tbal", n_s=40, n_b=20, N_q=100)]))
         assert calls == [3] * 4  # rounds at 40, 60, 80 and 100 rows
+
+    def test_keys_at_equal_rounds_fit_in_one_call(self, monkeypatch):
+        problem, kw = MERGE_CASES["xor"]
+        pool, val = problem()
+        tags, calls = {}, []  # id of a request -> (method, seed); each call's tags
+        real_trajectory, real_fit_many = engine.trajectory, linmod.fit_many
+
+        def trajectory(pool, val, cfg, seed):
+            inner, model = real_trajectory(pool, val, cfg, seed), None
+            while True:
+                try:
+                    request = inner.send(model)
+                except StopIteration as end:
+                    return end.value
+                tags[id(request)] = cfg.method, seed
+                model = yield request
+
+        def fit_many(requests):
+            calls.append(sorted((*tags[id(r)], len(r[0])) for r in requests))
+            return real_fit_many(requests)
+
+        monkeypatch.setattr(engine, "trajectory", trajectory)
+        monkeypatch.setattr(linmod, "fit_many", fit_many)
+        list(engine.run_many([(pool, val, seed) for seed in self.SEEDS],
+                             [RunConfig(method=m, **kw) for m in METHODS]))
+        assert all(len({n for _, _, n in call}) == 1 for call in calls)
+        # round 1: the tbal and al trajectories of every point, at n = n_s
+        assert calls[0] == sorted((m, seed, kw["n_s"]) for m in ("al", "tbal")
+                                  for seed in self.SEEDS)
+        # pl's one fit, at n = N_q, shares al's last round
+        (last,) = [call for call in calls if any(m == "pl" for m, _, _ in call)]
+        for seed in self.SEEDS:
+            assert {("pl", seed, kw["N_q"]), ("al", seed, kw["N_q"])} <= set(last)
+
+    def test_a_finished_trajectory_is_released(self, monkeypatch):
+        # a point whose small pool drains early ends its runs while the xor
+        # points' trajectories still fit. Once the caller drops a
+        # trajectory's outcomes and takes another trajectory's, they are
+        # freed: TBAL's uncopied trajectory state too
+        small, small_val = small_problem(seed=10, n=60, val=40)
+        pool, val = xor_problem(seed=1)
+        points = [(small, small_val, 0), (pool, val, 1), (pool, val, 2)]
+        cfgs = [RunConfig(method=m, n_s=10, n_b=10, N_q=80) for m in METHODS]
+        calls = count_fit_requests(monkeypatch)
+        refs, early = {}, []  # trajectory -> weakrefs to its runs' pools
+        gc.disable()  # freed by reference counts, not by a collection
+        try:
+            for i, method, outcome in engine.run_many(points, cfgs):
+                traj = i, engine._choices(method, cfgs[0].query.strategy)[:2]
+                for other, pools in refs.items():
+                    if other != traj:
+                        assert [r() for r in pools] == [None] * len(pools), other
+                refs.setdefault(traj, []).append(weakref.ref(outcome.pool))
+                early.append((i, method, len(calls)))
+                del outcome
+        finally:
+            gc.enable()
+        assert sum(map(len, refs.values())) == len(points) * len(METHODS)
+        # the small point's runs, TBAL's among them, ended before the last fit
+        assert {m for i, m, n in early if i == 0 and n < len(calls)} == set(METHODS)
 
     def test_a_pair_fits_as_often_as_one_of_its_runs(self, monkeypatch):
         pool, val = xor_problem(seed=1)
