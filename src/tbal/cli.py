@@ -37,6 +37,7 @@ RUN_HEADER = ["method", "axis_value", "seed", "err_hat", "cov_hat",
 SUMMARY_HEADER = ["method", "axis_value", "err_hat_mean", "err_hat_std",
                   "cov_hat_mean", "cov_hat_std", "err_over_eps_frac",
                   "err_hat_trials", "err_over_eps_upper95"]
+FAILURE_HEADER = ["method", "axis_value", "seed", "message"]
 
 TRAIN_BUDGET = "train_budget"
 VALIDATION_SIZE = "validation_size"
@@ -351,21 +352,26 @@ def run_experiment(exp: ExperimentConfig) -> int:
             outcomes = [o for runs in ex.map(_run_group, groups) for o in runs]
     else:  # lazy: failures print as they happen
         outcomes = (o for group in groups for o in _group_runs(*group))
-    rows, failed = [], 0
+    rows, failures = [], []
     for task, row, error in outcomes:
         if error is None:
             rows.append(row)
         else:  # keep partial results on mid-sweep failure
             print(f"run failed for {task}: {error}", file=sys.stderr)
-            failed += 1
-    rows.sort(key=lambda r: (r["method"], r["axis_value"], r["seed"]))
+            method, axis_value, trial = task
+            failures.append({"method": method, "axis_value": axis_value,
+                             "seed": exp.seed_base + trial, "message": error})
     os.makedirs(exp.out, exist_ok=True)
     runs_path = os.path.join(exp.out, "runs.csv")
-    with open(runs_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(RUN_HEADER)
-        for r in rows:
-            w.writerow([_fmt(r[k]) for k in RUN_HEADER])
+    for path, header, table in ((runs_path, RUN_HEADER, rows),
+                                (os.path.join(exp.out, "failures.csv"), FAILURE_HEADER,
+                                 failures)):
+        table.sort(key=lambda r: (r["method"], r["axis_value"], r["seed"]))
+        with open(path, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            for r in table:
+                w.writerow([_fmt(r[k]) for k in header])
     summary_path = os.path.join(exp.out, "summary.csv")
     with open(summary_path, "w", newline="") as f:
         w = csv.writer(f)
@@ -386,7 +392,7 @@ def run_experiment(exp: ExperimentConfig) -> int:
                             _fmt(over / len(errs)), len(defined),
                             _fmt(metrics.clopper_pearson_upper(over, len(errs)))])
     print(f"wrote {runs_path} and {summary_path}")
-    return 0 if failed == 0 else 1
+    return 0 if not failures else 1
 
 
 def print_summary(out_dir: str) -> None:

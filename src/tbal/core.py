@@ -136,8 +136,12 @@ class Oracle:
     def __init__(self, pool: Pool):
         self._pool = pool
 
-    def label(self, i: int) -> int:
-        return int(self._pool._truth[i])
+    def label(self, ids):
+        """The true label of point ``ids``: an int for one id, else an int64
+        array of one label per id in an array; an id outside [0, n) raises
+        IndexError, a negative one too."""
+        labels = self._pool._truth.take(_point_ids(ids, len(self._pool)))
+        return labels if np.ndim(ids) else int(labels[0])
 
 
 @dataclass

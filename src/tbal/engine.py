@@ -189,7 +189,7 @@ def _auto_label_pass(cfg, model, pool, val, unlabeled, rnd, queried):
 
 def _query_human(pool, oracle, ids, human):
     """Label ``ids`` by the oracle; ``human`` with them appended."""
-    pool.mark_human(ids, [oracle.label(int(i)) for i in ids])
+    pool.mark_human(ids, oracle.label(ids))
     return np.concatenate([human, ids])
 
 

@@ -274,24 +274,38 @@ def _fit_hinge(X, y, cfg: TrainConfig, rng) -> LinearModel:
     return _hinge_model(w_sum, b_sum, n_avg, X, ypm, cfg, trace, epoch + 1)
 
 
-def _fit_hinge_stack(Xs: list, ys: list, cfg: TrainConfig, rngs: list) -> list:
-    """``_fit_hinge`` of each (X, y, rng), T >= 2 fits of n rows of dimension
-    d each, stepped in lockstep. Every array of the fits is stacked on a
-    leading axis, so one step is a few NumPy calls whatever T is: the margins
-    are one ``np.matmul`` over (T, bs, d) @ (T, d, 1), the gradient one over
-    (T, d, bs) @ (T, bs, 1). NumPy runs each slice of these as the
-    matrix-vector product ``_fit_hinge`` calls, and every other operation is
-    elementwise or a sum along one contiguous row, in ``_fit_hinge``'s order:
-    each fit keeps its bits, its permutations are drawn from its own rng,
-    and it leaves the stack when its own stop test fires."""
+def _fit_hinge_stack(Xs: list, ys: list, cfg: TrainConfig, seeds: list) -> list:
+    """``_fit_hinge`` of each (X, y) with the rng ``rng_from(seed, "fit")`` of
+    its seed, T >= 2 fits of n rows of dimension d each, stepped in lockstep.
+    Every array of the fits is stacked on a leading axis, so one step is a
+    few NumPy calls whatever T is: the margins are one ``np.matmul`` over
+    (T, bs, d) @ (T, d, 1), the gradient one over (T, d, bs) @ (T, bs, 1).
+    NumPy runs each slice of these as the matrix-vector product
+    ``_fit_hinge`` calls, and every other operation is elementwise or a sum
+    along one contiguous row, in ``_fit_hinge``'s order: each fit keeps its
+    bits, and it leaves the stack when its own stop test fires.
+
+    Fits of one seed share one stream. A fit's rng feeds only its start and
+    its per-epoch permutations, and fits of one config draw the same start
+    and one permutation per epoch, so the stack draws them once per seed:
+    the start, then one permutation each epoch while any fit of that seed is
+    live. Each epoch gathers every live fit's rows in one ``take`` from the
+    flat (T * n, d) rows, its permutation offset by its slot's first row;
+    the shuffled rows ``Xo`` stay one C-order (T, n, d) array, since the
+    gradient's product reads its transposed view and a strided operand there
+    changes the bits."""
     T = len(Xs)
     n, d = Xs[0].shape
     X = np.stack(Xs)  # (T, n, d)
     ypm = np.where(np.stack(ys) == 1, 1.0, -1.0)  # (T, n)
+    streams = list(dict.fromkeys(seeds))  # the distinct seeds, in order
+    rngs = [rng_from(seed, "fit") for seed in streams]
+    stream = np.array([streams.index(seed) for seed in seeds])  # of each slot
+    starts = [_hinge_start(d, cfg, rng) for rng in rngs]
     w = np.empty((T, d, 1))
     b = np.empty((T, 1, 1))
-    for j, rng in enumerate(rngs):
-        w[j, :, 0], b[j] = _hinge_start(d, cfg, rng)
+    for j, k in enumerate(stream):
+        w[j, :, 0], b[j] = starts[k]
     bs = cfg.batch_size
     lr = cfg.learning_rate
     l2 = cfg.l2
@@ -308,38 +322,49 @@ def _fit_hinge_stack(Xs: list, ys: list, cfg: TrainConfig, rngs: list) -> list:
     prev = np.full(T, np.inf)
     models = [None] * T
     t = 0
+    reslot = True  # recompute what depends on the slots, as after fits leave
     for epoch in range(cfg.epochs):
-        slots = np.arange(len(fits))[:, None]
-        order = np.stack([rngs[i].permutation(n) for i in fits])
-        Xo = X[slots, order]
+        if reslot:
+            L = len(fits)
+            live, draw = np.unique(stream, return_inverse=True)  # the live streams
+            offset = (np.arange(L) * n)[:, None]  # each slot's first flat row
+            Xf, yf = X.reshape(L * n, d), ypm.reshape(L * n)
+            reslot = False
+        rows = np.stack([rngs[k].permutation(n) for k in live]).take(draw, axis=0)
+        rows += offset
+        rows = rows.reshape(L * n)
+        Xo = Xf.take(rows, axis=0).reshape(L, n, d)
+        XoT = Xo.transpose(0, 2, 1)
         if not signed:
-            yo = ypm[slots, order][:, :, None]
+            yo = yf.take(rows).reshape(L, n, 1)
             co = yo * neg_inv
         for start in range(0, n, bs):
             sl = slice(start, start + bs)
-            Xb = Xo[:, sl]
             t += 1
             eta = lr / (1.0 + t / t0)
-            mg = np.matmul(Xb, w)
+            mg = np.matmul(Xo[:, sl], w)
             if signed:
                 coef = np.where(mg < 1.0, neg_inv[sl], 0.0)
             else:
                 mg += b
                 mg *= yo[:, sl]
                 coef = np.where(mg < 1.0, co[:, sl], 0.0)
-            gw = np.matmul(Xb.transpose(0, 2, 1), coef)
+            gw = np.matmul(XoT[:, :, sl], coef)
             gw += l2 * w
             gw *= eta
             w -= gw
             if not signed:
-                b -= eta * np.add.reduce(coef[:, :, 0], axis=1)[:, None, None]
+                gb = np.add.reduce(coef, axis=1, keepdims=True)
+                gb *= eta
+                b -= gb
             if epoch >= avg_start:
                 w_sum += w
                 b_sum += b
                 n_avg += 1
         if epoch >= avg_start - 1:
-            # _hinge_loss of every slot: its steps over (T, n), each row's
-            # sum one contiguous reduction, as _hinge_loss takes it
+            # _hinge_loss of every slot as one vector: its steps over (T, n),
+            # each row's sum one contiguous reduction, as _hinge_loss takes
+            # it, and each slice of the last product the dot it takes of w
             margins = np.matmul(X, w)[:, :, 0]
             if not signed:
                 margins += b[:, 0]
@@ -347,15 +372,12 @@ def _fit_hinge_stack(Xs: list, ys: list, cfg: TrainConfig, rngs: list) -> list:
             np.subtract(1.0, margins, out=margins)
             np.maximum(0.0, margins, out=margins)
             sums = np.add.reduce(margins, axis=1)
-            stop = np.zeros(len(fits), dtype=bool)
-            for s, i in enumerate(fits):
-                ws = w[s, :, 0]
-                loss = float(sums[s] / n + ((0.5 * l2) * ws).dot(ws))
+            losses = sums / n + np.matmul(((0.5 * l2) * w).transpose(0, 2, 1), w)[:, 0, 0]
+            for i, loss in zip(fits, losses.tolist()):
                 traces[i].append(loss)
-                stop[s] = abs(prev[s] - loss) < cfg.tolerance and epoch >= avg_start
-                prev[s] = loss
-            if epoch + 1 == cfg.epochs:
-                stop[:] = True
+            stop = ((np.abs(prev - losses) < cfg.tolerance) & (epoch >= avg_start)
+                    | (epoch + 1 == cfg.epochs))
+            prev = losses
             for s in np.flatnonzero(stop):
                 i = fits[s]
                 models[i] = _hinge_model(w_sum[s, :, 0], b_sum[s, 0, 0], n_avg, X[s],
@@ -366,8 +388,9 @@ def _fit_hinge_stack(Xs: list, ys: list, cfg: TrainConfig, rngs: list) -> list:
                 fits = [i for i, k in zip(fits, keep) if k]
                 if not fits:
                     break
-                X, ypm, w, b, w_sum, b_sum, prev = (
-                    a[keep] for a in (X, ypm, w, b, w_sum, b_sum, prev))
+                X, ypm, w, b, w_sum, b_sum, prev, stream = (
+                    a[keep] for a in (X, ypm, w, b, w_sum, b_sum, prev, stream))
+                reslot = True
     return models
 
 
@@ -463,9 +486,10 @@ def fit_many(requests: list) -> list[LinearModel]:
 
     Binary hinge fits with both classes present, rows of one shape (n, d)
     and equal configs step together when there are two or more of them
-    (``_fit_hinge_stack``), with the bits ``fit`` gives each. Every other
-    request goes through ``fit``: a lone fit too, since the stacked step ran
-    at 0.55-0.69 of ``_fit_hinge``'s speed for one fit."""
+    (``_fit_hinge_stack``), with the bits ``fit`` gives each; the stack is
+    passed their seeds, and fits of one seed draw from one stream. Every
+    other request goes through ``fit``: a lone fit too, since the stacked
+    step ran at 0.55-0.69 of ``_fit_hinge``'s speed for one fit."""
     stacks: dict = {}
     for i, (X, y, cfg, _, num_classes) in enumerate(requests):
         y = np.asarray(y)
@@ -478,7 +502,7 @@ def fit_many(requests: list) -> list[LinearModel]:
             fitted = _fit_hinge_stack(
                 [np.asarray(requests[i][0], dtype=np.float64) for i in ids],
                 [np.asarray(requests[i][1], dtype=np.int64) for i in ids],
-                requests[ids[0]][2], [rng_from(requests[i][3], "fit") for i in ids])
+                requests[ids[0]][2], [requests[i][3] for i in ids])
             for i, model in zip(ids, fitted):
                 models[i] = model
     return [fit(*r) if m is None else m for m, r in zip(models, requests)]

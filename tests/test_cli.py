@@ -443,9 +443,19 @@ class TestRunExperiment:
         assert sorted((r[0], r[1]) for r in runs) == [("pl", "80"), ("tbal", "80")]
         summary = self.read(outs["parallel"] / "summary.csv")[1:]
         assert sorted((r[0], r[1]) for r in summary) == [("pl", "80"), ("tbal", "80")]
-        for csv_name in ("runs.csv", "summary.csv"):
+        assert self.read(outs["parallel"] / "failures.csv") == [
+            ["method", "axis_value", "seed", "message"],
+            ["pl", "40", "0", "seed size n_s must not exceed the budget N_q"],
+            ["tbal", "40", "0", "seed size n_s must not exceed the budget N_q"]]
+        for csv_name in ("runs.csv", "summary.csv", "failures.csv"):
             assert (outs["serial"] / csv_name).read_bytes() == \
                 (outs["parallel"] / csv_name).read_bytes()
+
+    def test_a_sweep_without_failures_writes_the_failures_header(self, tmp_path):
+        exp = load_config(write_config(tmp_path, out=str(tmp_path / "ok"), trials=1))
+        assert run_experiment(exp) == 0
+        assert (tmp_path / "ok" / "failures.csv").read_bytes() == \
+            b"method,axis_value,seed,message\r\n"
 
     def test_validation_size_axis(self, tmp_path):
         path = write_config(tmp_path, out=str(tmp_path / "v"), methods=["tbal"],
@@ -489,6 +499,28 @@ class TestSharedGroups:
             assert self.sweep(tmp_path, "-".join(methods), methods=methods)[0] == 0
             fits[tuple(methods)] = len(requests)
         assert fits[("al",)] == fits[("al", "alsc")] > fits[("pl",)] == fits[("pl", "plsc")]
+
+    def test_the_shipped_xor_sweep_stacks_fits_of_one_seed(self, tmp_path, monkeypatch):
+        # tbal and al fit with the same seed at one trial and round, and pl
+        # with al's last round's seed, so their stacked fits share a stream
+        # (see model._fit_hinge_stack); a seed that named the method would
+        # lose that silently
+        exp = load_config(SHIPPED[[os.path.basename(p) for p in SHIPPED].index("xor.yaml")])
+        exp.trials, exp.out = 2, str(tmp_path / "xor")
+        real = linmod._fit_hinge_stack
+        stacks = []
+
+        def recording(Xs, ys, cfg, seeds):
+            stacks.append(list(seeds))
+            return real(Xs, ys, cfg, seeds)
+
+        monkeypatch.setattr(linmod, "_fit_hinge_stack", recording)
+        assert run_experiment(exp) == 0
+        # the first stack holds tbal's and al's seed-batch fits of each
+        # trial, the last al's last round and pl's one fit of each trial
+        for stack in (stacks[0], stacks[-1]):
+            assert len(stack) == 4 and len(set(stack)) == 2, stacks
+        assert sum(len(set(s)) for s in stacks) < sum(len(s) for s in stacks)
 
     def test_one_dataset_build_per_grid_value_and_trial(self, tmp_path, monkeypatch):
         builds = []
@@ -569,6 +601,9 @@ class TestSharedGroups:
         assert errs["parallel"] == errs["serial"]
         for name in ("runs.csv", "summary.csv"):
             assert len(self.read(tmp_path / "serial" / name)) == 1  # the header
+        assert self.read(tmp_path / "serial" / "failures.csv")[1:] == [
+            [m, str(g), "0", "non-finite logits"] for m in sorted(pair) for g in (40, 80)]
+        for name in ("runs.csv", "summary.csv", "failures.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "parallel" / name).read_bytes()
 
@@ -617,6 +652,10 @@ class TestSharedGroups:
         want = [r for r in self.read(clean / "runs.csv") if r[2] != "1"]
         for name in ("serial", "parallel"):
             assert self.read(tmp_path / name / "runs.csv") == want
+        assert self.read(tmp_path / "serial" / "failures.csv")[1:] == [
+            [m, str(g), "1", "non-finite logits"] for m in sorted(pair) for g in (40, 80)]
+        assert (tmp_path / "serial" / "failures.csv").read_bytes() == \
+            (tmp_path / "parallel" / "failures.csv").read_bytes()
 
 
 class TestPrintSummary:

@@ -234,6 +234,22 @@ class TestOracle:
         oracle = Oracle(pool)
         labs = [oracle.label(i) for i in range(5)]
         assert labs == list(pool._truth[:5])
+        assert all(type(lab) is int for lab in labs)
+
+    def test_a_batch_equals_the_labels_of_its_ids(self):
+        pool = make_pool(seed=3)
+        oracle = Oracle(pool)
+        ids = np.array([7, 0, 3, 3, 9])
+        batch = oracle.label(ids)
+        assert batch.dtype == np.int64
+        assert batch.tolist() == [oracle.label(int(i)) for i in ids]
+        assert oracle.label(np.empty(0, dtype=np.int64)).tolist() == []
+
+    @pytest.mark.parametrize("ids", [10, -1, [0, 10], [2, -1], np.array([-10])])
+    def test_an_id_outside_the_pool_raises(self, ids):
+        # NumPy indexing would wrap a negative id around to the last points
+        with pytest.raises(IndexError):
+            Oracle(make_pool()).label(ids)
 
 
 class TestValidationSet:

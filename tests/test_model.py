@@ -226,35 +226,56 @@ def hinge_stack(T, n, d, cfg):
     return requests
 
 
+# seed patterns of stacks whose fits share streams: a twin, two pairs, and a
+# triple beside a fit of another seed. In the n = 2, d = 30 stack at
+# tolerance 0.02 the twin's first fit stops at epoch 61 while the second runs
+# all 80, and in the triple the third slot leaves first, alone
+SHARED_SEEDS = {"twin": (3, 3), "pairs": (3, 3, 1, 1), "triple": (1, 3, 3, 3)}
+
+
+def check_against_reference(requests, got, read_from):
+    """[(seed, message)] of every fit of ``got`` whose weights, bias, epochs
+    or loss trace differ from the frozen ``_fit_hinge``'s on its request."""
+    bad = []
+    for (X, y, cfg, seed, _), model in zip(requests, got):
+        want = reference_trainer._fit_hinge(X, y, cfg, rng_from(seed, "fit"))
+        if model.weights.tobytes() != want.weights.tobytes():
+            bad.append((seed, "weights"))
+        if model.bias.tobytes() != want.bias.tobytes():
+            bad.append((seed, "bias"))
+        if model.epochs != len(want.loss_trace) - 1:
+            bad.append((seed, "epochs"))
+        if np.array(model.loss_trace).tobytes() != \
+                np.array(want.loss_trace[read_from:]).tobytes():
+            bad.append((seed, "loss_trace"))
+    return bad
+
+
 def fit_many_matches_reference():
     """[(case, message)] of every stacked fit whose weights, bias, epochs or
-    loss trace differ from the frozen ``_fit_hinge``'s; also the epochs of
-    every fit of the stacks at tolerance 0.02, where some fits stop early and
-    others run all epochs."""
+    loss trace differ from the frozen ``_fit_hinge``'s; also, for every stack
+    at tolerance 0.02, where some fits stop early and others run all epochs,
+    its case and the (seed, epochs) of each slot. Stacks of T fits of T seeds
+    come first, then stacks whose fits repeat seeds (``SHARED_SEEDS``)."""
     bad, mixed = [], []
     # the default l2 and tolerance, then l2 = 0 (which leaves an exact-zero
     # gradient entry's sign to the rows) with a tolerance that stops some fits
-    for T, n, d, normalized, (l2, tolerance) in itertools.product(
-            (2, 3, 10), (2, 31, 32, 33, 137, 500), (2, 30), (False, True),
-            ((1e-4, 1e-5), (0.0, 0.02))):
+    stacks = itertools.product((2, 3, 10, *SHARED_SEEDS), (2, 31, 32, 33, 137, 500),
+                               (2, 30), (False, True), ((1e-4, 1e-5), (0.0, 0.02)))
+    for T, n, d, normalized, (l2, tolerance) in stacks:
         cfg = TrainConfig(normalized=normalized, tolerance=tolerance, l2=l2,
                           learning_rate=3.0 if normalized else 0.1)
-        requests = hinge_stack(T, n, d, cfg)
-        read_from = int(cfg.epochs * 0.75) - 1
-        for (X, y, _, seed, _), got in zip(requests, fit_many(requests)):
-            want = reference_trainer._fit_hinge(X, y, cfg, rng_from(seed, "fit"))
-            case = (T, n, d, normalized, l2, tolerance, seed)
-            if got.weights.tobytes() != want.weights.tobytes():
-                bad.append((case, "weights"))
-            if got.bias.tobytes() != want.bias.tobytes():
-                bad.append((case, "bias"))
-            if got.epochs != len(want.loss_trace) - 1:
-                bad.append((case, "epochs"))
-            if np.array(got.loss_trace).tobytes() != \
-                    np.array(want.loss_trace[read_from:]).tobytes():
-                bad.append((case, "loss_trace"))
-            if tolerance == 0.02:
-                mixed.append((T, n, d, normalized, l2, got.epochs))
+        if T in SHARED_SEEDS:
+            requests = [(X, y, cfg, 10 * n + k, None) for (X, y, *_), k in zip(
+                hinge_stack(len(SHARED_SEEDS[T]), n, d, cfg), SHARED_SEEDS[T])]
+        else:
+            requests = hinge_stack(T, n, d, cfg)
+        got = fit_many(requests)
+        case = (T, n, d, normalized, l2, tolerance)
+        bad += [(case, *b) for b in check_against_reference(
+            requests, got, int(cfg.epochs * 0.75) - 1)]
+        if tolerance == 0.02:
+            mixed.append((case, [(r[3], m.epochs) for r, m in zip(requests, got)]))
     return bad, mixed
 
 
@@ -281,12 +302,53 @@ class TestFitMany:
             assert proc.returncode == 0, err
             result = json.loads(out.splitlines()[-1])
             assert result["bad"] == [], (threads, result["bad"][:10])
-            stacks = {}
-            for *case, epochs in result["mixed"]:
-                stacks.setdefault(tuple(case), set()).add(epochs)
+            epochs = [[e for _, e in slots] for _, slots in result["mixed"]]
             # some stacks hold fits that stop early next to fits that run
             # every epoch, so fits leave a stack while others step on
-            assert any(len(e) > 1 and 80 in e for e in stacks.values())
+            assert any(len(set(e)) > 1 and 80 in e for e in epochs)
+            # a fit leaves while its twin, drawing from the same stream,
+            # runs all 80 epochs
+            assert any(len({e for s, e in slots if s == seed}) > 1
+                       and (seed, 80) in map(tuple, slots)
+                       for _, slots in result["mixed"] for seed, _ in slots)
+            # a middle slot leaves first, alone
+            assert any(e.count(min(e)) == 1 and min(e) not in (e[0], e[-1])
+                       for e in epochs)
+
+    def test_a_stack_draws_one_stream_per_seed(self, monkeypatch):
+        streams, drawn = [], {}
+
+        class Spy:
+            """A fit stream that counts its permutations."""
+
+            def __init__(self, seed, rng):
+                self.seed, self.rng = seed, rng
+
+            def permutation(self, n):
+                drawn.setdefault(self.seed, []).append(n)
+                return self.rng.permutation(n)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        def spy(seed, *stream):
+            streams.append((seed, *stream))
+            return Spy(seed, rng_from(seed, *stream))
+
+        monkeypatch.setattr("tbal.model.rng_from", spy)
+        n, seeds = 2, SHARED_SEEDS["triple"]
+        cfg = TrainConfig(tolerance=0.02, l2=0.0)
+        requests = [(X, y, cfg, 10 * n + k, None)
+                    for (X, y, *_), k in zip(hinge_stack(len(seeds), n, 30, cfg), seeds)]
+        got = fit_many(requests)
+        assert check_against_reference(requests, got, int(cfg.epochs * 0.75) - 1) == []
+        assert sorted(streams) == [(21, "fit"), (23, "fit")]
+        epochs = {}
+        for (*_, seed, _), model in zip(requests, got):
+            epochs.setdefault(seed, []).append(model.epochs)
+        assert epochs == {21: [67], 23: [80, 61, 80]}
+        # one permutation of n rows an epoch, while any fit of the seed is live
+        assert drawn == {seed: [n] * max(e) for seed, e in epochs.items()}
 
     def test_a_mixed_request_list_comes_back_in_order(self):
         hinge = TrainConfig(epochs=20)
